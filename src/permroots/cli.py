@@ -2,9 +2,9 @@
 
 Subcommands: exists, count, roots, table, prob (alias: verify), selftest.
 Exit codes: 0 success (a correct "no roots exist" answer is success),
-2 usage errors, 3 malformed inputs, 4 size-cap refusals, 5 internal
-assertion failures.  Size caps (S_n scan bound, root stream limit, series
-truncation) are explicit flags with loud refusals, never silent clamps.
+2 usage errors, 3 malformed inputs, 4 size-cap refusals, 5 internal-check
+failures, also under ``python -O``.  Size caps (S_n scan bound, root stream
+limit, series truncation) are explicit flags with loud refusals, never silent clamps.
 Decimal columns are presentation only; all computation is exact.
 """
 
@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
+from ._checks import InternalCheckError, require_int
 from .counting import root_count
 from .egf import check_prime_power_equalities, r_total, root_count_from_egf
 from .gsets import count_epsilons, g_set_bounded
@@ -50,12 +51,6 @@ DEFAULT_ORACLE_BOUND = 8
 
 class CapRefusal(Exception):
     """A requested computation exceeds an explicit size cap."""
-
-
-def _require_m(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    return m
 
 
 def _resolve_cycle_type(args) -> CycleType:
@@ -115,10 +110,11 @@ def _witness_rows(t: CycleType, m: int) -> list[dict]:
 
 def _cmd_exists(args) -> int:
     t = _resolve_cycle_type(args)
-    m = _require_m(args.m)
+    m = require_int(args.m, "m")
     rows = _witness_rows(t, m)
     answer = has_mth_root(t, m)
-    assert answer == all(row["divides"] for row in rows)
+    if answer != all(row["divides"] for row in rows):
+        raise InternalCheckError(f"existence criterion and witness rows disagree for m={m}")
     if args.format == "json":
         print(
             json.dumps(
@@ -159,7 +155,7 @@ def _count_detail(t: CycleType, m: int) -> list[dict]:
 
 def _cmd_count(args) -> int:
     t = _resolve_cycle_type(args)
-    m = _require_m(args.m)
+    m = require_int(args.m, "m")
     value = root_count(t, m)
     detail = _count_detail(t, m) if args.verbose else None
     if args.format == "json":
@@ -181,7 +177,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_roots(args) -> int:
     sigma = _resolve_permutation(args)
-    m = _require_m(args.m)
+    m = require_int(args.m, "m")
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
     limit = None if args.all else args.limit
@@ -222,7 +218,7 @@ TABLE_COLUMNS = ["n", "m", "r_total", "p_num", "p_den", "p_decimal"]
 
 
 def _cmd_table(args) -> int:
-    m = _require_m(args.m)
+    m = require_int(args.m, "m")
     lo, hi = _parse_range(args.n)
     if hi > args.truncation_cap:
         raise CapRefusal(
@@ -304,22 +300,24 @@ def _cmd_selftest(args) -> int:
                 expected = brute_force_roots(sigma, m, max_n=args.oracle_bound)
                 constructed = sorted(enumerate_roots(sigma, m))
                 counted = root_count(cycle_type(sigma), m)
-                assert constructed == expected, f"root sets differ for {sigma}, m={m}"
-                assert counted == len(expected), f"root count differs for {sigma}, m={m}"
+                if constructed != expected:
+                    raise InternalCheckError(f"root sets differ for {sigma}, m={m}")
+                if counted != len(expected):
+                    raise InternalCheckError(f"root count differs for {sigma}, m={m}")
     print(f"ok oracle equivalence: n <= {max_n}, m in {ms}")
 
     for m in ms:
         for n in range(max_n + 1):
             total = sum(root_count(t, m) * t.class_size() for t in cycle_types(n))
-            assert total == factorial(n), f"global root identity fails at n={n}, m={m}"
+            if total != factorial(n):
+                raise InternalCheckError(f"global root identity fails at n={n}, m={m}")
     print(f"ok global identity sum(root_count * class_size) == n!: n <= {max_n}, m in {ms}")
 
     for m in ms:
         for n in range(max_n + 1):
             for t in cycle_types(n):
-                assert root_count_from_egf(m, t) == root_count(t, m), (
-                    f"series and product formulas differ at {t}, m={m}"
-                )
+                if root_count_from_egf(m, t) != root_count(t, m):
+                    raise InternalCheckError(f"series and product formulas differ at {t}, m={m}")
     print(f"ok generating-function agreement: weight <= {max_n}, m in {ms}")
 
     for n in range(max_n + 1):
@@ -330,7 +328,8 @@ def _cmd_selftest(args) -> int:
     for q, r in ((2, 1), (2, 2), (3, 1)):
         blocks = max(1, (max_n + 1) // q)
         report = check_prime_power_equalities(q, r, blocks)
-        assert report.all_equal, f"probability blocks unequal for m={q}^{r}"
+        if not report.all_equal:
+            raise InternalCheckError(f"probability blocks unequal for m={q}^{r}")
     print("ok prime-power probability blocks: m in [2, 4, 3]")
 
     print("selftest passed")

@@ -10,7 +10,7 @@ with g_1 < ... < g_k the admissible fusion sizes capped at a_ell.  The sum
 counts the ways to bundle the a_ell cycles into fusions (divided by the
 a_ell! relabelings, restored up front) times the (g-1)! * ell**(g-1)
 interleavings per bundle.  Arithmetic is exact rationals throughout; each
-per-ell factor and the final product are asserted to be integers.
+per-ell factor and the final product are checked to be integers.
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from ._checks import InternalCheckError, require_int
 from .gsets import g_set, g_set_bounded, iter_epsilons
 from .perm import CycleType
-
-
-def _require_root_degree(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 def root_count(t: CycleType, m: int) -> int:
@@ -34,7 +30,7 @@ def root_count(t: CycleType, m: int) -> int:
     some ell admits no solution vector, i.e. the existence criterion
     fails; m == 1 always gives 1.
     """
-    _require_root_degree(m)
+    require_int(m, "m")
     total = 1
     for ell, a in t.nonzero():
         sizes = g_set_bounded(m, ell, a).elements
@@ -46,7 +42,8 @@ def root_count(t: CycleType, m: int) -> int:
                     term *= Fraction(ell ** ((g - 1) * e), g**e * factorial(e))
             acc += term
         factor = factorial(a) * acc
-        assert factor.denominator == 1, f"non-integer factor for ell={ell}, a={a}, m={m}"
+        if factor.denominator != 1:
+            raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
         total *= factor.numerator
     return total
 
@@ -55,11 +52,12 @@ def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:
     """Roots of a permutation made of g*p cycles of length ell when all
     fusions have the same admissible size g: (g*p)! * ell**(p*(g-1)) /
     (g**p * p!).  Rejects g not admissible for (m, ell)."""
-    _require_root_degree(m)
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise ValueError(f"p must be a nonnegative integer, got {p!r}")
+    require_int(m, "m")
+    require_int(p, "p", minimum=0)
+    require_int(g, "g")
     if g not in g_set(m, ell).elements:
         raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
     value = Fraction(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
-    assert value.denominator == 1, f"non-integer homogeneous count for {(ell, g, p, m)}"
+    if value.denominator != 1:
+        raise InternalCheckError(f"non-integer homogeneous count for {(ell, g, p, m)}")
     return value.numerator

@@ -25,42 +25,32 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._checks import InternalCheckError, require_int
 from .gsets import g_set
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
 from .series import MultiSeries, UniSeries, one_minus_xp_root
 
 
-def _require_root_degree(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-
-
-def _require_bound(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def exp_q(q: int, order: int) -> UniSeries:
     """Every q-th term of exp: sum over i of x**(i*q) / (i*q)!."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
-    _require_bound(order, "order")
+    require_int(q, "q")
+    require_int(order, "order", minimum=0)
     coeffs = [Fraction(0)] * (order + 1)
     for j in range(0, order + 1, q):
         coeffs[j] = Fraction(1, factorial(j))
     return UniSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
 def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     """The multivariate EGF of m-th-root counts by cycle type.
 
     Exponential of sum((ell**(g-1) / g) * t_ell**g) over ell >= 1 and
     admissible fusion sizes g with ell * g within the weight bound.
     Memoized: a pure function of (m, weight_bound)."""
-    _require_root_degree(m)
-    _require_bound(weight_bound, "weight_bound")
+    require_int(m, "m")
+    require_int(weight_bound, "weight_bound", minimum=0)
     terms = {}
     for ell in range(1, weight_bound + 1):
         for g in g_set(m, ell).elements:
@@ -77,7 +67,8 @@ def root_count_from_egf(m: int, t: CycleType) -> int:
     value = series.coefficient(t.a)
     for count in t.a:
         value *= factorial(count)
-    assert value.denominator == 1, f"non-integer EGF root count for {t}, m={m}"
+    if value.denominator != 1:
+        raise InternalCheckError(f"non-integer EGF root count for {t}, m={m}")
     return value.numerator
 
 
@@ -87,11 +78,11 @@ def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
         exp( sum(i**(p-1)/p * t_i**p, all i) + sum(t_j, p not dividing j) )
 
     since the admissible sizes for prime p are {1, p} when p does not
-    divide ell and {p} when it does.  Asserted equal to the general
+    divide ell and {p} when it does.  Checked equal to the general
     construction on every call."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
-    _require_bound(weight_bound, "weight_bound")
+    require_int(weight_bound, "weight_bound", minimum=0)
     terms: dict[tuple[int, ...], Fraction] = {}
     for i in range(1, weight_bound + 1):
         if i * p <= weight_bound:
@@ -99,19 +90,18 @@ def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
         if i % p:
             terms[(0,) * (i - 1) + (1,)] = Fraction(1)
     result = MultiSeries(weight_bound, terms).exp()
-    assert result == root_count_egf(p, weight_bound), (
-        f"prime specialization disagrees with general EGF for p={p}"
-    )
+    if result != root_count_egf(p, weight_bound):
+        raise InternalCheckError(f"prime specialization disagrees with general EGF for p={p}")
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
 def r_total_series(m: int, order: int) -> UniSeries:
     """EGF of r_total: prod over ell of exp_q(x**ell / ell) with
     q = bracket(ell, m).  Factors with ell > order are 1 up to the
     truncation, so the product runs ell = 1..order only.  Memoized."""
-    _require_root_degree(m)
-    _require_bound(order, "order")
+    require_int(m, "m")
+    require_int(order, "order", minimum=0)
     series = UniSeries.one(order)
     for ell in range(1, order + 1):
         q = bracket(ell, m)
@@ -125,8 +115,8 @@ def r_total_series(m: int, order: int) -> UniSeries:
 def r_total_from_types(n: int, m: int) -> int:
     """Permutations in S_n with an m-th root, summed class by class over
     the cycle types passing the existence criterion."""
-    _require_root_degree(m)
-    _require_bound(n, "n")
+    require_int(m, "m")
+    require_int(n, "n", minimum=0)
     return sum(t.class_size() for t in cycle_types(n) if has_mth_root(t, m))
 
 
@@ -135,15 +125,17 @@ def r_total(n: int, m: int) -> int:
 
     Series route (n! times the x**n coefficient of r_total_series),
     cross-checked against the classification sum on every call."""
-    _require_root_degree(m)
-    _require_bound(n, "n")
+    require_int(m, "m")
+    require_int(n, "n", minimum=0)
     value = r_total_series(m, n).coefficient(n) * factorial(n)
-    assert value.denominator == 1, f"non-integer r_total at n={n}, m={m}"
+    if value.denominator != 1:
+        raise InternalCheckError(f"non-integer r_total at n={n}, m={m}")
     by_types = r_total_from_types(n, m)
-    assert value.numerator == by_types, (
-        f"series and classification routes disagree at n={n}, m={m}: "
-        f"{value.numerator} vs {by_types}"
-    )
+    if value.numerator != by_types:
+        raise InternalCheckError(
+            f"series and classification routes disagree at n={n}, m={m}: "
+            f"{value.numerator} vs {by_types}"
+        )
     return value.numerator
 
 
@@ -167,9 +159,8 @@ def prime_power_block_series(p: int, r: int, order: int) -> UniSeries:
     runs of equal partial sums."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
-    _require_bound(order, "order")
+    require_int(r, "r")
+    require_int(order, "order", minimum=0)
     m = p**r
     series = one_minus_xp_root(p, order)
     for ell in range(p, order + 1, p):
@@ -211,10 +202,8 @@ def check_prime_power_equalities(q: int, r: int, blocks: int) -> EqualityReport:
     arithmetic and report the probabilities found."""
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q!r}")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
-    if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
-        raise ValueError(f"blocks must be a positive integer, got {blocks!r}")
+    require_int(r, "r")
+    require_int(blocks, "blocks")
     m = q**r
     found = []
     for j in range(blocks):

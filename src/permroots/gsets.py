@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from ._checks import InternalCheckError, require_int
 from .numtheory import bracket, divisors
 
 
@@ -31,36 +32,31 @@ class GSet:
     elements: tuple[int, ...]
 
 
-def _require_positive(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def g_set(m: int, ell: int) -> GSet:
     """The set {g : gcd(g*ell, m) == g}, built as {m/d : d | m, gcd(d, ell) == 1}.
 
     The two descriptions coincide; the divisor form is the builder and the
-    gcd form is asserted for every element produced.  Consequences worth
+    gcd form is checked for every element produced.  Consequences worth
     remembering: every element divides m, the minimum (and the gcd of the
     whole set) is bracket(ell, m), and when gcd(ell, m) == 1 the set is all
     divisors of m.
     """
-    _require_positive(m, "m")
-    _require_positive(ell, "ell")
+    require_int(m, "m")
+    require_int(ell, "ell")
     elements = sorted(m // d for d in divisors(m) if gcd(d, ell) == 1)
     for g in elements:
-        assert gcd(g * ell, m) == g, (
-            f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
-        )
+        if gcd(g * ell, m) != g:
+            raise InternalCheckError(
+                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
+            )
     return GSet(m, ell, None, tuple(elements))
 
 
 def g_set_bounded(m: int, ell: int, a: int) -> GSet:
     """g_set(m, ell) restricted to elements <= a; empty when a == 0."""
-    _require_positive(m, "m")
-    _require_positive(ell, "ell")
-    if a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
+    require_int(m, "m")
+    require_int(ell, "ell")
+    require_int(a, "a", minimum=0)
     full = g_set(m, ell)
     return GSet(m, ell, a, tuple(g for g in full.elements if g <= a))
 
@@ -95,8 +91,7 @@ def iter_epsilons(g: tuple[int, ...], a: int):
     """
     g = tuple(g)
     _validate_sizes(g)
-    if a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
+    require_int(a, "a", minimum=0)
     masks = _reachable_masks(g, a)
     k = len(g)
     eps = [0] * k
@@ -127,8 +122,7 @@ def count_epsilons(g: tuple[int, ...], a: int) -> int:
     """Number of solution vectors, by a recursion independent of the DFS."""
     g = tuple(g)
     _validate_sizes(g)
-    if a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
+    require_int(a, "a", minimum=0)
     memo: dict[tuple[int, int], int] = {}
 
     def cnt(i: int, rem: int) -> int:
@@ -145,18 +139,18 @@ def count_epsilons(g: tuple[int, ...], a: int) -> int:
 def is_solvable(m: int, ell: int, a: int) -> bool:
     """Whether a cycles of length ell can all be spent on admissible fusions.
 
-    Decided two ways on every call and the answers asserted equal:
+    Decided two ways on every call and the answers checked equal:
     divisibility of a by bracket(ell, m), and subset-sum reachability of a
     over the bounded fusion sizes.  a == 0 is vacuously solvable.
     """
-    _require_positive(m, "m")
-    _require_positive(ell, "ell")
-    if a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
+    require_int(m, "m")
+    require_int(ell, "ell")
+    require_int(a, "a", minimum=0)
     by_bracket = a % bracket(ell, m) == 0
     bounded = g_set_bounded(m, ell, a)
     by_reachability = bool((_reachable_masks(bounded.elements, a)[0] >> a) & 1)
-    assert by_bracket == by_reachability, (
-        f"divisibility and reachability disagree for m={m}, ell={ell}, a={a}"
-    )
+    if by_bracket != by_reachability:
+        raise InternalCheckError(
+            f"divisibility and reachability disagree for m={m}, ell={ell}, a={a}"
+        )
     return by_bracket

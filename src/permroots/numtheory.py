@@ -1,7 +1,7 @@
 """Prime-factorization arithmetic underlying root existence for permutations.
 
-Everything is deterministic trial division on desk-scale integers.  The one
-non-standard quantity is ``bracket(ell, m)``: the product, over primes p
+Factorization is deterministic trial division on desk-scale integers.  The
+one non-standard quantity is ``bracket(ell, m)``: the product, over primes p
 dividing ell, of the full power of p contained in m.  It always divides m,
 equals 1 exactly when gcd(ell, m) == 1, and is the modulus that decides
 whether a permutation with a given number of ell-cycles has an m-th root
@@ -11,12 +11,11 @@ whether a permutation with a given number of ell-cycles has an m-th root
 
 from __future__ import annotations
 
+from math import gcd
+
+from ._checks import require_int
+
 Factorization = list[tuple[int, int]]
-
-
-def _require_positive(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def factorize(n: int) -> Factorization:
@@ -24,7 +23,7 @@ def factorize(n: int) -> Factorization:
 
     factorize(1) == [] (empty product).
     """
-    _require_positive(n, "n")
+    require_int(n, "n")
     out: Factorization = []
     rest = n
     p = 2
@@ -49,7 +48,7 @@ def is_prime(p: int) -> bool:
 
 def nu_p(n: int, p: int) -> int:
     """p-adic valuation of n: the exponent of the prime p in n."""
-    _require_positive(n, "n")
+    require_int(n, "n")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     e = 0
@@ -66,17 +65,19 @@ def bracket(ell: int, m: int) -> int:
     cycle type has a_ell cycles of length ell (for every ell) admits an
     m-th root iff bracket(ell, m) divides a_ell for every ell.
     """
-    _require_positive(ell, "ell")
-    _require_positive(m, "m")
-    out = 1
-    for p, _ in factorize(ell):
-        out *= p ** nu_p(m, p)
+    require_int(ell, "ell")
+    require_int(m, "m")
+    out, d = 1, gcd(ell, m)
+    while d > 1:  # d holds the primes of ell still left in m
+        out *= d
+        m //= d
+        d = gcd(m, d)
     return out
 
 
 def divisors(m: int) -> list[int]:
     """All positive divisors of m, strictly increasing."""
-    _require_positive(m, "m")
+    require_int(m, "m")
     small: list[int] = []
     large: list[int] = []
     d = 1

@@ -15,17 +15,13 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
+from ._checks import InternalCheckError, require_int
 from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
 
 class OracleSizeError(ValueError):
     """Raised when the exhaustive S_n scan is asked to exceed its bound."""
-
-
-def _require_root_degree(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -63,12 +59,12 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls(range(1, require_int(n, "n", minimum=0) + 1))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         """Build from disjoint cycles; elements not mentioned are fixed."""
-        image = list(range(1, n + 1))
+        image = list(range(1, require_int(n, "n", minimum=0) + 1))
         touched = set()
         for cyc in cycles:
             cyc = tuple(cyc)
@@ -198,8 +194,7 @@ def cycle_types(n: int):
 
     Largest parts first; n == 0 yields the single empty type.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    require_int(n, "n", minimum=0)
     a = [0] * n
 
     def rec(remaining: int, max_part: int):
@@ -217,7 +212,7 @@ def cycle_types(n: int):
 
 def power(sigma: Permutation, m: int) -> Permutation:
     """sigma**m, computed cycle by cycle (each L-cycle advances by m mod L)."""
-    _require_root_degree(m)
+    require_int(m, "m")
     return Permutation(_image_power(sigma.image, m))
 
 
@@ -228,7 +223,7 @@ def has_mth_root(t, m: int) -> bool:
     "generatingfunctionology", 2nd ed., theorem 4.8.2).  Accepts a
     CycleType or a Permutation.
     """
-    _require_root_degree(m)
+    require_int(m, "m")
     if isinstance(t, Permutation):
         t = cycle_type(t)
     return all(count % bracket(ell, m) == 0 for ell, count in t.nonzero())
@@ -313,7 +308,7 @@ def enumerate_roots(sigma: Permutation, m: int):
     anchored order, interleavings by companion order then rotation offset.
     The empty permutation is its own m-th root for every m.
     """
-    _require_root_degree(m)
+    require_int(m, "m")
     if not has_mth_root(cycle_type(sigma), m):
         return
     by_len: dict[int, list[tuple[int, ...]]] = {}
@@ -326,7 +321,8 @@ def enumerate_roots(sigma: Permutation, m: int):
     def assemble(idx: int, mapping: dict[int, int]):
         if idx == len(lengths):
             image = tuple(mapping[x] for x in range(1, n + 1))
-            assert _image_power(image, m) == target, "constructed root failed re-powering"
+            if _image_power(image, m) != target:
+                raise InternalCheckError("constructed root failed re-powering")
             yield Permutation(image)
             return
         ell = lengths[idx]
@@ -343,7 +339,8 @@ def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permut
     Independent of the constructive enumerator: no shared cycle logic
     beyond raw powering.  Refuses n > max_n (the bound is an argument,
     not ambient state)."""
-    _require_root_degree(m)
+    require_int(m, "m")
+    require_int(max_n, "max_n", minimum=0)
     n = sigma.degree
     if n > max_n:
         raise OracleSizeError(

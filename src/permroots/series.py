@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
+
+from ._checks import require_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -27,8 +30,7 @@ class UniSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+        require_int(order, "order", minimum=0)
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
@@ -102,8 +104,7 @@ class UniSeries:
         """The series in x obtained by substituting c * x**k for the
         variable, truncated at the given order.  Requires enough source
         coefficients: self.order * k >= order."""
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
+        require_int(k, "k")
         c = _as_fraction(c)
         if self.order < order // k:
             raise ValueError(
@@ -146,8 +147,7 @@ class UniSeries:
 def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
     """Binomial coefficient alpha over k for rational alpha:
     alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    require_int(k, "k", minimum=0)
     alpha = _as_fraction(alpha)
     num = Fraction(1)
     for i in range(k):
@@ -159,8 +159,8 @@ def one_minus_xp_root(p: int, order: int) -> "UniSeries":
     """(1 - x**p)**(1/p) as an exact truncated series: the one place a
     non-integer exponent appears, expanded with rational binomials
     sum(binom(1/p, k) * (-1)**k * x**(p*k))."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"p must be a positive integer, got {p!r}")
+    require_int(p, "p")
+    require_int(order, "order", minimum=0)
     alpha = Fraction(1, p)
     coeffs = [Fraction(0)] * (order + 1)
     for k in range(order // p + 1):
@@ -183,13 +183,13 @@ class MultiSeries:
     """Sparse exact series in t_1, t_2, ... truncated by total weight.
 
     Keys are exponent tuples with trailing zeros stripped; terms whose
-    weight exceeds the bound are dropped by every operation."""
+    weight exceeds the bound are dropped by every operation.  terms is a
+    read-only mapping, so no caller can change a cached series."""
 
     __slots__ = ("weight_bound", "terms")
 
     def __init__(self, weight_bound: int, terms=None):
-        if not isinstance(weight_bound, int) or isinstance(weight_bound, bool) or weight_bound < 0:
-            raise ValueError(f"weight_bound must be a nonnegative integer, got {weight_bound!r}")
+        require_int(weight_bound, "weight_bound", minimum=0)
         clean: dict[tuple[int, ...], Fraction] = {}
         for key, coeff in (terms or {}).items():
             key = _strip(tuple(key))
@@ -202,7 +202,7 @@ class MultiSeries:
                 if not clean[key]:
                     del clean[key]
         self.weight_bound = weight_bound
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def zero(cls, weight_bound: int) -> "MultiSeries":
@@ -228,7 +228,7 @@ class MultiSeries:
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_bound(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for key, coeff in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + coeff
         return MultiSeries(self.weight_bound, out)

@@ -1,0 +1,211 @@
+"""The shared checks: integer-argument validation and internal cross-checks
+that keep running under ``python -O``."""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from permroots import (
+    CycleType,
+    MultiSeries,
+    Permutation,
+    UniSeries,
+    bracket,
+    brute_force_roots,
+    check_prime_power_equalities,
+    count_epsilons,
+    cycle_types,
+    divisors,
+    enumerate_roots,
+    epsilon_set,
+    exp_q,
+    factorize,
+    g_set,
+    g_set_bounded,
+    generalized_binomial,
+    has_mth_root,
+    homogeneous_count,
+    is_solvable,
+    iter_epsilons,
+    nu_p,
+    one_minus_xp_root,
+    power,
+    prime_power_block_series,
+    prime_root_count_egf,
+    r_total,
+    r_total_from_types,
+    r_total_series,
+    root_count,
+    root_count_egf,
+    root_count_from_egf,
+    root_probability,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_assert_statements_in_the_package():
+    """Bare asserts vanish under -O; every check must raise explicitly."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "permroots").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh ``python -O`` interpreter that imports permroots from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+FAULT_PROBE = """
+import sys
+from permroots._checks import InternalCheckError
+import {module} as target
+if not sys.flags.optimize:
+    sys.exit("interpreter is not running with -O")
+target.{attr} = {replacement}
+try:
+    {call}
+except InternalCheckError as exc:
+    print("InternalCheckError:", exc)
+else:
+    sys.exit("the broken route went unnoticed")
+"""
+
+
+@pytest.mark.parametrize(
+    "module,attr,replacement,call",
+    [
+        ("permroots.egf", "r_total_from_types", "lambda n, m: -1", "target.r_total(5, 2)"),
+        (
+            "permroots.egf",
+            "root_count_egf",
+            "lambda p, w: target.MultiSeries.one(w)",
+            "target.prime_root_count_egf(2, 4)",
+        ),
+        (
+            "permroots.perm",
+            "_image_power",
+            "lambda image, m: ()",
+            "list(target.enumerate_roots(target.Permutation.identity(2), 2))",
+        ),
+        ("permroots.gsets", "bracket", "lambda ell, m: 1", "target.is_solvable(2, 2, 1)"),
+    ],
+    ids=["r_total", "prime_root_count_egf", "enumerate_roots", "is_solvable"],
+)
+def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
+    probe = FAULT_PROBE.format(module=module, attr=attr, replacement=replacement, call=call)
+    result = run_optimized(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("InternalCheckError:")
+
+
+def test_cli_exits_5_under_optimize_when_a_route_is_broken():
+    result = run_optimized(
+        "import sys, permroots.egf as egf\n"
+        "from permroots.cli import main\n"
+        "egf.r_total_from_types = lambda n, m: -1\n"
+        "sys.exit(main(['table', '-m', '2', '--n', '0..5']))\n"
+    )
+    assert result.returncode == 5
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal check failed: series and classification routes")
+
+
+T2 = CycleType((2,))
+SIGMA = Permutation.identity(2)
+S0 = Permutation.identity(0)
+
+# (entry point, argument name, its smallest valid value, a call passing v as that argument).
+# Every public function, constructor and classmethod whose integer argument is
+# a count, degree, order or bound.  Left out: is_prime, a predicate that answers
+# False rather than raising; coefficient indices and UniSeries.monomial's
+# exponent, which are positions checked against the order; and per-element
+# integers (CycleType multiplicities, Permutation images, MultiSeries
+# exponents, iter_epsilons sizes), which have their own inline checks.
+INTEGER_ARGUMENTS = [
+    ("factorize", "n", 1, factorize),
+    ("nu_p", "n", 1, lambda v: nu_p(v, 2)),
+    ("nu_p", "p", 2, lambda v: nu_p(12, v)),
+    ("bracket", "ell", 1, lambda v: bracket(v, 6)),
+    ("bracket", "m", 1, lambda v: bracket(6, v)),
+    ("divisors", "m", 1, divisors),
+    ("g_set", "m", 1, lambda v: g_set(v, 1)),
+    ("g_set", "ell", 1, lambda v: g_set(2, v)),
+    ("g_set_bounded", "m", 1, lambda v: g_set_bounded(v, 1, 2)),
+    ("g_set_bounded", "ell", 1, lambda v: g_set_bounded(2, v, 2)),
+    ("g_set_bounded", "a", 0, lambda v: g_set_bounded(2, 1, v)),
+    ("iter_epsilons", "a", 0, lambda v: list(iter_epsilons((1, 2), v))),
+    ("epsilon_set", "a", 0, lambda v: epsilon_set((1, 2), v)),
+    ("count_epsilons", "a", 0, lambda v: count_epsilons((1, 2), v)),
+    ("is_solvable", "m", 1, lambda v: is_solvable(v, 1, 2)),
+    ("is_solvable", "ell", 1, lambda v: is_solvable(2, v, 2)),
+    ("is_solvable", "a", 0, lambda v: is_solvable(2, 1, v)),
+    ("root_count", "m", 1, lambda v: root_count(T2, v)),
+    ("homogeneous_count", "ell", 1, lambda v: homogeneous_count(v, 2, 1, 2)),
+    ("homogeneous_count", "g", 1, lambda v: homogeneous_count(1, v, 1, 2)),
+    ("homogeneous_count", "p", 0, lambda v: homogeneous_count(1, 2, v, 2)),
+    ("homogeneous_count", "m", 1, lambda v: homogeneous_count(1, 2, 1, v)),
+    ("Permutation.identity", "n", 0, Permutation.identity),
+    ("Permutation.from_cycles", "n", 0, lambda v: Permutation.from_cycles(v, ())),
+    ("power", "m", 1, lambda v: power(SIGMA, v)),
+    ("Permutation.__pow__", "m", 1, lambda v: SIGMA**v),
+    ("has_mth_root", "m", 1, lambda v: has_mth_root(T2, v)),
+    ("cycle_types", "n", 0, lambda v: list(cycle_types(v))),
+    ("enumerate_roots", "m", 1, lambda v: list(enumerate_roots(SIGMA, v))),
+    ("brute_force_roots", "m", 1, lambda v: brute_force_roots(SIGMA, v)),
+    ("brute_force_roots", "max_n", 0, lambda v: brute_force_roots(S0, 2, max_n=v)),
+    ("exp_q", "q", 1, lambda v: exp_q(v, 4)),
+    ("exp_q", "order", 0, lambda v: exp_q(2, v)),
+    ("root_count_egf", "m", 1, lambda v: root_count_egf(v, 4)),
+    ("root_count_egf", "weight_bound", 0, lambda v: root_count_egf(2, v)),
+    ("root_count_from_egf", "m", 1, lambda v: root_count_from_egf(v, T2)),
+    ("prime_root_count_egf", "p", 2, lambda v: prime_root_count_egf(v, 4)),
+    ("prime_root_count_egf", "weight_bound", 0, lambda v: prime_root_count_egf(2, v)),
+    ("r_total_series", "m", 1, lambda v: r_total_series(v, 4)),
+    ("r_total_series", "order", 0, lambda v: r_total_series(2, v)),
+    ("r_total_from_types", "n", 0, lambda v: r_total_from_types(v, 2)),
+    ("r_total_from_types", "m", 1, lambda v: r_total_from_types(4, v)),
+    ("r_total", "n", 0, lambda v: r_total(v, 2)),
+    ("r_total", "m", 1, lambda v: r_total(4, v)),
+    ("root_probability", "n", 0, lambda v: root_probability(v, 2)),
+    ("root_probability", "m", 1, lambda v: root_probability(4, v)),
+    ("prime_power_block_series", "p", 2, lambda v: prime_power_block_series(v, 1, 4)),
+    ("prime_power_block_series", "r", 1, lambda v: prime_power_block_series(2, v, 4)),
+    ("prime_power_block_series", "order", 0, lambda v: prime_power_block_series(2, 1, v)),
+    ("check_prime_power_equalities", "q", 2, lambda v: check_prime_power_equalities(v, 1, 2)),
+    ("check_prime_power_equalities", "r", 1, lambda v: check_prime_power_equalities(2, v, 2)),
+    ("check_prime_power_equalities", "blocks", 1, lambda v: check_prime_power_equalities(2, 1, v)),
+    ("UniSeries", "order", 0, UniSeries),
+    ("UniSeries.zero", "order", 0, UniSeries.zero),
+    ("UniSeries.one", "order", 0, UniSeries.one),
+    ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
+    ("generalized_binomial", "k", 0, lambda v: generalized_binomial(Fraction(1, 2), v)),
+    ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
+    ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),
+    ("MultiSeries", "weight_bound", 0, MultiSeries),
+    ("MultiSeries.zero", "weight_bound", 0, MultiSeries.zero),
+    ("MultiSeries.one", "weight_bound", 0, MultiSeries.one),
+]
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below_minimum"])
+@pytest.mark.parametrize(
+    "entry,name,minimum,call", INTEGER_ARGUMENTS, ids=[f"{e[0]}-{e[1]}" for e in INTEGER_ARGUMENTS]
+)
+def test_integer_arguments_refuse_bools_floats_and_small_values(entry, name, minimum, call, kind):
+    call(2)  # valid first: a memoized answer for 2 must not be handed to 2.0
+    bad = {"bool": True, "float": 2.0, "below_minimum": minimum - 1}[kind]
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(bad)

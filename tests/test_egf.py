@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from permroots import (
+    CycleType,
     check_prime_power_equalities,
     cycle_types,
     exp_q,
@@ -48,6 +49,12 @@ def test_root_count_egf_anchor_coefficients():
     assert e.coefficient((0, 2)) * factorial(2) == 2
     assert e.coefficient((0, 1)) == 0
     assert e.coefficient((0, 0, 0, 1)) == 0
+
+
+def test_cached_egf_cannot_be_changed_by_a_caller():
+    with pytest.raises(TypeError):
+        root_count_egf(2, 2).terms[(2,)] = 99
+    assert root_count_from_egf(2, CycleType((2,))) == 2
 
 
 def test_root_count_from_egf_matches_product_formula():

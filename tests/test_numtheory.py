@@ -102,6 +102,14 @@ def test_bracket_divides_m_and_detects_coprimality():
             assert (b == 1) == (math.gcd(ell, m) == 1)
 
 
+def test_bracket_equals_the_factorization_route():
+    # the definition: product over primes p dividing ell of p**nu_p(m, p)
+    for ell in range(1, 150):
+        for m in range(1, 150):
+            expected = math.prod(p ** nu_p(m, p) for p, _ in factorize(ell))
+            assert bracket(ell, m) == expected, (ell, m)
+
+
 @given(
     st.integers(min_value=1, max_value=200),
     st.integers(min_value=1, max_value=60),
