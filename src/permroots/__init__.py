@@ -18,6 +18,7 @@ from .egf import (
     prime_root_count_egf,
     r_total,
     r_total_from_types,
+    r_total_range,
     r_total_series,
     root_count_egf,
     root_count_from_egf,
@@ -92,6 +93,7 @@ __all__ = [
     "prime_root_count_egf",
     "r_total",
     "r_total_from_types",
+    "r_total_range",
     "r_total_series",
     "root_count",
     "root_count_egf",

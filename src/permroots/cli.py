@@ -3,8 +3,10 @@
 Subcommands: exists, count, roots, table, prob (alias: verify), selftest.
 Exit codes: 0 success (a correct "no roots exist" answer is success),
 2 usage errors, 3 malformed inputs, 4 size-cap refusals, 5 internal-check
-failures, also under ``python -O``.  Size caps (S_n scan bound, root stream
-limit, series truncation) are explicit flags with loud refusals, never silent clamps.
+failures, also under ``python -O``.  A reader that closes the output pipe
+early ends the command with exit 0 and no message.  Size caps (S_n scan
+bound, root stream limit, series truncation) are explicit flags with loud
+refusals, never silent clamps.
 Decimal columns are presentation only; all computation is exact.
 """
 
@@ -14,13 +16,14 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import factorial
 
 from ._checks import InternalCheckError, require_int
 from .counting import root_count
-from .egf import check_prime_power_equalities, r_total, root_count_from_egf
+from .egf import check_prime_power_equalities, r_total_range, root_count_from_egf
 from .gsets import count_epsilons, g_set_bounded
 from .numtheory import bracket
 from .perm import (
@@ -198,8 +201,7 @@ def _cmd_roots(args) -> int:
 
 def _table_rows(lo: int, hi: int, m: int) -> list[dict]:
     rows = []
-    for n in range(lo, hi + 1):
-        count = r_total(n, m)
+    for n, count in enumerate(r_total_range(lo, hi, m), start=lo):
         prob = Fraction(count, factorial(n))
         rows.append(
             {
@@ -320,9 +322,8 @@ def _cmd_selftest(args) -> int:
                     raise InternalCheckError(f"series and product formulas differ at {t}, m={m}")
     print(f"ok generating-function agreement: weight <= {max_n}, m in {ms}")
 
-    for n in range(max_n + 1):
-        for m in ms:
-            r_total(n, m)  # internally cross-checks series vs classification
+    for m in ms:
+        r_total_range(0, max_n, m)  # cross-checks its three routes internally
     print(f"ok r_total dual route: n <= {max_n}, m in {ms}")
 
     for q, r in ((2, 1), (2, 2), (3, 1)):
@@ -450,7 +451,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head -1``); that ends the command, quietly.
+        # stdout goes to devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (CapRefusal, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -10,7 +10,8 @@ with g_1 < ... < g_k the admissible fusion sizes capped at a_ell.  The sum
 counts the ways to bundle the a_ell cycles into fusions (divided by the
 a_ell! relabelings, restored up front) times the (g-1)! * ell**(g-1)
 interleavings per bundle.  Arithmetic is exact rationals throughout; each
-per-ell factor and the final product are checked to be integers.
+per-ell factor is checked to be an integer that is zero exactly when
+bracket(ell, m) does not divide a_ell.
 """
 
 from __future__ import annotations
@@ -20,7 +21,25 @@ from math import factorial
 
 from ._checks import InternalCheckError, require_int
 from .gsets import g_set, g_set_bounded, iter_epsilons
+from .numtheory import bracket
 from .perm import CycleType
+
+
+def _length_factor(ell: int, a: int, m: int) -> int:
+    """The factor of root_count for a cycles of length ell: a! times the
+    eps-sum, which is empty (so 0) when bracket(ell, m) does not divide a."""
+    sizes = g_set_bounded(m, ell, a).elements
+    acc = Fraction(0)
+    for eps in iter_epsilons(sizes, a):
+        term = Fraction(1)
+        for g, e in zip(sizes, eps):
+            if e:
+                term *= Fraction(ell ** ((g - 1) * e), g**e * factorial(e))
+        acc += term
+    factor = factorial(a) * acc
+    if factor.denominator != 1:
+        raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
+    return factor.numerator
 
 
 def root_count(t: CycleType, m: int) -> int:
@@ -28,23 +47,21 @@ def root_count(t: CycleType, m: int) -> int:
 
     Depends only on the nonzero (ell, a_ell) pairs.  Zero exactly when
     some ell admits no solution vector, i.e. the existence criterion
-    fails; m == 1 always gives 1.
+    fails; then only the first such ell's factor is computed.  m == 1
+    always gives 1.
     """
     require_int(m, "m")
+    lengths = [(ell, a, bracket(ell, m)) for ell, a in t.nonzero()]
+    blocked = [(ell, a, q) for ell, a, q in lengths if a % q]
     total = 1
-    for ell, a in t.nonzero():
-        sizes = g_set_bounded(m, ell, a).elements
-        acc = Fraction(0)
-        for eps in iter_epsilons(sizes, a):
-            term = Fraction(1)
-            for g, e in zip(sizes, eps):
-                if e:
-                    term *= Fraction(ell ** ((g - 1) * e), g**e * factorial(e))
-            acc += term
-        factor = factorial(a) * acc
-        if factor.denominator != 1:
-            raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
-        total *= factor.numerator
+    for ell, a, q in blocked[:1] or lengths:
+        factor = _length_factor(ell, a, m)
+        if (factor == 0) != (a % q != 0):
+            raise InternalCheckError(
+                f"factor {factor} for ell={ell}, a={a}, m={m} disagrees with "
+                f"divisibility by bracket {q}"
+            )
+        total *= factor
     return total
 
 

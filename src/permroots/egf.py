@@ -13,7 +13,12 @@ The univariate route counts permutations having at least one m-th root:
         exp_q(x**ell / ell)   with q = bracket(ell, m),
 
 where exp_q keeps every q-th term of exp (Wilf, "generatingfunctionology",
-2nd ed., section 4.8).  For prime powers m = p**r the probabilities
+2nd ed., section 4.8).  The values r_total(lo..hi, m) are produced by one
+integer pass, a binomial (labelled) convolution of the factors, whose terms
+(k*ell)! / (ell**k * k!) count the permutations made of k ell-cycles.  Two
+routes check every value returned: the Fraction product series, expanded
+once to order hi, and the sum of class sizes over the cycle types passing
+the existence criterion.  For prime powers m = p**r the probabilities
 r_total(n, m) / n! are constant on blocks of p consecutive n, which this
 module verifies by exact arithmetic.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from ._checks import InternalCheckError, require_int
 from .gsets import g_set
@@ -120,23 +125,60 @@ def r_total_from_types(n: int, m: int) -> int:
     return sum(t.class_size() for t in cycle_types(n) if has_mth_root(t, m))
 
 
-def r_total(n: int, m: int) -> int:
-    """Number of permutations in S_n having at least one m-th root.
+def _r_total_convolution(hi: int, m: int) -> list[int]:
+    """r_total(0..hi, m) as integers: the binomial convolution of the
+    factors exp_q(x**ell / ell), whose n! * [x**n] term is
+    (k*ell)! / (ell**k * k!) at n = k*ell with q dividing k."""
+    values = [1] + [0] * hi
+    for ell in range(1, hi + 1):
+        step = bracket(ell, m) * ell
+        terms = [
+            (j, factorial(j) // (ell ** (j // ell) * factorial(j // ell)))
+            for j in range(step, hi + 1, step)
+        ]
+        for n in range(hi, step - 1, -1):  # downwards, so values[n - j] is still old
+            values[n] += sum(comb(n, j) * term * values[n - j] for j, term in terms if j <= n)
+    return values
 
-    Series route (n! times the x**n coefficient of r_total_series),
-    cross-checked against the classification sum on every call."""
+
+def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
+    """r_total(n, m) for n = lo..hi, from one integer convolution.
+
+    Every value up to hi is checked against n! times the coefficient of
+    r_total_series(m, hi), expanded once, and every value returned against
+    the classification sum r_total_from_types(n, m)."""
+    require_int(m, "m")
+    require_int(lo, "lo", minimum=0)
+    require_int(hi, "hi", minimum=0)
+    if hi < lo:
+        raise ValueError(f"hi must be at least lo={lo}, got {hi}")
+    values = _r_total_convolution(hi, m)
+    series = r_total_series(m, hi)
+    for n, value in enumerate(values):
+        by_series = series.coefficient(n) * factorial(n)
+        if by_series.denominator != 1:
+            raise InternalCheckError(f"non-integer r_total at n={n}, m={m}")
+        if by_series.numerator != value:
+            raise InternalCheckError(
+                f"convolution and series routes disagree at n={n}, m={m}: "
+                f"{value} vs {by_series.numerator}"
+            )
+    for n in range(lo, hi + 1):
+        by_types = r_total_from_types(n, m)
+        if values[n] != by_types:
+            raise InternalCheckError(
+                f"series and classification routes disagree at n={n}, m={m}: "
+                f"{values[n]} vs {by_types}"
+            )
+    return tuple(values[lo:])
+
+
+def r_total(n: int, m: int) -> int:
+    """Number of permutations in S_n having at least one m-th root:
+    r_total_range(n, n, m), with all three of its routes."""
     require_int(m, "m")
     require_int(n, "n", minimum=0)
-    value = r_total_series(m, n).coefficient(n) * factorial(n)
-    if value.denominator != 1:
-        raise InternalCheckError(f"non-integer r_total at n={n}, m={m}")
-    by_types = r_total_from_types(n, m)
-    if value.numerator != by_types:
-        raise InternalCheckError(
-            f"series and classification routes disagree at n={n}, m={m}: "
-            f"{value.numerator} vs {by_types}"
-        )
-    return value.numerator
+    return r_total_range(n, n, m)[0]
 
 
 def root_probability(n: int, m: int) -> Fraction:
@@ -205,9 +247,10 @@ def check_prime_power_equalities(q: int, r: int, blocks: int) -> EqualityReport:
     require_int(r, "r")
     require_int(blocks, "blocks")
     m = q**r
+    values = r_total_range(0, blocks * q - 1, m)
     found = []
     for j in range(blocks):
         ns = tuple(range(j * q, (j + 1) * q))
-        probabilities = tuple(root_probability(n, m) for n in ns)
+        probabilities = tuple(Fraction(values[n], factorial(n)) for n in ns)
         found.append(ProbabilityBlock(j, ns, probabilities))
     return EqualityReport(q, r, m, tuple(found))

@@ -24,10 +24,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
 
 
+def _refuse_rebinding(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot rebind {name!r}")
+
+
 class UniSeries:
-    """A polynomial truncation sum(coeffs[j] * x**j, j = 0..order)."""
+    """A polynomial truncation sum(coeffs[j] * x**j, j = 0..order).
+    Immutable, so no caller can change a cached series."""
 
     __slots__ = ("order", "coeffs")
+    __setattr__ = __delattr__ = _refuse_rebinding
 
     def __init__(self, order: int, coeffs=()):
         require_int(order, "order", minimum=0)
@@ -35,8 +41,8 @@ class UniSeries:
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
         coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self.order = order
-        self.coeffs = tuple(coeffs)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
     def zero(cls, order: int) -> "UniSeries":
@@ -184,9 +190,11 @@ class MultiSeries:
 
     Keys are exponent tuples with trailing zeros stripped; terms whose
     weight exceeds the bound are dropped by every operation.  terms is a
-    read-only mapping, so no caller can change a cached series."""
+    read-only mapping and the attributes cannot be rebound, so no caller
+    can change a cached series."""
 
     __slots__ = ("weight_bound", "terms")
+    __setattr__ = __delattr__ = _refuse_rebinding
 
     def __init__(self, weight_bound: int, terms=None):
         require_int(weight_bound, "weight_bound", minimum=0)
@@ -201,8 +209,8 @@ class MultiSeries:
                 clean[key] = clean.get(key, Fraction(0)) + coeff
                 if not clean[key]:
                     del clean[key]
-        self.weight_bound = weight_bound
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "weight_bound", weight_bound)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls, weight_bound: int) -> "MultiSeries":

@@ -39,6 +39,7 @@ from permroots import (
     prime_root_count_egf,
     r_total,
     r_total_from_types,
+    r_total_range,
     r_total_series,
     root_count,
     root_count_egf,
@@ -101,8 +102,27 @@ else:
             "list(target.enumerate_roots(target.Permutation.identity(2), 2))",
         ),
         ("permroots.gsets", "bracket", "lambda ell, m: 1", "target.is_solvable(2, 2, 1)"),
+        (
+            "permroots.egf",
+            "r_total_series",
+            "lambda m, order: target.UniSeries.one(order)",
+            "target.r_total_range(0, 5, 2)",
+        ),
+        (
+            "permroots.counting",
+            "bracket",
+            "lambda ell, m: 1",
+            "target.root_count(target.CycleType((0, 1)), 2)",
+        ),
     ],
-    ids=["r_total", "prime_root_count_egf", "enumerate_roots", "is_solvable"],
+    ids=[
+        "r_total",
+        "prime_root_count_egf",
+        "enumerate_roots",
+        "is_solvable",
+        "r_total_range",
+        "root_count",
+    ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
     probe = FAULT_PROBE.format(module=module, attr=attr, replacement=replacement, call=call)
@@ -177,6 +197,9 @@ INTEGER_ARGUMENTS = [
     ("r_total_series", "order", 0, lambda v: r_total_series(2, v)),
     ("r_total_from_types", "n", 0, lambda v: r_total_from_types(v, 2)),
     ("r_total_from_types", "m", 1, lambda v: r_total_from_types(4, v)),
+    ("r_total_range", "lo", 0, lambda v: r_total_range(v, 4, 2)),
+    ("r_total_range", "hi", 0, lambda v: r_total_range(0, v, 2)),
+    ("r_total_range", "m", 1, lambda v: r_total_range(0, 4, v)),
     ("r_total", "n", 0, lambda v: r_total(v, 2)),
     ("r_total", "m", 1, lambda v: r_total(4, v)),
     ("root_probability", "n", 0, lambda v: root_probability(v, 2)),

@@ -255,6 +255,20 @@ def test_console_script_is_installed():
     assert result.stdout == "10\n"
 
 
+def test_closed_pipe_ends_quietly_with_exit_0():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permroots.cli", "roots", "-m", "2", "--type", "1^12", "--all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "2 1 4 3 6 5 8 7 10 9 12 11\n"
+    proc.stdout.close()  # the reader stops early, as `| head -1` does
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_exists_formats_share_the_verdict(capsys, fmt):
     code, out, _ = run_cli(capsys, "exists", "-m", "4", "--type", "2^2", "--format", fmt)

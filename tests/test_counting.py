@@ -104,3 +104,19 @@ def test_counts_are_nonnegative_integers(n, m):
         value = root_count(t, m)
         assert isinstance(value, int)
         assert value >= 0
+
+
+def test_a_rootless_type_computes_only_its_zero_factor(monkeypatch):
+    import permroots.counting as counting
+
+    computed = []
+    original = counting._length_factor
+
+    def spy(ell, a, m):
+        computed.append(ell)
+        return original(ell, a, m)
+
+    monkeypatch.setattr(counting, "_length_factor", spy)
+    # bracket(2, 12) == 4 does not divide 30, so only ell = 2 is needed
+    assert root_count(CycleType((60, 30, 20)), 12) == 0
+    assert computed == [2]

@@ -1,10 +1,12 @@
 """Generating functions and prime-power probability blocks."""
 
+import functools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import permroots.egf as egf
 from permroots import (
     CycleType,
     check_prime_power_equalities,
@@ -14,12 +16,14 @@ from permroots import (
     prime_root_count_egf,
     r_total,
     r_total_from_types,
+    r_total_range,
     r_total_series,
     root_count,
     root_count_egf,
     root_count_from_egf,
     root_probability,
 )
+from permroots.cli import main
 
 
 def test_exp_q_frozen_values():
@@ -188,3 +192,61 @@ def test_block_series_rejects_bad_arguments():
 def test_probability_is_weakly_decreasing_in_n_for_m2():
     probabilities = [root_probability(n, 2) for n in range(13)]
     assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12, 60])
+def test_r_total_range_equals_the_classification_sum(m, monkeypatch):
+    expected = [r_total_from_types(n, m) for n in range(21)]
+    # the same reference inside every call, computed once per degree
+    monkeypatch.setattr(egf, "r_total_from_types", functools.cache(r_total_from_types))
+    for lo in range(21):
+        for hi in range(lo, 21):
+            assert r_total_range(lo, hi, m) == tuple(expected[lo : hi + 1]), (lo, hi)
+
+
+def test_r_total_range_refuses_an_empty_range():
+    with pytest.raises(ValueError, match=r"^hi must be at least lo=3, got 2$"):
+        r_total_range(3, 2, 2)
+
+
+def counted(monkeypatch, name):
+    """Replace egf.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(egf, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(egf, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,degrees",
+    [
+        (["table", "-m", "2", "--n", "0..20"], 21),
+        (["table", "-m", "2", "--n", "15..20"], 6),
+        (["prob", "-q", "2", "-r", "2", "--blocks", "10"], 20),
+    ],
+    ids=["table-0..20", "table-15..20", "prob"],
+)
+def test_one_series_expansion_and_one_classification_per_degree(
+    argv, degrees, monkeypatch, capsys
+):
+    series_calls = counted(monkeypatch, "r_total_series")
+    type_calls = counted(monkeypatch, "r_total_from_types")
+    assert main(argv) == 0
+    assert len(series_calls) == 1
+    assert len(type_calls) == degrees
+    assert capsys.readouterr().err == ""
+
+
+def test_cached_series_cannot_be_rebound():
+    series = r_total_series(2, 5)
+    with pytest.raises(AttributeError):
+        series.coeffs = (Fraction(0),) * 6
+    assert r_total_series(2, 5).coefficient(5) * factorial(5) == 60
+    with pytest.raises(AttributeError):
+        root_count_egf(2, 2).terms = {(2,): Fraction(99)}
+    assert root_count_from_egf(2, CycleType((2,))) == 2
