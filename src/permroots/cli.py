@@ -23,7 +23,8 @@ from math import factorial
 
 from ._checks import InternalCheckError, require_int
 from .counting import root_count
-from .egf import check_prime_power_equalities, r_total_range, root_count_from_egf
+from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
+from .egf import root_count_from_egf
 from .gsets import count_epsilons, g_set_bounded
 from .numtheory import bracket
 from .perm import (
@@ -323,7 +324,14 @@ def _cmd_selftest(args) -> int:
     print(f"ok generating-function agreement: weight <= {max_n}, m in {ms}")
 
     for m in ms:
-        r_total_range(0, max_n, m)  # cross-checks its three routes internally
+        # r_total_range checks its convolution against the series itself
+        for n, value in enumerate(r_total_range(0, max_n, m)):
+            by_types = r_total_from_types(n, m)
+            if value != by_types:
+                raise InternalCheckError(
+                    f"series and classification routes disagree at n={n}, m={m}: "
+                    f"{value} vs {by_types}"
+                )
     print(f"ok r_total dual route: n <= {max_n}, m in {ms}")
 
     for q, r in ((2, 1), (2, 2), (3, 1)):
@@ -349,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact m-th roots of permutations: existence, counts, "
         "construction, and root probabilities.",
         epilog="Exit codes: 0 ok, 2 usage, 3 bad input, 4 size-cap refusal, "
-        "5 internal assertion failure.",
+        "5 internal-check failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,12 +15,12 @@ The univariate route counts permutations having at least one m-th root:
 where exp_q keeps every q-th term of exp (Wilf, "generatingfunctionology",
 2nd ed., section 4.8).  The values r_total(lo..hi, m) are produced by one
 integer pass, a binomial (labelled) convolution of the factors, whose terms
-(k*ell)! / (ell**k * k!) count the permutations made of k ell-cycles.  Two
-routes check every value returned: the Fraction product series, expanded
-once to order hi, and the sum of class sizes over the cycle types passing
-the existence criterion.  For prime powers m = p**r the probabilities
-r_total(n, m) / n! are constant on blocks of p consecutive n, which this
-module verifies by exact arithmetic.
+(k*ell)! / (ell**k * k!) count the permutations made of k ell-cycles.  The
+Fraction product series, expanded once to order hi, checks every value.
+selftest and the tests also compare them with r_total_from_types, the sum
+of class sizes over the cycle types passing the existence criterion.  For
+prime powers m = p**r the probabilities r_total(n, m) / n! are constant on
+blocks of p consecutive n, which this module verifies by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
     """r_total(n, m) for n = lo..hi, from one integer convolution.
 
     Every value up to hi is checked against n! times the coefficient of
-    r_total_series(m, hi), expanded once, and every value returned against
-    the classification sum r_total_from_types(n, m)."""
+    r_total_series(m, hi), expanded once."""
     require_int(m, "m")
     require_int(lo, "lo", minimum=0)
     require_int(hi, "hi", minimum=0)
@@ -163,19 +162,13 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
                 f"convolution and series routes disagree at n={n}, m={m}: "
                 f"{value} vs {by_series.numerator}"
             )
-    for n in range(lo, hi + 1):
-        by_types = r_total_from_types(n, m)
-        if values[n] != by_types:
-            raise InternalCheckError(
-                f"series and classification routes disagree at n={n}, m={m}: "
-                f"{values[n]} vs {by_types}"
-            )
     return tuple(values[lo:])
 
 
 def r_total(n: int, m: int) -> int:
     """Number of permutations in S_n having at least one m-th root:
-    r_total_range(n, n, m), with all three of its routes."""
+    r_total_range(n, n, m), checked against the series like every value
+    it returns."""
     require_int(m, "m")
     require_int(n, "n", minimum=0)
     return r_total_range(n, n, m)[0]

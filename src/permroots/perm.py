@@ -229,9 +229,9 @@ def has_mth_root(t, m: int) -> bool:
     return all(count % bracket(ell, m) == 0 for ell, count in t.nonzero())
 
 
-def _fusions(bundle, ell: int, m: int):
-    """All (g*ell)-cycles D with D**m equal to the product of the bundle,
-    as {x: D(x)} dicts.
+def _fusions(bundle, ell: int, m: int, image: list[int]):
+    """All (g*ell)-cycles D with D**m equal to the product of the bundle.
+    Each D is written into image (image[x-1] = D(x)) before a yield.
 
     The m-th power of a (g*ell)-cycle reads off g cycles of length ell
     along every m-th position, one per residue class mod g.  So D is
@@ -254,7 +254,9 @@ def _fusions(bundle, ell: int, m: int):
                 off = offsets[j - 1]
                 for t in range(ell):
                     seq[(j + t * m) % span] = cyc[(off + t) % ell]
-            yield {seq[i]: seq[(i + 1) % span] for i in range(span)}
+            for i in range(span):
+                image[seq[i - 1] - 1] = seq[i]
+            yield
 
 
 def _bundle_partitions(cycles, counts):
@@ -277,27 +279,23 @@ def _bundle_partitions(cycles, counts):
                 yield [(anchor, *companions)] + tail
 
 
-def _bundle_products(bundles, ell: int, m: int):
-    """Cartesian product of per-bundle fusions, merged into one dict."""
+def _bundle_products(bundles, ell: int, m: int, image: list[int]):
+    """Cartesian product of per-bundle fusions, all written into image."""
     if not bundles:
-        yield {}
+        yield
         return
-    head, rest = bundles[0], bundles[1:]
-    for head_map in _fusions(head, ell, m):
-        for rest_map in _bundle_products(rest, ell, m):
-            merged = dict(head_map)
-            merged.update(rest_map)
-            yield merged
+    for _ in _fusions(bundles[0], ell, m, image):
+        yield from _bundle_products(bundles[1:], ell, m, image)
 
 
-def _ell_part_maps(cycles, ell: int, m: int):
-    """All restrictions of an m-th root to the ell-cycles' support."""
+def _ell_part_maps(cycles, ell: int, m: int, image: list[int]):
+    """All restrictions of an m-th root to the ell-cycles' support, written into image."""
     a = len(cycles)
     sizes = g_set_bounded(m, ell, a).elements
     for eps in iter_epsilons(sizes, a):
         counts = {g: e for g, e in zip(sizes, eps) if e}
         for bundles in _bundle_partitions(cycles, counts):
-            yield from _bundle_products(bundles, ell, m)
+            yield from _bundle_products(bundles, ell, m, image)
 
 
 def enumerate_roots(sigma: Permutation, m: int):
@@ -315,22 +313,21 @@ def enumerate_roots(sigma: Permutation, m: int):
     for cyc in sigma.cycles():
         by_len.setdefault(len(cyc), []).append(cyc)
     lengths = sorted(by_len)
-    n = sigma.degree
     target = sigma.image
+    image = [0] * sigma.degree  # each root overwrites every entry: the bundles cover sigma
 
-    def assemble(idx: int, mapping: dict[int, int]):
+    def assemble(idx: int):
         if idx == len(lengths):
-            image = tuple(mapping[x] for x in range(1, n + 1))
-            if _image_power(image, m) != target:
+            root = tuple(image)
+            if _image_power(root, m) != target:
                 raise InternalCheckError("constructed root failed re-powering")
-            yield Permutation(image)
+            yield Permutation(root)
             return
         ell = lengths[idx]
-        for part in _ell_part_maps(by_len[ell], ell, m):
-            mapping.update(part)
-            yield from assemble(idx + 1, mapping)
+        for _ in _ell_part_maps(by_len[ell], ell, m, image):
+            yield from assemble(idx + 1)
 
-    yield from assemble(0, {})
+    yield from assemble(0)
 
 
 def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permutation]:

@@ -88,7 +88,13 @@ else:
 @pytest.mark.parametrize(
     "module,attr,replacement,call",
     [
-        ("permroots.egf", "r_total_from_types", "lambda n, m: -1", "target.r_total(5, 2)"),
+        (
+            "permroots.cli",
+            "r_total_from_types",
+            "lambda n, m: -1",
+            "target._cmd_selftest("
+            "target._build_parser().parse_args(['selftest', '--max-n', '5', '-m', '2']))",
+        ),
         (
             "permroots.egf",
             "root_count_egf",
@@ -128,19 +134,36 @@ def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
     probe = FAULT_PROBE.format(module=module, attr=attr, replacement=replacement, call=call)
     result = run_optimized(probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("InternalCheckError:")
+    assert result.stdout.splitlines()[-1].startswith("InternalCheckError:")  # after selftest's ok lines
 
 
 def test_cli_exits_5_under_optimize_when_a_route_is_broken():
-    result = run_optimized(
-        "import sys, permroots.egf as egf\n"
-        "from permroots.cli import main\n"
-        "egf.r_total_from_types = lambda n, m: -1\n"
-        "sys.exit(main(['table', '-m', '2', '--n', '0..5']))\n"
-    )
-    assert result.returncode == 5
-    assert result.stdout == ""
-    assert result.stderr.startswith("internal check failed: series and classification routes")
+    for module, attr, replacement, argv, message in [
+        (
+            "permroots.egf",
+            "r_total_series",
+            "lambda m, order: target.UniSeries.one(order)",
+            ["table", "-m", "2", "--n", "0..5"],
+            "convolution and series routes disagree",
+        ),
+        (
+            "permroots.cli",
+            "r_total_from_types",
+            "lambda n, m: -1",
+            ["selftest", "--max-n", "5", "-m", "2"],
+            "series and classification routes disagree",
+        ),
+    ]:
+        result = run_optimized(
+            f"import sys, {module} as target\n"
+            "from permroots.cli import main\n"
+            f"target.{attr} = {replacement}\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        assert result.returncode == 5, (argv, result.stderr)
+        assert result.stderr.startswith(f"internal check failed: {message}"), result.stderr
+        if argv[0] == "table":
+            assert result.stdout == ""
 
 
 T2 = CycleType((2,))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -147,6 +148,68 @@ def test_streamed_roots_match_count_subcommand(capsys, m, selector):
     lines = out.splitlines()
     assert len(lines) == expected
     assert len(set(lines)) == expected
+
+
+# (selector, number of roots, sha256 of the full stdout).  The streaming order
+# is part of the CLI contract, so a change to construction must leave these
+# unchanged.  Most inputs fuse several long cycles per bundle.
+ROOTS_ALL_DIGESTS = [
+    (
+        ("-m", "2", "--type", "1^5 3^4"),
+        1196,
+        "7a206261c810fa5a9b35127148a6bd60db957ca11ebbc8118400282114c67414",
+    ),
+    (
+        ("-m", "3", "--type", "1^8"),
+        1233,
+        "a5566ef7f027dac8ffa331a2b9ca6306fb7ba3e7f6d8f55245de8a3002e28e1e",
+    ),
+    (
+        ("-m", "3", "--type", "1^1 2^5 3^3"),
+        1458,
+        "2ddf1843097376987f945a14561dbb7dc8cf8a33da9d23a358f316dde3e3526f",
+    ),
+    (
+        ("-m", "4", "--type", "1^6 3^2"),
+        1024,
+        "5b52554afa81474adcf438c016d9adf3e56dafb6495dd5b52fbb8b6a67f931be",
+    ),
+    (
+        ("-m", "4", "--type", "1^5 2^4"),
+        2688,
+        "49269ee330cf9d73832752bf6e171afa902ae368ce9768600b21d007ff9b15d5",
+    ),
+    (
+        ("-m", "6", "--type", "1^5 3^3"),
+        1188,
+        "6b5edd6c5ba60025a1f41e28a2a7e5a07f9156a8a8b964e84091f4c923816703",
+    ),
+    (
+        ("-m", "12", "--type", "1^5 3^3"),
+        1728,
+        "379ecc0b63ae2d395af7ff42da18f929612771d0d19a78dd15e95ae02edc44bc",
+    ),
+    (
+        ("-m", "3", "--type", "2^3 3^3"),
+        162,
+        "8f221c674e7188bb4de319ae494f826b415d86384d83af31c59b7f78017d9539",
+    ),
+    (
+        ("-m", "3", "--perm", "10 14 2 15 11 17 20 19 6 1 13 16 5 3 4 12 9 18 8 7"),
+        1458,
+        "b8d43a55f9c35382a60e2b5d2b37fafd4e1a71bff8f3b088ee88c56ab8034fce",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "selector,count,digest", ROOTS_ALL_DIGESTS, ids=[" ".join(c[0]) for c in ROOTS_ALL_DIGESTS]
+)
+def test_roots_all_order_is_frozen(capsys, selector, count, digest):
+    code, out, err = run_cli(capsys, "roots", "--all", *selector)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_roots_limit_truncation_is_loud(capsys):

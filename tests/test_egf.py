@@ -1,11 +1,11 @@
 """Generating functions and prime-power probability blocks."""
 
-import functools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import permroots.cli as cli
 import permroots.egf as egf
 from permroots import (
     CycleType,
@@ -104,8 +104,8 @@ def test_r_total_frozen_values():
 def test_r_total_routes_agree():
     for m in (2, 3, 4, 6, 8, 9):
         for n in range(13):
-            # r_total asserts series == classification internally; check the
-            # classification route explicitly against it as well
+            # r_total checks its convolution against the series internally;
+            # the classification route is compared here
             assert r_total(n, m) == r_total_from_types(n, m)
 
 
@@ -195,13 +195,26 @@ def test_probability_is_weakly_decreasing_in_n_for_m2():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12, 60])
-def test_r_total_range_equals_the_classification_sum(m, monkeypatch):
+def test_r_total_range_equals_the_classification_sum(m):
     expected = [r_total_from_types(n, m) for n in range(21)]
-    # the same reference inside every call, computed once per degree
-    monkeypatch.setattr(egf, "r_total_from_types", functools.cache(r_total_from_types))
     for lo in range(21):
         for hi in range(lo, 21):
             assert r_total_range(lo, hi, m) == tuple(expected[lo : hi + 1]), (lo, hi)
+
+
+# The classification sum is the reference for the r values that reach
+# output: acceptance criterion 5's blocks (n <= 31, 32, 34 for q = 2, 3, 5)
+# and the table at the truncation cap in test_cli (n = 39..41).
+@pytest.mark.parametrize("q,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_prime_power_blocks_equal_the_classification_sum(q, r):
+    report = check_prime_power_equalities(q, r, (31 + q - 1) // q)
+    for block in report.blocks:
+        for n, probability in zip(block.ns, block.probabilities):
+            assert probability * factorial(n) == r_total_from_types(n, q**r), (q, r, n)
+
+
+def test_table_at_the_truncation_cap_equals_the_classification_sum():
+    assert r_total_range(39, 41, 2) == tuple(r_total_from_types(n, 2) for n in range(39, 42))
 
 
 def test_r_total_range_refuses_an_empty_range():
@@ -209,36 +222,41 @@ def test_r_total_range_refuses_an_empty_range():
         r_total_range(3, 2, 2)
 
 
-def counted(monkeypatch, name):
-    """Replace egf.<name> by a wrapper that counts its calls."""
+def counted(monkeypatch, module, name):
+    """Replace module.<name> by a wrapper that counts its calls."""
     calls = []
-    original = getattr(egf, name)
+    original = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(egf, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 @pytest.mark.parametrize(
-    "argv,degrees",
+    "argv,expansions,classifications",
     [
-        (["table", "-m", "2", "--n", "0..20"], 21),
-        (["table", "-m", "2", "--n", "15..20"], 6),
-        (["prob", "-q", "2", "-r", "2", "--blocks", "10"], 20),
+        (["table", "-m", "2", "--n", "0..20"], 1, 0),
+        (["table", "-m", "2", "--n", "15..20"], 1, 0),
+        (["prob", "-q", "2", "-r", "2", "--blocks", "10"], 1, 0),
+        # one r_total_range per m and per prime-power block check; the
+        # classification sum once for each n = 0..5 and each m
+        (["selftest", "--max-n", "5", "-m", "2,3"], 5, 12),
     ],
-    ids=["table-0..20", "table-15..20", "prob"],
+    ids=["table-0..20", "table-15..20", "prob", "selftest"],
 )
-def test_one_series_expansion_and_one_classification_per_degree(
-    argv, degrees, monkeypatch, capsys
+def test_one_series_expansion_per_range_and_classification_only_in_selftest(
+    argv, expansions, classifications, monkeypatch, capsys
 ):
-    series_calls = counted(monkeypatch, "r_total_series")
-    type_calls = counted(monkeypatch, "r_total_from_types")
+    series_calls = counted(monkeypatch, egf, "r_total_series")
+    type_calls = counted(monkeypatch, egf, "r_total_from_types")
+    type_calls_in_cli = counted(monkeypatch, cli, "r_total_from_types")
     assert main(argv) == 0
-    assert len(series_calls) == 1
-    assert len(type_calls) == degrees
+    assert len(series_calls) == expansions
+    assert type_calls == []
+    assert len(type_calls_in_cli) == classifications
     assert capsys.readouterr().err == ""
 
 

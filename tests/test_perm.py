@@ -96,6 +96,22 @@ def test_cycle_type_text_round_trip():
         parse_cycle_type("2^")
 
 
+@st.composite
+def _cycle_types(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return draw(st.sampled_from(list(cycle_types(n))))
+
+
+@given(_cycle_types())
+def test_cycle_type_text_round_trip_on_generated_types(t):
+    assert parse_cycle_type(format_cycle_type(t)) == t
+
+
+@given(_permutations(max_n=12))
+def test_one_line_text_round_trip_on_generated_permutations(sigma):
+    assert parse_permutation(format_permutation(sigma)) == sigma
+
+
 def test_canonical_permutation_has_the_type():
     for n in range(7):
         for t in cycle_types(n):

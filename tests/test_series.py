@@ -190,6 +190,28 @@ def test_multiseries_json_round_trip():
     assert multi_from_json(data) == s
 
 
+@st.composite
+def _sparse_multi_series(draw, weight_bound=8):
+    terms = draw(
+        st.dictionaries(
+            st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(tuple),
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            max_size=5,
+        )
+    )
+    return MultiSeries(weight_bound, terms)
+
+
+@given(_sparse_series())
+def test_uniseries_json_round_trip_on_generated_series(s):
+    assert uni_from_json(uni_to_json(s)) == s
+
+
+@given(_sparse_multi_series())
+def test_multiseries_json_round_trip_on_generated_series(s):
+    assert multi_from_json(multi_to_json(s)) == s
+
+
 def test_uniseries_golden_file():
     from permroots import r_total_series
 
