@@ -30,6 +30,7 @@ from .perm import (
     CycleType,
     OracleSizeError,
     Permutation,
+    brute_force_root_table,
     brute_force_roots,
     cycle_type,
     cycle_types,
@@ -62,6 +63,7 @@ __all__ = [
     "ProbabilityBlock",
     "UniSeries",
     "bracket",
+    "brute_force_root_table",
     "brute_force_roots",
     "check_prime_power_equalities",
     "count_epsilons",

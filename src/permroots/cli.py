@@ -31,7 +31,7 @@ from .perm import (
     CycleType,
     OracleSizeError,
     Permutation,
-    brute_force_roots,
+    brute_force_root_table,
     cycle_type,
     cycle_types,
     enumerate_roots,
@@ -298,10 +298,12 @@ def _cmd_selftest(args) -> int:
 
     for m in ms:
         for n in range(max_n + 1):
+            # one scan of S_n per (n, m): every permutation bucketed by its m-th power
+            table = brute_force_root_table(n, m, max_n=args.oracle_bound)
             for image in itertools.permutations(range(1, n + 1)):
                 sigma = Permutation(image)
-                expected = brute_force_roots(sigma, m, max_n=args.oracle_bound)
-                constructed = sorted(enumerate_roots(sigma, m))
+                expected = table.get(image, [])
+                constructed = sorted(tau.image for tau in enumerate_roots(sigma, m))
                 counted = root_count(cycle_type(sigma), m)
                 if constructed != expected:
                     raise InternalCheckError(f"root sets differ for {sigma}, m={m}")

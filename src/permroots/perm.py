@@ -6,7 +6,8 @@ Permutations act on {1, ..., n} and are stored in one-line notation
 it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
 the root, interleaving their entries.  Every constructed root is verified
-by re-powering before it is emitted.
+by re-powering before it is emitted.  The oracle scans S_n once per
+(n, m) and buckets every permutation by its m-th power.
 """
 
 from __future__ import annotations
@@ -330,25 +331,37 @@ def enumerate_roots(sigma: Permutation, m: int):
     yield from assemble(0)
 
 
-def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permutation]:
-    """All m-th roots of sigma by scanning S_n, in lexicographic order.
+def brute_force_root_table(
+    n: int, m: int, max_n: int = 8
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every m-th root in S_n, bucketed by its m-th power, from one scan of S_n.
 
-    Independent of the constructive enumerator: no shared cycle logic
-    beyond raw powering.  Refuses n > max_n (the bound is an argument,
-    not ambient state)."""
+    Maps each image that has an m-th root to the images of all its roots,
+    in lexicographic order; an image without a root is absent.  The n!
+    candidates are powered by raw rotation only: no shared cycle logic with
+    the constructive enumerator.  Refuses n > max_n (the bound is an
+    argument, not ambient state)."""
+    require_int(n, "n", minimum=0)
     require_int(m, "m")
     require_int(max_n, "max_n", minimum=0)
-    n = sigma.degree
     if n > max_n:
         raise OracleSizeError(
             f"exhaustive scan over S_{n} refused (bound max_n={max_n}); pass a larger max_n"
         )
-    target = sigma.image
-    return [
-        Permutation(cand)
-        for cand in itertools.permutations(range(1, n + 1))
-        if _image_power(cand, m) == target
-    ]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for cand in itertools.permutations(range(1, n + 1)):  # lexicographic
+        table.setdefault(_image_power(cand, m), []).append(cand)
+    return table
+
+
+def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permutation]:
+    """All m-th roots of sigma by scanning S_n, in lexicographic order.
+
+    Independent of the constructive enumerator: no shared cycle logic
+    beyond raw powering.  Reads sigma's bucket of brute_force_root_table,
+    so it refuses n > max_n the same way."""
+    bucket = brute_force_root_table(sigma.degree, m, max_n).get(sigma.image, ())
+    return [Permutation(image) for image in bucket]
 
 
 def parse_permutation(text: str) -> Permutation:

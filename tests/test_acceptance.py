@@ -15,6 +15,7 @@ from math import factorial, gcd
 from permroots import (
     Permutation,
     bracket,
+    brute_force_root_table,
     brute_force_roots,
     check_prime_power_equalities,
     cycle_type,
@@ -36,25 +37,26 @@ from permroots import (
 
 def test_criterion_1_oracle_equivalence():
     """Brute force, constructive enumeration, and the counting formula agree
-    on every permutation of S_0..S_6 for m in {2,3,4,5,6,8,9,12}."""
+    on every permutation of S_0..S_7 for m in {2,3,4,5,6,8,9,12}, with one
+    oracle scan of S_n per (n, m)."""
     start = time.time()
     ms = (2, 3, 4, 5, 6, 8, 9, 12)
     pairs = 0
-    for n in range(7):
-        for image in itertools.permutations(range(1, n + 1)):
-            sigma = Permutation(image)
-            t = cycle_type(sigma)
-            for m in ms:
-                expected = brute_force_roots(sigma, m)
-                constructed = sorted(enumerate_roots(sigma, m))
+    for m in ms:
+        for n in range(8):
+            table = brute_force_root_table(n, m)
+            for image in itertools.permutations(range(1, n + 1)):
+                sigma = Permutation(image)
+                expected = table.get(image, [])
+                constructed = sorted(tau.image for tau in enumerate_roots(sigma, m))
                 assert constructed == expected, (sigma, m)
-                assert root_count(t, m) == len(expected), (sigma, m)
+                assert root_count(cycle_type(sigma), m) == len(expected), (sigma, m)
                 pairs += 1
     elapsed = time.time() - start
     assert elapsed < 120
     print(
         f"PASS criterion 1: brute force == enumeration == count on "
-        f"{pairs} (sigma, m) pairs, S_0..S_6 ({elapsed:.1f}s < 120s)"
+        f"{pairs} (sigma, m) pairs, S_0..S_7 ({elapsed:.1f}s < 120s)"
     )
 
 

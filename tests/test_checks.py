@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from permroots import cli
 from permroots import (
     CycleType,
     MultiSeries,
     Permutation,
     UniSeries,
     bracket,
+    brute_force_root_table,
     brute_force_roots,
     check_prime_power_equalities,
     count_epsilons,
@@ -120,6 +122,15 @@ else:
             "lambda ell, m: 1",
             "target.root_count(target.CycleType((0, 1)), 2)",
         ),
+        (
+            "permroots.cli",
+            "brute_force_root_table",
+            "(lambda real: lambda n, m, max_n: "
+            "{key: bucket[1:] for key, bucket in real(n, m, max_n).items()})"
+            "(target.brute_force_root_table)",
+            "target._cmd_selftest("
+            "target._build_parser().parse_args(['selftest', '--max-n', '3', '-m', '2']))",
+        ),
     ],
     ids=[
         "r_total",
@@ -128,6 +139,7 @@ else:
         "is_solvable",
         "r_total_range",
         "root_count",
+        "oracle_table",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
@@ -164,6 +176,21 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
         assert result.stderr.startswith(f"internal check failed: {message}"), result.stderr
         if argv[0] == "table":
             assert result.stdout == ""
+
+
+def test_selftest_exits_5_when_the_oracle_table_drops_a_root(monkeypatch, capsys):
+    real = cli.brute_force_root_table
+
+    def dropping(n, m, max_n):
+        table = real(n, m, max_n)
+        if n == 3:
+            table[(1, 2, 3)].pop()  # one of the four square roots of the identity
+        return table
+
+    monkeypatch.setattr(cli, "brute_force_root_table", dropping)
+    assert cli.main(["selftest", "--max-n", "3", "-m", "2"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: root sets differ for"), err
 
 
 T2 = CycleType((2,))
@@ -209,6 +236,9 @@ INTEGER_ARGUMENTS = [
     ("enumerate_roots", "m", 1, lambda v: list(enumerate_roots(SIGMA, v))),
     ("brute_force_roots", "m", 1, lambda v: brute_force_roots(SIGMA, v)),
     ("brute_force_roots", "max_n", 0, lambda v: brute_force_roots(S0, 2, max_n=v)),
+    ("brute_force_root_table", "n", 0, lambda v: brute_force_root_table(v, 2)),
+    ("brute_force_root_table", "m", 1, lambda v: brute_force_root_table(2, v)),
+    ("brute_force_root_table", "max_n", 0, lambda v: brute_force_root_table(0, 2, max_n=v)),
     ("exp_q", "q", 1, lambda v: exp_q(v, 4)),
     ("exp_q", "order", 0, lambda v: exp_q(2, v)),
     ("root_count_egf", "m", 1, lambda v: root_count_egf(v, 4)),

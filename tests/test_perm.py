@@ -11,6 +11,7 @@ from permroots import (
     CycleType,
     OracleSizeError,
     Permutation,
+    brute_force_root_table,
     brute_force_roots,
     cycle_type,
     cycle_types,
@@ -211,17 +212,59 @@ def test_brute_force_respects_its_bound():
     assert len(brute_force_roots(Permutation.identity(3), 2, max_n=3)) == 4
     with pytest.raises(OracleSizeError):
         brute_force_roots(Permutation.identity(4), 2, max_n=3)
+    message = r"^exhaustive scan over S_9 refused \(bound max_n=8\); pass a larger max_n$"
+    with pytest.raises(OracleSizeError, match=message):
+        brute_force_root_table(9, 2)
+    assert len(brute_force_root_table(3, 2, max_n=3)) == 3  # the identity and two 3-cycles
+    with pytest.raises(OracleSizeError, match=r"S_4 refused \(bound max_n=3\)"):
+        brute_force_root_table(4, 2, max_n=3)
 
 
 def test_oracle_equivalence_small_degrees():
-    for n in range(5):
-        for image in itertools.permutations(range(1, n + 1)):
-            sigma = Permutation(image)
-            for m in (1, 2, 3, 4, 6):
-                expected = brute_force_roots(sigma, m)
-                constructed = sorted(enumerate_roots(sigma, m))
+    for m in (1, 2, 3, 4, 6):
+        for n in range(5):
+            table = brute_force_root_table(n, m)
+            for image in itertools.permutations(range(1, n + 1)):
+                sigma = Permutation(image)
+                expected = table.get(image, [])
+                constructed = sorted(tau.image for tau in enumerate_roots(sigma, m))
                 assert constructed == expected, (sigma, m)
                 assert root_count(cycle_type(sigma), m) == len(expected)
+
+
+TABLE_MS = (1, 2, 3, 4, 6, 12)
+
+
+def _power_by_composition(image, m):
+    """image**m by m compositions, sharing no code with the package."""
+    out = tuple(range(1, len(image) + 1))
+    for _ in range(m):
+        out = tuple(image[x - 1] for x in out)
+    return out
+
+
+def test_root_table_buckets_all_of_s_n_by_mth_power():
+    for n in range(6):
+        for m in TABLE_MS:
+            table = brute_force_root_table(n, m)
+            assert sum(len(bucket) for bucket in table.values()) == factorial(n), (n, m)
+            for key, bucket in table.items():
+                assert bucket == sorted(bucket), (n, m, key)
+                for tau in bucket:
+                    assert _power_by_composition(tau, m) == key, (n, m, tau)
+
+
+def test_brute_force_roots_equals_a_filtered_scan_of_s_n():
+    for n in range(6):
+        for m in TABLE_MS:
+            for image in itertools.permutations(range(1, n + 1)):
+                sigma = Permutation(image)
+                scanned = [
+                    Permutation(cand)
+                    for cand in itertools.permutations(range(1, n + 1))
+                    if power(Permutation(cand), m) == sigma
+                ]
+                assert brute_force_roots(sigma, m) == scanned, (sigma, m)
 
 
 def test_oracle_equivalence_sampled_larger_degrees():
