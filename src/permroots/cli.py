@@ -6,7 +6,10 @@ Exit codes: 0 success (a correct "no roots exist" answer is success),
 failures, also under ``python -O``.  A reader that closes the output pipe
 early ends the command with exit 0 and no message.  Size caps (S_n scan
 bound, root stream limit, series truncation) are explicit flags with loud
-refusals, never silent clamps.
+refusals, never silent clamps.  One cap is fixed: an answer (a count, the
+total in the roots --limit message, r_total, p_num, p_den, a probability's
+numerator or denominator) of more than MAX_ANSWER_DIGITS = 100,000 decimal
+digits is refused with exit 4 instead of printed.
 Decimal columns are presentation only; all computation is exact.
 """
 
@@ -18,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -51,10 +55,38 @@ EXIT_INTERNAL = 5
 DEFAULT_ROOT_LIMIT = 10_000
 DEFAULT_TRUNCATION_CAP = 40
 DEFAULT_ORACLE_BOUND = 8
+# Answers longer than this are refused, not printed: writing an int as
+# decimal text takes time quadratic in its length.
+MAX_ANSWER_DIGITS = 100_000
+# 2**_ANSWER_BITS < 10**MAX_ANSWER_DIGITS, as log2(10) > 3.321928
+_ANSWER_BITS = MAX_ANSWER_DIGITS * 3_321_928 // 1_000_000
 
 
 class CapRefusal(Exception):
     """A requested computation exceeds an explicit size cap."""
+
+
+@contextmanager
+def _answer_text(*answers: int):
+    """Convert the answers to decimal text only inside this block.
+
+    An answer of more than MAX_ANSWER_DIGITS digits is refused before any
+    conversion; the interpreter's own limit on int-to-text conversion
+    (4300 digits by default) is lifted inside the block only."""
+    for value in answers:
+        if value.bit_length() > _ANSWER_BITS and value >= 10**MAX_ANSWER_DIGITS:
+            raise CapRefusal(
+                f"the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
+                f"decimal digits; it is not printed"
+            )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (before 3.10.7)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _resolve_cycle_type(args) -> CycleType:
@@ -162,20 +194,21 @@ def _cmd_count(args) -> int:
     m = require_int(args.m, "m")
     value = root_count(t, m)
     detail = _count_detail(t, m) if args.verbose else None
-    if args.format == "json":
-        payload = {"m": m, "cycle_type": format_cycle_type(t), "count": value}
-        if detail is not None:
-            payload["detail"] = detail
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(value)
-        if detail is not None:
-            for row in detail:
-                gs = ", ".join(str(g) for g in row["admissible_g"])
-                print(
-                    f"ell={row['ell']} a={row['a']} admissible g=[{gs}] "
-                    f"solutions={row['solutions']}"
-                )
+    with _answer_text(value, *(row["solutions"] for row in detail or ())):
+        if args.format == "json":
+            payload = {"m": m, "cycle_type": format_cycle_type(t), "count": value}
+            if detail is not None:
+                payload["detail"] = detail
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(value)
+            if detail is not None:
+                for row in detail:
+                    gs = ", ".join(str(g) for g in row["admissible_g"])
+                    print(
+                        f"ell={row['ell']} a={row['a']} admissible g=[{gs}] "
+                        f"solutions={row['solutions']}"
+                    )
     return EXIT_OK
 
 
@@ -189,11 +222,12 @@ def _cmd_roots(args) -> int:
     emitted = 0
     for tau in enumerate_roots(sigma, m):
         if limit is not None and emitted >= limit:
-            print(
-                f"error: output truncated at --limit {limit} of {total} roots; "
-                f"raise --limit or pass --all",
-                file=sys.stderr,
-            )
+            with _answer_text(total):
+                print(
+                    f"error: output truncated at --limit {limit} of {total} roots; "
+                    f"raise --limit or pass --all",
+                    file=sys.stderr,
+                )
             return EXIT_SIZE
         print(format_permutation(tau))
         emitted += 1
@@ -229,15 +263,16 @@ def _cmd_table(args) -> int:
             f"raise --truncation-cap explicitly"
         )
     rows = _table_rows(lo, hi, m)
-    if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([row[col] for col in TABLE_COLUMNS])
-    else:
-        _print_aligned(rows, TABLE_COLUMNS)
+    with _answer_text(*(row[col] for row in rows for col in ("r_total", "p_num", "p_den"))):
+        if args.format == "json":
+            print(json.dumps(rows, sort_keys=True))
+        elif args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(TABLE_COLUMNS)
+            for row in rows:
+                writer.writerow([row[col] for col in TABLE_COLUMNS])
+        else:
+            _print_aligned(rows, TABLE_COLUMNS)
     return EXIT_OK
 
 
@@ -251,32 +286,34 @@ def _cmd_prob(args) -> int:
             f"{args.truncation_cap}; raise --truncation-cap explicitly"
         )
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
-    if args.format == "json":
-        payload = {
-            "q": report.q,
-            "r": report.r,
-            "m": report.m,
-            "all_equal": report.all_equal,
-            "blocks": [
-                {
-                    "j": block.j,
-                    "ns": list(block.ns),
-                    "probabilities": [
-                        f"{p.numerator}/{p.denominator}" for p in block.probabilities
-                    ],
-                    "equal": block.equal,
-                }
-                for block in report.blocks
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"m = {report.q}^{report.r} = {report.m}")
-        for block in report.blocks:
-            probs = " ".join(f"{p.numerator}/{p.denominator}" for p in block.probabilities)
-            verdict = "equal" if block.equal else "UNEQUAL"
-            print(f"block j={block.j}  n={block.ns[0]}..{block.ns[-1]}  p: {probs}  [{verdict}]")
-        print(f"all blocks equal: {'yes' if report.all_equal else 'NO'}")
+    probabilities = [p for block in report.blocks for p in block.probabilities]
+    with _answer_text(*(x for p in probabilities for x in (p.numerator, p.denominator))):
+        if args.format == "json":
+            payload = {
+                "q": report.q,
+                "r": report.r,
+                "m": report.m,
+                "all_equal": report.all_equal,
+                "blocks": [
+                    {
+                        "j": block.j,
+                        "ns": list(block.ns),
+                        "probabilities": [
+                            f"{p.numerator}/{p.denominator}" for p in block.probabilities
+                        ],
+                        "equal": block.equal,
+                    }
+                    for block in report.blocks
+                ],
+            }
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(f"m = {report.q}^{report.r} = {report.m}")
+            for block in report.blocks:
+                probs = " ".join(f"{p.numerator}/{p.denominator}" for p in block.probabilities)
+                verdict = "equal" if block.equal else "UNEQUAL"
+                print(f"block j={block.j}  n={block.ns[0]}..{block.ns[-1]}  p: {probs}  [{verdict}]")
+            print(f"all blocks equal: {'yes' if report.all_equal else 'NO'}")
     if not report.all_equal:
         print("error: a probability block failed its equality check", file=sys.stderr)
         return EXIT_INTERNAL
@@ -296,6 +333,7 @@ def _cmd_selftest(args) -> int:
             f"raise --oracle-bound explicitly"
         )
 
+    counted: dict[tuple[CycleType, int], int] = {}  # root_count once per (cycle type, m)
     for m in ms:
         for n in range(max_n + 1):
             # one scan of S_n per (n, m): every permutation bucketed by its m-th power
@@ -304,10 +342,12 @@ def _cmd_selftest(args) -> int:
                 sigma = Permutation(image)
                 expected = table.get(image, [])
                 constructed = sorted(tau.image for tau in enumerate_roots(sigma, m))
-                counted = root_count(cycle_type(sigma), m)
+                key = (cycle_type(sigma), m)
+                if key not in counted:
+                    counted[key] = root_count(*key)
                 if constructed != expected:
                     raise InternalCheckError(f"root sets differ for {sigma}, m={m}")
-                if counted != len(expected):
+                if counted[key] != len(expected):
                     raise InternalCheckError(f"root count differs for {sigma}, m={m}")
     print(f"ok oracle equivalence: n <= {max_n}, m in {ms}")
 

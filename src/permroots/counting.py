@@ -9,14 +9,14 @@ ell factors over the lengths: each ell contributes
 with g_1 < ... < g_k the admissible fusion sizes capped at a_ell.  The sum
 counts the ways to bundle the a_ell cycles into fusions (divided by the
 a_ell! relabelings, restored up front) times the (g-1)! * ell**(g-1)
-interleavings per bundle.  Arithmetic is exact rationals throughout; each
-per-ell factor is checked to be an integer that is zero exactly when
-bracket(ell, m) does not divide a_ell.
+interleavings per bundle.  Arithmetic is exact integers throughout: each
+term a_ell! * ell**(...) / prod(...) is one exact division, checked to
+leave no remainder, and each per-ell factor is checked to be zero exactly
+when bracket(ell, m) does not divide a_ell.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from ._checks import InternalCheckError, require_int
@@ -27,19 +27,26 @@ from .perm import CycleType
 
 def _length_factor(ell: int, a: int, m: int) -> int:
     """The factor of root_count for a cycles of length ell: a! times the
-    eps-sum, which is empty (so 0) when bracket(ell, m) does not divide a."""
+    eps-sum, which is empty (so 0) when bracket(ell, m) does not divide a.
+
+    Every term a! * ell**(sum (g-1)*e) / prod(g**e * e!) is an integer, so
+    each is one exact division, checked to leave no remainder.
+    """
     sizes = g_set_bounded(m, ell, a).elements
-    acc = Fraction(0)
+    top = factorial(a)
+    total = 0
     for eps in iter_epsilons(sizes, a):
-        term = Fraction(1)
+        den = 1
+        spent = 0
         for g, e in zip(sizes, eps):
             if e:
-                term *= Fraction(ell ** ((g - 1) * e), g**e * factorial(e))
-        acc += term
-    factor = factorial(a) * acc
-    if factor.denominator != 1:
-        raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
-    return factor.numerator
+                den *= g**e * factorial(e)
+                spent += (g - 1) * e
+        term, rest = divmod(top, den)
+        if rest:
+            raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
+        total += term * ell**spent
+    return total
 
 
 def root_count(t: CycleType, m: int) -> int:
@@ -74,7 +81,7 @@ def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:
     require_int(g, "g")
     if g not in g_set(m, ell).elements:
         raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
-    value = Fraction(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
-    if value.denominator != 1:
+    value, rest = divmod(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
+    if rest:
         raise InternalCheckError(f"non-integer homogeneous count for {(ell, g, p, m)}")
-    return value.numerator
+    return value

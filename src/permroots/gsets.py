@@ -62,17 +62,23 @@ def g_set_bounded(m: int, ell: int, a: int) -> GSet:
 
 
 def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:
-    """masks[i] has bit s set iff s <= a is a sum of multiples of g[i:]."""
+    """masks[i] has bit s set iff s <= a is a sum of multiples of g[i:].
+
+    Each widening doubles the shift: after k of them masks[i + 1] is spread
+    by 0..2**k - 1 copies of g[i], so the closure takes O(log(a / g[i])) steps.
+    """
     cap = (1 << (a + 1)) - 1
     masks = [0] * (len(g) + 1)
     masks[len(g)] = 1
     for i in range(len(g) - 1, -1, -1):
         r = masks[i + 1]
+        shift = g[i]
         while True:
-            widened = (r | (r << g[i])) & cap
+            widened = (r | (r << shift)) & cap
             if widened == r:
                 break
             r = widened
+            shift *= 2
         masks[i] = r
     return masks
 
@@ -88,29 +94,45 @@ def iter_epsilons(g: tuple[int, ...], a: int):
 
     Depth-first with suffix-reachability pruning, so every branch entered
     produces at least one solution and the work is linear in the output.
+    The walk is one flat loop, not a recursion: rems[i] is what is left to
+    spend at level i, and count is the next multiplicity to try there.
     """
     g = tuple(g)
     _validate_sizes(g)
     require_int(a, "a", minimum=0)
     masks = _reachable_masks(g, a)
-    k = len(g)
-    eps = [0] * k
-
-    def rec(i: int, rem: int):
-        if i == k:
-            if rem == 0:
-                yield tuple(eps)
-            return
-        step = g[i]
-        suffix = masks[i + 1]
-        for count in range(rem // step + 1):
-            left = rem - count * step
-            if (suffix >> left) & 1:
-                eps[i] = count
-                yield from rec(i + 1, left)
-        eps[i] = 0
-
-    yield from rec(0, a)
+    if not (masks[0] >> a) & 1:
+        return
+    last = len(g) - 1
+    if last < 0:
+        yield ()
+        return
+    eps = [0] * len(g)
+    rems = [a] * len(g)
+    i = count = 0
+    while i >= 0:
+        step, suffix = g[i], masks[i + 1]
+        left = rems[i] - count * step
+        while left >= 0 and not (suffix >> left) & 1:
+            left -= step
+        if left < 0:  # level i is exhausted: back up and try the next count there
+            eps[i] = 0
+            i -= 1
+            count = eps[i] + 1
+            continue
+        count = eps[i] = (rems[i] - left) // step
+        if left and i + 1 < last:
+            rems[i + 1] = left
+            i += 1
+            count = 0
+            continue
+        # Complete: nothing is left (so every later entry is 0), or only the
+        # last size is, and the masks made left a multiple of it.
+        if i < last:
+            eps[last] = left // g[last]
+        yield tuple(eps)
+        eps[last] = 0
+        count += 1
 
 
 def epsilon_set(g: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
@@ -119,21 +141,17 @@ def epsilon_set(g: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
 
 
 def count_epsilons(g: tuple[int, ...], a: int) -> int:
-    """Number of solution vectors, by a recursion independent of the DFS."""
+    """Number of solution vectors, by a coin-change table independent of
+    the walk: ways[s] counts the vectors over the sizes seen so far that
+    spend s, in O(len(g) * a) additions."""
     g = tuple(g)
     _validate_sizes(g)
     require_int(a, "a", minimum=0)
-    memo: dict[tuple[int, int], int] = {}
-
-    def cnt(i: int, rem: int) -> int:
-        if i == len(g):
-            return 1 if rem == 0 else 0
-        key = (i, rem)
-        if key not in memo:
-            memo[key] = sum(cnt(i + 1, rem - c * g[i]) for c in range(rem // g[i] + 1))
-        return memo[key]
-
-    return cnt(0, a)
+    ways = [1] + [0] * a
+    for step in g:
+        for s in range(step, a + 1):
+            ways[s] += ways[s - step]
+    return ways[a]
 
 
 def is_solvable(m: int, ell: int, a: int) -> bool:

@@ -12,6 +12,7 @@ by re-powering before it is emitted.  The oracle scans S_n once per
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -260,33 +261,74 @@ def _fusions(bundle, ell: int, m: int, image: list[int]):
             yield
 
 
+def _bundle_choices(pool, sizes, remaining: dict[int, int]):
+    """The first bundle of a partition of pool: the anchor pool[0] with
+    g-1 companions, for each g of sizes still in remaining, together with
+    the cycles left over.  remaining[g] counts down while its bundles are out."""
+    anchor, rest = pool[0], pool[1:]
+    for g in sizes:
+        if remaining[g]:
+            remaining[g] -= 1
+            for companions in itertools.combinations(rest, g - 1):
+                chosen = set(companions)
+                yield (anchor, *companions), [c for c in rest if c not in chosen]
+            remaining[g] += 1
+
+
 def _bundle_partitions(cycles, counts):
     """Partitions of the given cycles into unordered bundles, counts[g] of
     size g.  Anchoring each bundle at the remaining cycle with the smallest
-    minimum produces every partition exactly once, deterministically."""
+    minimum produces every partition exactly once, deterministically.
+
+    A flat walk with one _bundle_choices generator per bundle placed, so the
+    depth is not bounded by the recursion limit."""
     if not cycles:
         yield []
         return
-    anchor, rest = cycles[0], cycles[1:]
-    for g in sorted(counts):
-        remaining_counts = dict(counts)
-        remaining_counts[g] -= 1
-        if not remaining_counts[g]:
-            del remaining_counts[g]
-        for companions in itertools.combinations(rest, g - 1):
-            chosen = set(companions)
-            leftover = [c for c in rest if c not in chosen]
-            for tail in _bundle_partitions(leftover, remaining_counts):
-                yield [(anchor, *companions)] + tail
+    sizes = sorted(counts)
+    remaining = dict(counts)
+    bundles = []
+    stack = [_bundle_choices(cycles, sizes, remaining)]
+    while stack:
+        for bundle, leftover in stack[-1]:  # resumes where the level last stopped
+            del bundles[len(stack) - 1 :]
+            bundles.append(bundle)
+            if leftover:
+                stack.append(_bundle_choices(leftover, sizes, remaining))
+                break
+            yield list(bundles)
+        else:
+            stack.pop()
+
+
+_DONE = object()
+
+
+def _nested(levels):
+    """Run the generators made by levels[0](), levels[1](), ... as nested
+    loops, the first outermost, and yield once per innermost step.  A flat
+    walk over the outer levels, so the depth is not bounded by the
+    recursion limit."""
+    if not levels:
+        yield
+        return
+    *outer, inner = levels
+    stack = []
+    while True:
+        if len(stack) == len(outer):
+            yield from inner()
+        else:
+            stack.append(iter(outer[len(stack)]()))
+        # advance the innermost open level; an exhausted one closes its loop
+        while stack and next(stack[-1], _DONE) is _DONE:
+            stack.pop()
+        if not stack:
+            return
 
 
 def _bundle_products(bundles, ell: int, m: int, image: list[int]):
     """Cartesian product of per-bundle fusions, all written into image."""
-    if not bundles:
-        yield
-        return
-    for _ in _fusions(bundles[0], ell, m, image):
-        yield from _bundle_products(bundles[1:], ell, m, image)
+    return _nested([functools.partial(_fusions, bundle, ell, m, image) for bundle in bundles])
 
 
 def _ell_part_maps(cycles, ell: int, m: int, image: list[int]):
@@ -313,22 +355,16 @@ def enumerate_roots(sigma: Permutation, m: int):
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for cyc in sigma.cycles():
         by_len.setdefault(len(cyc), []).append(cyc)
-    lengths = sorted(by_len)
     target = sigma.image
     image = [0] * sigma.degree  # each root overwrites every entry: the bundles cover sigma
-
-    def assemble(idx: int):
-        if idx == len(lengths):
-            root = tuple(image)
-            if _image_power(root, m) != target:
-                raise InternalCheckError("constructed root failed re-powering")
-            yield Permutation(root)
-            return
-        ell = lengths[idx]
-        for _ in _ell_part_maps(by_len[ell], ell, m, image):
-            yield from assemble(idx + 1)
-
-    yield from assemble(0)
+    parts = [
+        functools.partial(_ell_part_maps, by_len[ell], ell, m, image) for ell in sorted(by_len)
+    ]
+    for _ in _nested(parts):
+        root = tuple(image)
+        if _image_power(root, m) != target:
+            raise InternalCheckError("constructed root failed re-powering")
+        yield Permutation(root)
 
 
 def brute_force_root_table(

@@ -123,6 +123,12 @@ else:
             "target.root_count(target.CycleType((0, 1)), 2)",
         ),
         (
+            "permroots.counting",
+            "factorial",
+            "lambda k: 3",  # a! becomes 3: the eps-vector (0, 1) of 1^2 leaves 3 % 6
+            "target.root_count(target.CycleType((2,)), 2)",
+        ),
+        (
             "permroots.cli",
             "brute_force_root_table",
             "(lambda real: lambda n, m, max_n: "
@@ -139,6 +145,7 @@ else:
         "is_solvable",
         "r_total_range",
         "root_count",
+        "length_factor_remainder",
         "oracle_table",
     ],
 )
@@ -165,6 +172,13 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             ["selftest", "--max-n", "5", "-m", "2"],
             "series and classification routes disagree",
         ),
+        (
+            "permroots.counting",
+            "factorial",
+            "lambda k: 3",
+            ["count", "-m", "2", "--type", "1^2"],
+            "non-integer factor for ell=1, a=2, m=2",
+        ),
     ]:
         result = run_optimized(
             f"import sys, {module} as target\n"
@@ -174,7 +188,7 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
         )
         assert result.returncode == 5, (argv, result.stderr)
         assert result.stderr.startswith(f"internal check failed: {message}"), result.stderr
-        if argv[0] == "table":
+        if argv[0] in ("table", "count"):
             assert result.stdout == ""
 
 

@@ -4,12 +4,18 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from permroots.cli import main
+from permroots import cli
+from permroots.cli import MAX_ANSWER_DIGITS, main
 from permroots.counting import root_count
-from permroots.perm import parse_cycle_type
+from permroots.egf import EqualityReport, ProbabilityBlock
+from permroots.perm import Permutation, parse_cycle_type, power
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -220,6 +226,122 @@ def test_roots_limit_truncation_is_loud(capsys):
     code, out, err = run_cli(capsys, "roots", "-m", "2", "--type", "1^6", "--all")
     assert code == 0
     assert len(out.splitlines()) == 76
+
+
+def _involution_number(n):
+    """T(n) = T(n-1) + (n-1) T(n-2): the square roots of the identity of S_n."""
+    previous, current = 1, 1
+    for k in range(2, n + 1):
+        previous, current = current, current + (k - 1) * previous
+    return current
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's 4300-digit limit on int <-> text for the test's own use."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_an_answer_beyond_4300_digits(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "-m", "2", "--type", "1^3000")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    with _any_int_digits():
+        expected = str(_involution_number(3000))
+    assert len(expected) > 4300
+    assert out == expected + "\n"
+    assert elapsed < 30
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_formats_print_an_answer_beyond_4300_digits(capsys, fmt):
+    # 1753 is prime: 1^1753 under m = 1753 fuses all or nothing, 1 + 1752! roots (4,924 digits)
+    code, out, err = run_cli(capsys, "count", "-m", "1753", "--type", "1^1753", "--format", fmt)
+    assert (code, err) == (0, "")
+    with _any_int_digits():
+        value = json.loads(out)["count"] if fmt == "json" else int(out)
+    assert value == 1 + factorial(1752)
+
+
+def test_roots_limit_message_carries_a_total_beyond_4300_digits(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roots", "-m", "2", "--type", "1^3000", "--limit", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    [line] = out.splitlines()
+    assert power(Permutation(map(int, line.split())), 2) == Permutation.identity(3000)
+    with _any_int_digits():
+        total = str(_involution_number(3000))
+    assert err == f"error: output truncated at --limit 1 of {total} roots; raise --limit or pass --all\n"
+    assert elapsed < 30
+
+
+CAP_MESSAGE = (
+    f"error: the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
+    f"decimal digits; it is not printed\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_count_above_the_digits_cap_is_refused_within_a_second(capsys, fmt):
+    # 25219 is prime: 1 + 25218! roots, more than 100,000 digits, from two eps-vectors
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "-m", "25219", "--type", "1^25219", "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (4, "", CAP_MESSAGE)
+
+
+def test_the_digits_cap_is_exact():
+    largest = 10**MAX_ANSWER_DIGITS - 1
+    limit = sys.get_int_max_str_digits()
+    with cli._answer_text(0, largest):
+        assert len(str(largest)) == MAX_ANSWER_DIGITS
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(cli.CapRefusal, match="MAX_ANSWER_DIGITS = 100000"):
+        with cli._answer_text(1, largest + 1):
+            pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_prints_answers_beyond_4300_digits_and_refuses_above_the_cap(
+    capsys, monkeypatch, fmt
+):
+    # r(n, m) at such n is slow to compute, so the route returns a value of the
+    # same size: a third of n!, so p = 1/3
+    for n, printed in ((2000, True), (25300, False)):
+        value = factorial(n) // 3
+        monkeypatch.setattr(cli, "r_total_range", lambda lo, hi, m: (value,))
+        argv = ["table", "-m", "2", "--n", str(n), "--truncation-cap", str(n), "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        if printed:
+            assert (code, err) == (0, "")
+            with _any_int_digits():
+                assert str(value) in out
+        else:
+            assert (code, out, err) == (4, "", CAP_MESSAGE)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_prob_prints_probabilities_beyond_4300_digits_and_refuses_above_the_cap(
+    capsys, monkeypatch, fmt
+):
+    for n, printed in ((2000, True), (25300, False)):
+        p = Fraction(1, factorial(n))
+        report = EqualityReport(2, 1, 2, (ProbabilityBlock(0, (0, 1), (p, p)),))
+        monkeypatch.setattr(cli, "check_prime_power_equalities", lambda q, r, blocks: report)
+        code, out, err = run_cli(capsys, "prob", "-q", "2", "--blocks", "1", "--format", fmt)
+        if printed:
+            assert (code, err) == (0, "")
+            with _any_int_digits():
+                assert f"1/{factorial(n)}" in out
+        else:
+            assert (code, out, err) == (4, "", CAP_MESSAGE)
 
 
 def test_table_text_golden(capsys):

@@ -1,6 +1,7 @@
 """The exact root-count formula."""
 
-from math import factorial
+from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from permroots import (
     CycleType,
     cycle_types,
+    g_set_bounded,
     has_mth_root,
     homogeneous_count,
+    iter_epsilons,
     root_count,
 )
+from permroots.counting import _length_factor
 
 
 def test_root_count_frozen_values():
@@ -120,3 +124,71 @@ def test_a_rootless_type_computes_only_its_zero_factor(monkeypatch):
     # bracket(2, 12) == 4 does not divide 30, so only ell = 2 is needed
     assert root_count(CycleType((60, 30, 20)), 12) == 0
     assert computed == [2]
+
+
+def _fraction_eps_sum(ell, a, m):
+    """Reference: the rational eps-sum, a! * sum of prod ell**((g-1)e) / (g**e e!)."""
+    sizes = g_set_bounded(m, ell, a).elements
+    acc = Fraction(0)
+    for eps in iter_epsilons(sizes, a):
+        term = Fraction(1)
+        for g, e in zip(sizes, eps):
+            term *= Fraction(ell ** ((g - 1) * e), g**e * factorial(e))
+        acc += term
+    factor = factorial(a) * acc
+    assert factor.denominator == 1
+    return factor.numerator
+
+
+def _derivative_recurrence(ell, a, m):
+    """Reference that visits no eps-vector: a! [x^a] exp(sum_g ell**(g-1) x**g / g)
+    over the admissible g (gcd(g*ell, m) == g), by b_0 = 1 and
+    b_k = sum_{g <= k} (k-1)!/(k-g)! * ell**(g-1) * b_{k-g}."""
+    sizes = [g for g in range(1, a + 1) if gcd(g * ell, m) == g]
+    b = [1]
+    for k in range(1, a + 1):
+        b.append(
+            sum(
+                factorial(k - 1) // factorial(k - g) * ell ** (g - 1) * b[k - g]
+                for g in sizes
+                if g <= k
+            )
+        )
+    return b[a]
+
+
+@st.composite
+def _types_up_to_weight_30(draw):
+    left = draw(st.integers(min_value=0, max_value=30))
+    counts: dict[int, int] = {}
+    while left:
+        ell = draw(st.integers(min_value=1, max_value=left))
+        a = draw(st.integers(min_value=1, max_value=left // ell))
+        counts[ell] = counts.get(ell, 0) + a
+        left -= ell * a
+    a_vec = [0] * max(counts, default=0)
+    for ell, a in counts.items():
+        a_vec[ell - 1] = a
+    return CycleType(tuple(a_vec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_types_up_to_weight_30(), st.sampled_from([1, 2, 6, 12, 60, 360, 720]))
+def test_integer_length_factor_equals_the_fraction_sum_and_the_recurrence(t, m):
+    product = 1
+    for ell, a in t.nonzero():
+        factor = _length_factor(ell, a, m)
+        assert type(factor) is int
+        assert factor == _fraction_eps_sum(ell, a, m) == _derivative_recurrence(ell, a, m), (
+            ell,
+            a,
+            m,
+        )
+        product *= factor
+    assert root_count(t, m) == product
+
+
+def test_length_factor_on_large_multiplicities():
+    # 1^24 under m = 720 sums 1,072 eps-vectors; 2^30 and 3^20 under m = 12
+    for ell, a, m in ((1, 24, 720), (2, 30, 12), (3, 20, 12), (1, 60, 2)):
+        assert _length_factor(ell, a, m) == _derivative_recurrence(ell, a, m), (ell, a, m)

@@ -1,5 +1,6 @@
 """Admissible fusion sizes and solution vectors."""
 
+import itertools
 import math
 
 import pytest
@@ -134,6 +135,26 @@ def test_epsilon_vectors_hit_target_and_count_matches(sizes, a):
         assert all(e >= 0 for e in eps)
         assert sum(g * e for g, e in zip(sizes, eps)) == a
     assert len(vectors) == count_epsilons(sizes, a)
+
+
+@given(_size_vectors(), st.integers(min_value=0, max_value=20))
+def test_walk_equals_a_lexicographic_filter_of_the_product(sizes, a):
+    product = itertools.product(*(range(a // g + 1) for g in sizes))
+    expected = [eps for eps in product if sum(g * e for g, e in zip(sizes, eps)) == a]
+    assert list(iter_epsilons(sizes, a)) == expected
+
+
+def test_walk_depth_is_not_bounded_by_the_recursion_limit():
+    # 3,000 sizes: the first vector is found 2,999 levels down
+    sizes = tuple(range(1, 3001))
+    assert next(iter_epsilons(sizes, 3000)) == (0,) * 2999 + (1,)
+
+
+def test_count_epsilons_on_large_targets():
+    assert count_epsilons((1, 2), 3000) == 1501
+    assert count_epsilons((1, 2, 3), 600) == 30301  # round((600 + 3)**2 / 12)
+    assert count_epsilons((), 0) == 1
+    assert count_epsilons((), 5) == 0
 
 
 def test_epsilon_set_rejects_bad_sizes():

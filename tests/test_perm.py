@@ -300,3 +300,15 @@ def test_roots_transform_under_conjugation(pair, m):
     conjugated_roots = {rho * tau * rho.inverse() for tau in roots}
     assert set(enumerate_roots(conjugate, m)) == conjugated_roots
     assert root_count(cycle_type(conjugate), m) == len(roots)
+
+
+def test_construction_depth_is_not_bounded_by_the_recursion_limit():
+    # 2,400 fixed points under m = 2: the first solution vector pairs them
+    # all, 1,200 bundles deep
+    sigma = Permutation.identity(2400)
+    first = next(enumerate_roots(sigma, 2))
+    assert power(first, 2) == sigma
+    assert first.image[:4] == (2, 1, 4, 3)
+    # 1,100 distinct cycle lengths, one level each
+    sigma = CycleType((1,) * 1100).canonical_permutation()
+    assert list(enumerate_roots(sigma, 1)) == [sigma]
