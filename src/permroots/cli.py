@@ -6,10 +6,11 @@ Exit codes: 0 success (a correct "no roots exist" answer is success),
 failures, also under ``python -O``.  A reader that closes the output pipe
 early ends the command with exit 0 and no message.  Size caps (S_n scan
 bound, root stream limit, series truncation) are explicit flags with loud
-refusals, never silent clamps.  One cap is fixed: an answer (a count, the
+refusals, never silent clamps.  Two caps are fixed: an answer (a count, the
 total in the roots --limit message, r_total, p_num, p_den, a probability's
 numerator or denominator) of more than MAX_ANSWER_DIGITS = 100,000 decimal
-digits is refused with exit 4 instead of printed.
+digits is refused with exit 4 instead of printed, and a --type of degree
+above perm.MAX_DEGREE = 1,000,000 is refused with exit 4 before it is built.
 Decimal columns are presentation only; all computation is exact.
 """
 
@@ -33,6 +34,7 @@ from .gsets import count_epsilons, g_set_bounded
 from .numtheory import bracket
 from .perm import (
     CycleType,
+    DegreeCapError,
     OracleSizeError,
     Permutation,
     brute_force_root_table,
@@ -353,7 +355,7 @@ def _cmd_selftest(args) -> int:
 
     for m in ms:
         for n in range(max_n + 1):
-            total = sum(root_count(t, m) * t.class_size() for t in cycle_types(n))
+            total = sum(counted[t, m] * t.class_size() for t in cycle_types(n))
             if total != factorial(n):
                 raise InternalCheckError(f"global root identity fails at n={n}, m={m}")
     print(f"ok global identity sum(root_count * class_size) == n!: n <= {max_n}, m in {ms}")
@@ -361,7 +363,7 @@ def _cmd_selftest(args) -> int:
     for m in ms:
         for n in range(max_n + 1):
             for t in cycle_types(n):
-                if root_count_from_egf(m, t) != root_count(t, m):
+                if root_count_from_egf(m, t) != counted[t, m]:
                     raise InternalCheckError(f"series and product formulas differ at {t}, m={m}")
     print(f"ok generating-function agreement: weight <= {max_n}, m in {ms}")
 
@@ -511,7 +513,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (CapRefusal, OracleSizeError) as exc:
+    except (CapRefusal, DegreeCapError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except ValueError as exc:

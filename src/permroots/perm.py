@@ -22,8 +22,16 @@ from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
 
+# Cycle-type text of a larger degree is refused before its vector is built.
+MAX_DEGREE = 1_000_000
+
+
 class OracleSizeError(ValueError):
     """Raised when the exhaustive S_n scan is asked to exceed its bound."""
+
+
+class DegreeCapError(ValueError):
+    """Raised when cycle-type text names a degree above MAX_DEGREE."""
 
 
 def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -261,46 +269,6 @@ def _fusions(bundle, ell: int, m: int, image: list[int]):
             yield
 
 
-def _bundle_choices(pool, sizes, remaining: dict[int, int]):
-    """The first bundle of a partition of pool: the anchor pool[0] with
-    g-1 companions, for each g of sizes still in remaining, together with
-    the cycles left over.  remaining[g] counts down while its bundles are out."""
-    anchor, rest = pool[0], pool[1:]
-    for g in sizes:
-        if remaining[g]:
-            remaining[g] -= 1
-            for companions in itertools.combinations(rest, g - 1):
-                chosen = set(companions)
-                yield (anchor, *companions), [c for c in rest if c not in chosen]
-            remaining[g] += 1
-
-
-def _bundle_partitions(cycles, counts):
-    """Partitions of the given cycles into unordered bundles, counts[g] of
-    size g.  Anchoring each bundle at the remaining cycle with the smallest
-    minimum produces every partition exactly once, deterministically.
-
-    A flat walk with one _bundle_choices generator per bundle placed, so the
-    depth is not bounded by the recursion limit."""
-    if not cycles:
-        yield []
-        return
-    sizes = sorted(counts)
-    remaining = dict(counts)
-    bundles = []
-    stack = [_bundle_choices(cycles, sizes, remaining)]
-    while stack:
-        for bundle, leftover in stack[-1]:  # resumes where the level last stopped
-            del bundles[len(stack) - 1 :]
-            bundles.append(bundle)
-            if leftover:
-                stack.append(_bundle_choices(leftover, sizes, remaining))
-                break
-            yield list(bundles)
-        else:
-            stack.pop()
-
-
 _DONE = object()
 
 
@@ -308,7 +276,8 @@ def _nested(levels):
     """Run the generators made by levels[0](), levels[1](), ... as nested
     loops, the first outermost, and yield once per innermost step.  A flat
     walk over the outer levels, so the depth is not bounded by the
-    recursion limit."""
+    recursion limit.  levels[i]() is called anew after each step of level
+    i-1, so it may read state that the steps of the levels above left."""
     if not levels:
         yield
         return
@@ -326,19 +295,39 @@ def _nested(levels):
             return
 
 
-def _bundle_products(bundles, ell: int, m: int, image: list[int]):
-    """Cartesian product of per-bundle fusions, all written into image."""
-    return _nested([functools.partial(_fusions, bundle, ell, m, image) for bundle in bundles])
-
-
 def _ell_part_maps(cycles, ell: int, m: int, image: list[int]):
-    """All restrictions of an m-th root to the ell-cycles' support, written into image."""
+    """All restrictions of an m-th root to the ell-cycles' support, written into image.
+
+    Per solution vector with k bundles, k choose levels partition the cycles,
+    each bundle anchored at the first cycle left so every partition comes
+    once, and k fuse levels below them run the product of the fusions."""
     a = len(cycles)
     sizes = g_set_bounded(m, ell, a).elements
+    bundles: list[tuple] = []
+    pools = [cycles]  # pools[-1] holds the cycles no bundle has taken yet
+    remaining: dict[int, int] = {}  # bundles of each size still to place
+
+    def choose():
+        anchor, rest = pools[-1][0], pools[-1][1:]
+        for g in sizes:
+            if remaining[g]:
+                remaining[g] -= 1
+                for companions in itertools.combinations(rest, g - 1):
+                    chosen = set(companions)
+                    bundles.append((anchor, *companions))
+                    pools.append([c for c in rest if c not in chosen])
+                    yield
+                    bundles.pop()
+                    pools.pop()
+                remaining[g] += 1
+
+    def fuse(j):
+        return _fusions(bundles[j], ell, m, image)
+
     for eps in iter_epsilons(sizes, a):
-        counts = {g: e for g, e in zip(sizes, eps) if e}
-        for bundles in _bundle_partitions(cycles, counts):
-            yield from _bundle_products(bundles, ell, m, image)
+        remaining.update(zip(sizes, eps))
+        k = sum(eps)
+        yield from _nested([choose] * k + [functools.partial(fuse, j) for j in range(k)])
 
 
 def enumerate_roots(sigma: Permutation, m: int):
@@ -415,7 +404,8 @@ def format_permutation(sigma: Permutation) -> str:
 
 def parse_cycle_type(text: str) -> CycleType:
     """Cycle-type text: tokens "ell^count" (or bare "ell" for count 1),
-    lengths with zero multiplicity omitted: "1^2 3" is a=(2, 0, 1)."""
+    lengths with zero multiplicity omitted: "1^2 3" is a=(2, 0, 1).
+    A degree above MAX_DEGREE raises DegreeCapError."""
     counts: dict[int, int] = {}
     for token in text.split():
         ell_str, sep, count_str = token.partition("^")
@@ -430,6 +420,8 @@ def parse_cycle_type(text: str) -> CycleType:
             raise ValueError(f"cycle length {ell} repeated in {text!r}")
         counts[ell] = count
     n = sum(ell * count for ell, count in counts.items())
+    if n > MAX_DEGREE:
+        raise DegreeCapError(f"cycle type {text!r} has degree above MAX_DEGREE = {MAX_DEGREE}")
     a = [0] * n
     for ell, count in counts.items():
         a[ell - 1] = count

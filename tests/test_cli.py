@@ -15,7 +15,7 @@ from permroots import cli
 from permroots.cli import MAX_ANSWER_DIGITS, main
 from permroots.counting import root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
-from permroots.perm import Permutation, parse_cycle_type, power
+from permroots.perm import MAX_DEGREE, Permutation, parse_cycle_type, power
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -295,6 +295,25 @@ def test_a_count_above_the_digits_cap_is_refused_within_a_second(capsys, fmt):
     code, out, err = run_cli(capsys, "count", "-m", "25219", "--type", "1^25219", "--format", fmt)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (4, "", CAP_MESSAGE)
+
+
+@pytest.mark.parametrize("command", ["count", "exists"])
+@pytest.mark.parametrize("cycle", ["100000000000", "1000001", "1^500001 2^250000"])
+def test_a_type_above_the_degree_cap_is_refused_within_a_second(capsys, command, cycle):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "-m", "2", "--type", cycle)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == f"error: cycle type {cycle!r} has degree above MAX_DEGREE = {MAX_DEGREE}\n"
+
+
+def test_a_type_at_the_degree_cap_is_answered(capsys):
+    # one cycle of even length MAX_DEGREE: no square root, yet it is admitted
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "exists", "-m", "2", "--type", "1000000")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "no"
 
 
 def test_the_digits_cap_is_exact():

@@ -312,3 +312,22 @@ def test_construction_depth_is_not_bounded_by_the_recursion_limit():
     # 1,100 distinct cycle lengths, one level each
     sigma = CycleType((1,) * 1100).canonical_permutation()
     assert list(enumerate_roots(sigma, 1)) == [sigma]
+    # 2,400 fixed points under m = 6: the first solution vector fuses them
+    # all into 6-cycles, 400 bundle choices above 400 fusions
+    sigma = Permutation.identity(2400)
+    first = next(enumerate_roots(sigma, 6))
+    assert power(first, 6) == sigma
+    assert cycle_type(first) == CycleType((0,) * 5 + (400,) + (0,) * 2394)
+
+
+def test_construction_matches_the_count_beyond_the_oracle_range():
+    cases = 0
+    for n in range(8, 13):
+        for t in cycle_types(n):
+            for m in (2, 3, 4, 6, 12):
+                expected = root_count(t, m)
+                if 0 < expected <= 3000:
+                    roots = list(enumerate_roots(t.canonical_permutation(), m))
+                    assert len(roots) == len(set(roots)) == expected, (t, m)
+                    cases += 1
+    assert cases == 314
