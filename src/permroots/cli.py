@@ -55,7 +55,7 @@ EXIT_SIZE = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_ROOT_LIMIT = 10_000
-DEFAULT_TRUNCATION_CAP = 40
+DEFAULT_TRUNCATION_CAP = 200
 DEFAULT_ORACLE_BOUND = 8
 # Answers longer than this are refused, not printed: writing an int as
 # decimal text takes time quadratic in its length.

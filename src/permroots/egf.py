@@ -16,11 +16,14 @@ where exp_q keeps every q-th term of exp (Wilf, "generatingfunctionology",
 2nd ed., section 4.8).  The values r_total(lo..hi, m) are produced by one
 integer pass, a binomial (labelled) convolution of the factors, whose terms
 (k*ell)! / (ell**k * k!) count the permutations made of k ell-cycles.  The
-Fraction product series, expanded once to order hi, checks every value.
-selftest and the tests also compare them with r_total_from_types, the sum
-of class sizes over the cycle types passing the existence criterion.  For
-prime powers m = p**r the probabilities r_total(n, m) / n! are constant on
-blocks of p consecutive n, which this module verifies by exact arithmetic.
+product series, expanded once to order hi, checks every value.  It is an
+ordinary (Cauchy) product of the same factors, each coefficient held as an
+integer scaled by hi!, so each product step is one exact division by hi!
+that must leave no remainder.  selftest and the tests also compare the
+values with r_total_from_types, the sum of class sizes over the cycle types
+passing the existence criterion.  For prime powers m = p**r the
+probabilities r_total(n, m) / n! are constant on blocks of p consecutive n,
+which this module verifies by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from ._checks import InternalCheckError, require_int
 from .gsets import g_set
@@ -47,7 +51,7 @@ def exp_q(q: int, order: int) -> UniSeries:
     return UniSeries(order, coeffs)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
+@lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
 def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     """The multivariate EGF of m-th-root counts by cycle type.
 
@@ -100,21 +104,35 @@ def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
     return result
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
 def r_total_series(m: int, order: int) -> UniSeries:
     """EGF of r_total: prod over ell of exp_q(x**ell / ell) with
     q = bracket(ell, m).  Factors with ell > order are 1 up to the
-    truncation, so the product runs ell = 1..order only.  Memoized."""
+    truncation, so the product runs ell = 1..order only.
+
+    Exact in integers: every coefficient is held times order!.  The factor
+    for ell has 1 / (ell**k * k!) at x**(k*ell) when q divides k, and
+    order! / (ell**k * k!) is an integer because ell**k * k! divides
+    (k*ell)!.  Each partial product is the EGF of a labelled class, so
+    order! times each of its coefficients is an integer too: a remainder
+    after dividing a Cauchy product sum by order! raises
+    InternalCheckError."""
     require_int(m, "m")
     require_int(order, "order", minimum=0)
-    series = UniSeries.one(order)
+    scale = factorial(order)
+    scaled = [scale] + [0] * order  # scale * [x**n] of the partial product
     for ell in range(1, order + 1):
-        q = bracket(ell, m)
-        factor = exp_q(q, order // ell).substitute_scaled_power(
-            Fraction(1, ell), ell, order
-        )
-        series = series * factor
-    return series
+        step = bracket(ell, m) * ell
+        terms = [
+            scale // (ell ** (j // ell) * factorial(j // ell)) for j in range(step, order + 1, step)
+        ]
+        for n in range(order, step - 1, -1):  # downwards: the slice below n is still old
+            quotient, remainder = divmod(sum(map(mul, scaled[n - step :: -step], terms)), scale)
+            if remainder:
+                raise InternalCheckError(
+                    f"non-integer scaled series coefficient at n={n}, ell={ell}, m={m}"
+                )
+            scaled[n] += quotient
+    return UniSeries(order, [Fraction(value, scale) for value in scaled])
 
 
 def r_total_from_types(n: int, m: int) -> int:
@@ -145,7 +163,9 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
     """r_total(n, m) for n = lo..hi, from one integer convolution.
 
     Every value up to hi is checked against n! times the coefficient of
-    r_total_series(m, hi), expanded once."""
+    r_total_series(m, hi), the Cauchy product scaled by hi!, expanded once
+    per call: the convolution does binomial sums of unscaled counts, the
+    series divides by hi! after each product step, and they share no code."""
     require_int(m, "m")
     require_int(lo, "lo", minimum=0)
     require_int(hi, "hi", minimum=0)

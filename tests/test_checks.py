@@ -129,6 +129,14 @@ else:
             "target.root_count(target.CycleType((2,)), 2)",
         ),
         (
+            "permroots.egf",
+            "factorial",
+            # 2! becomes 3, so the factor for ell=1 holds 5!/3 at x**2 and the
+            # product step for ell=3 leaves 40 * 40 % 5!
+            "(lambda real: lambda k: real(k) + (k == 2))(target.factorial)",
+            "target.r_total_series(2, 5)",
+        ),
+        (
             "permroots.cli",
             "brute_force_root_table",
             "(lambda real: lambda n, m, max_n: "
@@ -146,6 +154,7 @@ else:
         "r_total_range",
         "root_count",
         "length_factor_remainder",
+        "r_total_series_remainder",
         "oracle_table",
     ],
 )

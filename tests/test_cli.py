@@ -12,7 +12,7 @@ from math import factorial
 import pytest
 
 from permroots import cli
-from permroots.cli import MAX_ANSWER_DIGITS, main
+from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
 from permroots.perm import MAX_DEGREE, Permutation, parse_cycle_type, power
@@ -392,11 +392,37 @@ def test_table_json(capsys):
 
 
 def test_table_refuses_beyond_truncation_cap(capsys):
-    code, out, err = run_cli(capsys, "table", "-m", "2", "--n", "0..41")
+    code, out, err = run_cli(capsys, "table", "-m", "2", "--n", "0..201")
     assert code == 4
     assert "truncation cap" in err
-    code, _, err = run_cli(capsys, "table", "-m", "2", "--n", "39..41", "--truncation-cap", "41")
+    code, _, err = run_cli(
+        capsys, "table", "-m", "2", "--n", "199..201", "--truncation-cap", "201"
+    )
     assert code == 0
+
+
+def test_table_at_the_default_truncation_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "-m", "2", "--n", "0..200", "--format", "csv")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == ",".join(TABLE_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(201)]
+    assert elapsed < 30
+
+
+def test_prob_at_the_default_truncation_cap(capsys):
+    # 100 blocks of two degrees reach n = 199: the equal-probability theorem at scale
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prob", "-q", "2", "--blocks", "100")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[100].startswith("block j=99  n=198..199  p: ")
+    assert all(line.endswith("  [equal]") for line in lines[1:101])
+    assert lines[-1] == "all blocks equal: yes"
+    assert elapsed < 30
 
 
 def test_prob_text_and_json(capsys):

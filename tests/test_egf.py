@@ -9,6 +9,7 @@ import permroots.cli as cli
 import permroots.egf as egf
 from permroots import (
     CycleType,
+    UniSeries,
     check_prime_power_equalities,
     cycle_types,
     exp_q,
@@ -109,6 +110,32 @@ def test_r_total_routes_agree():
             assert r_total(n, m) == r_total_from_types(n, m)
 
 
+def fraction_product_series(m, order):
+    """The Wilf product as a product of dense Fraction series: the reference
+    for the integer-scaled r_total_series."""
+    from permroots.numtheory import bracket
+
+    series = UniSeries.one(order)
+    for ell in range(1, order + 1):
+        series = series * exp_q(bracket(ell, m), order // ell).substitute_scaled_power(
+            Fraction(1, ell), ell, order
+        )
+    return series
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12, 60, 720])
+def test_r_total_series_equals_the_fraction_product(m):
+    # a truncated product is the truncation of the longer product, so one
+    # reference at order 40 serves every order 0..40
+    reference = fraction_product_series(m, 40)
+    for order in range(41):
+        assert r_total_series(m, order) == UniSeries(order, reference.coeffs[: order + 1]), order
+
+
+def test_r_total_series_equals_the_fraction_product_at_order_100():
+    assert r_total_series(2, 100) == fraction_product_series(2, 100)
+
+
 def test_r_total_series_ignores_factors_beyond_the_order():
     # factors for ell > order contribute nothing below the truncation
     from permroots.numtheory import bracket
@@ -204,7 +231,8 @@ def test_r_total_range_equals_the_classification_sum(m):
 
 # The classification sum is the reference for the r values that reach
 # output: acceptance criterion 5's blocks (n <= 31, 32, 34 for q = 2, 3, 5)
-# and the table at the truncation cap in test_cli (n = 39..41).
+# and the table at the old truncation cap of 40 (n = 39..41); the default
+# cap is now 200, where the sum over p(200) cycle types is out of reach.
 @pytest.mark.parametrize("q,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_prime_power_blocks_equal_the_classification_sum(q, r):
     report = check_prime_power_equalities(q, r, (31 + q - 1) // q)
