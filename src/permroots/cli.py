@@ -12,6 +12,11 @@ numerator or denominator) of more than MAX_ANSWER_DIGITS = 100,000 decimal
 digits is refused with exit 4 instead of printed, and a --type of degree
 above perm.MAX_DEGREE = 1,000,000 is refused with exit 4 before it is built.
 Decimal columns are presentation only; all computation is exact.
+
+The argument parser is built once, when this module is imported, so
+``main(argv)`` may be called any number of times in one process and pays
+only for parsing and the command itself.  ``import permroots`` does not
+import this module, so library users never build the parser.
 """
 
 from __future__ import annotations
@@ -324,7 +329,10 @@ def _cmd_prob(args) -> int:
 
 def _cmd_selftest(args) -> int:
     max_n = args.max_n
-    ms = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
+    try:
+        ms = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
+    except ValueError:
+        ms = []
     if not ms or any(m < 1 for m in ms):
         raise ValueError(f"bad -m list {args.m_values!r}")
     if max_n < 0:
@@ -496,10 +504,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: parse_args makes a fresh Namespace on every call and
+# never changes the parser, so main may run any number of commands in one process.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

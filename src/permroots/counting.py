@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 
 from ._checks import InternalCheckError, require_int
-from .gsets import g_set, g_set_bounded, iter_epsilons
+from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 from .perm import CycleType
 
@@ -79,7 +79,7 @@ def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:
     require_int(m, "m")
     require_int(p, "p", minimum=0)
     require_int(g, "g")
-    if g not in g_set(m, ell).elements:
+    if g not in g_set_bounded(m, ell, g).elements:
         raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
     value, rest = divmod(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
     if rest:

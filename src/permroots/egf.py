@@ -35,7 +35,7 @@ from math import comb, factorial
 from operator import mul
 
 from ._checks import InternalCheckError, require_int
-from .gsets import g_set
+from .gsets import g_set_bounded
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
 from .series import MultiSeries, UniSeries, one_minus_xp_root
@@ -62,10 +62,9 @@ def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     require_int(weight_bound, "weight_bound", minimum=0)
     terms = {}
     for ell in range(1, weight_bound + 1):
-        for g in g_set(m, ell).elements:
-            if ell * g <= weight_bound:
-                key = (0,) * (ell - 1) + (g,)
-                terms[key] = Fraction(ell ** (g - 1), g)
+        for g in g_set_bounded(m, ell, weight_bound // ell).elements:
+            key = (0,) * (ell - 1) + (g,)
+            terms[key] = Fraction(ell ** (g - 1), g)
     return MultiSeries(weight_bound, terms).exp()
 
 

@@ -13,7 +13,7 @@ exists, which happens iff bracket(ell, m) divides a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from ._checks import InternalCheckError, require_int
 from .numtheory import bracket, divisors
@@ -32,6 +32,20 @@ class GSet:
     elements: tuple[int, ...]
 
 
+def _admissible(m: int, ell: int, divisors_of_m: list[int]) -> tuple[int, ...]:
+    """The g among the increasing divisors of m with gcd(m // g, ell) == 1.
+
+    That divisor form selects; the gcd form gcd(g*ell, m) == g is checked
+    for every element selected."""
+    elements = tuple(g for g in divisors_of_m if gcd(m // g, ell) == 1)
+    for g in elements:
+        if gcd(g * ell, m) != g:
+            raise InternalCheckError(
+                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
+            )
+    return elements
+
+
 def g_set(m: int, ell: int) -> GSet:
     """The set {g : gcd(g*ell, m) == g}, built as {m/d : d | m, gcd(d, ell) == 1}.
 
@@ -39,26 +53,27 @@ def g_set(m: int, ell: int) -> GSet:
     gcd form is checked for every element produced.  Consequences worth
     remembering: every element divides m, the minimum (and the gcd of the
     whole set) is bracket(ell, m), and when gcd(ell, m) == 1 the set is all
-    divisors of m.
+    divisors of m.  Listing every divisor of m takes sqrt(m) steps; callers
+    that need only the sizes up to a bound use g_set_bounded.
     """
     require_int(m, "m")
     require_int(ell, "ell")
-    elements = sorted(m // d for d in divisors(m) if gcd(d, ell) == 1)
-    for g in elements:
-        if gcd(g * ell, m) != g:
-            raise InternalCheckError(
-                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
-            )
-    return GSet(m, ell, None, tuple(elements))
+    return GSet(m, ell, None, _admissible(m, ell, divisors(m)))
 
 
 def g_set_bounded(m: int, ell: int, a: int) -> GSet:
-    """g_set(m, ell) restricted to elements <= a; empty when a == 0."""
+    """g_set(m, ell) restricted to elements <= a; empty when a == 0.
+
+    Finds only the divisors of m up to a: each d <= min(a, isqrt(m)) that
+    divides m gives d and m // d, which covers every divisor <= a.  So it
+    takes min(a, sqrt(m)) steps however large m is.
+    """
     require_int(m, "m")
     require_int(ell, "ell")
     require_int(a, "a", minimum=0)
-    full = g_set(m, ell)
-    return GSet(m, ell, a, tuple(g for g in full.elements if g <= a))
+    small = [d for d in range(1, min(a, isqrt(m)) + 1) if m % d == 0]
+    large = [m // d for d in reversed(small) if d < m // d <= a]
+    return GSet(m, ell, a, _admissible(m, ell, small + large))
 
 
 def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:

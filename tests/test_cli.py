@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -473,6 +475,104 @@ def test_bad_inputs_exit_3(capsys):
     assert run_cli(capsys, "count", "-m", "0", "--type", "1^2")[0] == 3
     assert run_cli(capsys, "exists", "-m", "2", "--type", "1^0")[0] == 3
     assert run_cli(capsys, "table", "-m", "2", "--n", "5..1")[0] == 3
+
+
+@pytest.mark.parametrize("text", ["2,x", "2,-3", "x", "0", ",", "2.5"])
+def test_selftest_names_every_bad_m_list_the_same_way(capsys, text):
+    code, out, err = run_cli(capsys, "selftest", "-m", text)
+    assert (code, out, err) == (3, "", f"error: bad -m list {text!r}\n")
+
+
+HUGE_M = "99999999999999999999"  # 10**20 - 1: trial division to its square root never ends
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["count", "-m", HUGE_M, "--type", "1^3"], "3\n"),  # the identity and the two 3-cycles
+        (["roots", "-m", HUGE_M, "--type", "1^2"], "1 2\n"),  # m is odd: no transposition
+        (["selftest", "-m", HUGE_M, "--max-n", "2"], None),
+    ],
+)
+def test_a_huge_root_degree_is_answered_within_two_seconds(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    if expected is None:
+        assert out.endswith("selftest passed\n")
+    else:
+        assert out == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One process runs these in turn; each must behave as it does in a fresh process.
+REUSE_SEQUENCE = [
+    ["count", "-m", "2"],  # usage error: neither --perm nor --type
+    ["--help"],
+    ["count", "--help"],
+    ["count", "-m", "0", "--type", "1^2"],  # bad input
+    ["selftest", "--max-n", "9"],  # above the oracle bound
+    ["count", "-m", "2", "--type", "1^4", "-v"],
+    ["count", "-m", "2", "--type", "1^4", "-v"],
+    ["count", "-m", "2", "--type", "1^4"],
+    ["table", "-m", "2", "--n", "201..201", "--truncation-cap", "201"],
+    ["table", "-m", "2", "--n", "201..201"],  # the default cap of 200 again
+    ["roots", "-m", "2", "--type", "1^6", "--limit", "5"],
+    ["roots", "-m", "3", "--type", "1^3"],
+    ["prob", "-q", "2", "--blocks", "3"],
+    ["verify", "-q", "3", "-r", "2", "--blocks", "2", "--format", "json"],
+    ["selftest", "-m", "2,x"],
+]
+
+
+def test_one_parser_serves_many_commands_as_fresh_processes_do(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    in_process = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    for argv, got in zip(REUSE_SEQUENCE, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "permroots.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    codes = [code for code, _, _ in in_process]
+    assert codes == [2, 0, 0, 3, 4, 0, 0, 0, 0, 4, 4, 0, 0, 0, 3]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert run_cli(capsys, "count", "-m", "2", "--type", "1^4") == (0, "10\n", "")
+
+
+def test_each_parse_starts_from_a_fresh_namespace():
+    argv = ["count", "-m", "2", "--type", "1^4", "-v"]
+    first, second = cli._PARSER.parse_args(argv), cli._PARSER.parse_args(argv)
+    assert first is not second
+    assert (first.verbose, second.verbose) == (1, 1)
+
+
+def test_importing_the_library_builds_no_parser():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, permroots; "
+            "print(sorted({'argparse', 'permroots.cli'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_console_script_is_installed():

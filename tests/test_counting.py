@@ -83,6 +83,8 @@ def test_homogeneous_count_frozen_values():
     assert homogeneous_count(2, 2, 1, 2) == 2
     # four 3-cycles left unfused (g=1): single root, the cycle-wise one
     assert homogeneous_count(3, 1, 4, 2) == 1
+    # three fixed points fused into one 3-cycle: 3 | m however large m is
+    assert homogeneous_count(1, 3, 1, 10**20 - 1) == 2
 
 
 def test_homogeneous_count_rejects_inadmissible_size():

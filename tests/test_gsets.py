@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
@@ -76,6 +77,19 @@ def test_g_set_prime_valuation_characterization():
                 assert all(m % p == 0 for p, _ in factorize(g))
                 for p in shared_primes:
                     assert g % p == 0
+
+
+def test_g_set_bounded_equals_the_filtered_full_set():
+    # g_set_bounded scans only the divisors of m up to a; g_set lists all of
+    # them.  Every pair (m, a) with m <= 2000 and a <= 60 is checked, with ell
+    # running through 1..30 as a does, so every pair (m, ell) is checked at two
+    # or three bounds.  ell enters only through the filter both functions share.
+    for m in range(1, 2001):
+        full = [None] + [g_set(m, ell).elements for ell in range(1, 31)]
+        for a in range(61):
+            ell = 1 + (m + a) % 30
+            expected = full[ell][: bisect_right(full[ell], a)]
+            assert g_set_bounded(m, ell, a).elements == expected, (m, ell, a)
 
 
 def test_bracket_is_always_a_member():
