@@ -47,7 +47,6 @@ from .perm import (
     cycle_types,
     enumerate_roots,
     format_cycle_type,
-    format_permutation,
     has_mth_root,
     parse_cycle_type,
     parse_permutation,
@@ -226,6 +225,7 @@ def _cmd_roots(args) -> int:
         raise ValueError(f"--limit must be positive, got {args.limit}")
     limit = None if args.all else args.limit
     total = root_count(cycle_type(sigma), m)
+    names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
     emitted = 0
     for tau in enumerate_roots(sigma, m):
         if limit is not None and emitted >= limit:
@@ -236,7 +236,7 @@ def _cmd_roots(args) -> int:
                     file=sys.stderr,
                 )
             return EXIT_SIZE
-        print(format_permutation(tau))
+        print(" ".join(map(names.__getitem__, tau.image)))
         emitted += 1
     return EXIT_OK
 

@@ -53,7 +53,9 @@ def g_set(m: int, ell: int) -> GSet:
     gcd form is checked for every element produced.  Consequences worth
     remembering: every element divides m, the minimum (and the gcd of the
     whole set) is bracket(ell, m), and when gcd(ell, m) == 1 the set is all
-    divisors of m.  Listing every divisor of m takes sqrt(m) steps; callers
+    divisors of m.  Listing every divisor of m costs one factorize(m):
+    quick when m has only small prime factors, but up to sqrt(m) trial
+    divisions when m is prime or the product of two large primes; callers
     that need only the sizes up to a bound use g_set_bounded.
     """
     require_int(m, "m")

@@ -76,16 +76,10 @@ def bracket(ell: int, m: int) -> int:
 
 
 def divisors(m: int) -> list[int]:
-    """All positive divisors of m, strictly increasing."""
+    """All positive divisors of m, strictly increasing: the products of the
+    prime powers in factorize(m), so the cost is that of factorize."""
     require_int(m, "m")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    large.reverse()
-    return small + large
+    out = [1]
+    for p, e in factorize(m):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)

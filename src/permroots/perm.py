@@ -6,7 +6,8 @@ Permutations act on {1, ..., n} and are stored in one-line notation
 it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
 the root, interleaving their entries.  Every constructed root is verified
-by re-powering before it is emitted.  The oracle scans S_n once per
+by re-powering before it is emitted.  Powers are taken by repeated
+squaring, so that check costs O(n log m).  The oracle scans S_n once per
 (n, m) and buckets every permutation by its m-th power.
 """
 
@@ -16,6 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from ._checks import InternalCheckError, require_int
 from .gsets import g_set_bounded, iter_epsilons
@@ -35,25 +37,23 @@ class DegreeCapError(ValueError):
 
 
 def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """m-th power of a one-line image, one rotation per cycle."""
-    n = len(image)
-    out = [0] * n
-    seen = [False] * n
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        x = image[start - 1]
-        while x != start:
-            seen[x - 1] = True
-            cyc.append(x)
-            x = image[x - 1]
-        length = len(cyc)
-        shift = m % length
-        for i in range(length):
-            out[cyc[i] - 1] = cyc[(i + shift) % length]
-    return tuple(out)
+    """m-th power of a one-line image by repeated squaring, for m >= 1.
+
+    The image is padded with a 0 at index 0, so its 1-based values index it
+    directly and each composition is one itemgetter pass.  That is
+    floor(log2 m) squarings and popcount(m) - 1 products, so the cost grows
+    with the bit length of m, not with m."""
+    if not image:
+        return ()
+    square = (0, *image)
+    result = None
+    while True:
+        if m & 1:
+            result = square if result is None else itemgetter(*result)(square)
+        m >>= 1
+        if not m:
+            return result[1:]
+        square = itemgetter(*square)(square)
 
 
 class Permutation:
@@ -221,7 +221,7 @@ def cycle_types(n: int):
 
 
 def power(sigma: Permutation, m: int) -> Permutation:
-    """sigma**m, computed cycle by cycle (each L-cycle advances by m mod L)."""
+    """sigma**m, computed by repeated squaring of the image."""
     require_int(m, "m")
     return Permutation(_image_power(sigma.image, m))
 
@@ -363,9 +363,9 @@ def brute_force_root_table(
 
     Maps each image that has an m-th root to the images of all its roots,
     in lexicographic order; an image without a root is absent.  The n!
-    candidates are powered by raw rotation only: no shared cycle logic with
-    the constructive enumerator.  Refuses n > max_n (the bound is an
-    argument, not ambient state)."""
+    candidates are powered by repeated squaring of their images only: no
+    shared cycle logic with the constructive enumerator.  Refuses n > max_n
+    (the bound is an argument, not ambient state)."""
     require_int(n, "n", minimum=0)
     require_int(m, "m")
     require_int(max_n, "max_n", minimum=0)

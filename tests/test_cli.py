@@ -17,7 +17,15 @@ from permroots import cli
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
-from permroots.perm import MAX_DEGREE, Permutation, parse_cycle_type, power
+from permroots.perm import (
+    MAX_DEGREE,
+    Permutation,
+    enumerate_roots,
+    format_permutation,
+    parse_cycle_type,
+    parse_permutation,
+    power,
+)
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -44,6 +52,36 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_TIMED_MAIN = """\
+import contextlib, io, json, sys, time
+from permroots.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    start = time.perf_counter()
+    code = main(sys.argv[1:])
+    elapsed = time.perf_counter() - start
+print(json.dumps([code, out.getvalue(), err.getvalue(), elapsed]))
+"""
+
+
+def run_cli_timed(*argv, timeout=30):
+    """(exit code, stdout, stderr, seconds) of main(argv), run and timed in a
+    child interpreter, so start-up is not counted; a call that hangs fails the
+    test when the child's timeout expires instead of stalling the suite."""
+    result = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=timeout,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    code, out, err, elapsed = json.loads(result.stdout)
+    return code, out, err, elapsed
 
 
 def test_count_golden(capsys):
@@ -220,6 +258,41 @@ def test_roots_all_order_is_frozen(capsys, selector, count, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# roots --all inputs whose lines must be format_permutation of each root: S_0,
+# S_1, two-digit labels, and the nine cycle types that bench/workloads.py
+# relabels for its roots-stream workload (degrees 7 to 17).
+ROOTS_FORMAT_CASES = [
+    ("2", ("--perm", "")),
+    ("3", ("--perm", "1")),
+    ("3", ("--perm", "10 14 2 15 11 17 20 19 6 1 13 16 5 3 4 12 9 18 8 7")),
+    ("2", ("--type", "1^5 3^4")),
+    ("3", ("--type", "1^8")),
+    ("3", ("--type", "1^1 2^5 3^3")),
+    ("4", ("--type", "1^6 3^2")),
+    ("4", ("--type", "1^7")),
+    ("4", ("--type", "1^5 2^4")),
+    ("6", ("--type", "1^5 3^3")),
+    ("6", ("--type", "1^7")),
+    ("12", ("--type", "1^5 3^3")),
+]
+
+
+@pytest.mark.parametrize(
+    "m,selector", ROOTS_FORMAT_CASES, ids=[f"{m} {' '.join(s)}" for m, s in ROOTS_FORMAT_CASES]
+)
+def test_roots_lines_are_the_formatted_enumerated_roots(capsys, m, selector):
+    code, out, err = run_cli(capsys, "roots", "--all", "-m", m, *selector)
+    assert (code, err) == (0, "")
+    flag, text = selector
+    if flag == "--perm":
+        sigma = parse_permutation(text)
+    else:
+        sigma = parse_cycle_type(text).canonical_permutation()
+    roots = list(enumerate_roots(sigma, int(m)))
+    assert roots
+    assert out == "".join(format_permutation(tau) + "\n" for tau in roots)
+
+
 def test_roots_limit_truncation_is_loud(capsys):
     code, out, err = run_cli(capsys, "roots", "-m", "2", "--type", "1^6", "--limit", "5")
     assert code == 4
@@ -291,20 +364,20 @@ CAP_MESSAGE = (
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_count_above_the_digits_cap_is_refused_within_a_second(capsys, fmt):
+def test_a_count_above_the_digits_cap_is_refused_within_a_second(fmt):
     # 25219 is prime: 1 + 25218! roots, more than 100,000 digits, from two eps-vectors
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "count", "-m", "25219", "--type", "1^25219", "--format", fmt)
-    assert time.perf_counter() - start < 1
+    code, out, err, elapsed = run_cli_timed(
+        "count", "-m", "25219", "--type", "1^25219", "--format", fmt
+    )
+    assert elapsed < 1
     assert (code, out, err) == (4, "", CAP_MESSAGE)
 
 
 @pytest.mark.parametrize("command", ["count", "exists"])
 @pytest.mark.parametrize("cycle", ["100000000000", "1000001", "1^500001 2^250000"])
-def test_a_type_above_the_degree_cap_is_refused_within_a_second(capsys, command, cycle):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, command, "-m", "2", "--type", cycle)
-    assert time.perf_counter() - start < 1
+def test_a_type_above_the_degree_cap_is_refused_within_a_second(command, cycle):
+    code, out, err, elapsed = run_cli_timed(command, "-m", "2", "--type", cycle)
+    assert elapsed < 1
     assert (code, out) == (4, "")
     assert err == f"error: cycle type {cycle!r} has degree above MAX_DEGREE = {MAX_DEGREE}\n"
 
@@ -494,18 +567,15 @@ HUGE_M = "99999999999999999999"  # 10**20 - 1: trial division to its square root
         (["selftest", "-m", HUGE_M, "--max-n", "2"], None),
     ],
 )
-def test_a_huge_root_degree_is_answered_within_two_seconds(capsys, argv, expected):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 2
+def test_a_huge_root_degree_is_answered_within_two_seconds(argv, expected):
+    code, out, err, elapsed = run_cli_timed(*argv)
+    assert elapsed < 2
     assert (code, err) == (0, "")
     if expected is None:
         assert out.endswith("selftest passed\n")
     else:
         assert out == expected
 
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # One process runs these in turn; each must behave as it does in a fresh process.
 REUSE_SEQUENCE = [

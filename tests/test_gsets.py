@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,6 +24,8 @@ from permroots import (
     iter_epsilons,
     nu_p,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_g_set_frozen_values():
@@ -90,6 +96,30 @@ def test_g_set_bounded_equals_the_filtered_full_set():
             ell = 1 + (m + a) % 30
             expected = full[ell][: bisect_right(full[ell], a)]
             assert g_set_bounded(m, ell, a).elements == expected, (m, ell, a)
+
+
+def test_the_full_set_of_a_huge_m_is_built_within_a_second():
+    # the divisors come from factorize(10**20 - 1), whose largest prime is
+    # 27961; trial division up to sqrt(m) would take 10**10 steps.  The child
+    # process's timeout turns a hang into a failure.
+    code = (
+        "import time\n"
+        "from permroots import g_set\n"
+        "start = time.perf_counter()\n"
+        "elements = g_set(10**20 - 1, 1).elements\n"
+        "print(len(elements), time.perf_counter() - start)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=30,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    count, elapsed = result.stdout.split()
+    assert int(count) == 384  # every divisor: gcd(d, 1) == 1 for all d
+    assert float(elapsed) < 1
 
 
 def test_bracket_is_always_a_member():

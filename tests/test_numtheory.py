@@ -76,6 +76,36 @@ def test_divisors_complete_and_sorted(m):
     assert ds == [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _divisors_by_trial_division(m):
+    """Every d <= sqrt(m) that divides m, with its partner m // d: the
+    reference for the package's products of prime powers."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d != m // d:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_equal_the_trial_division_loop():
+    for m in range(1, 5001):
+        assert divisors(m) == _divisors_by_trial_division(m), m
+    # 10**20 - 1 = (10**10 - 1)(10**10 + 1) with coprime factors, so its
+    # divisors are the products of theirs; each factor's loop takes 10**5 steps
+    low, high = 10**10 - 1, 10**10 + 1
+    assert math.gcd(low, high) == 1
+    expected = sorted(
+        a * b
+        for a in _divisors_by_trial_division(low)
+        for b in _divisors_by_trial_division(high)
+    )
+    assert divisors(10**20 - 1) == expected
+    assert len(expected) == 384
+
+
 def test_bracket_frozen_values():
     assert bracket(5, 2) == 1
     assert bracket(2, 8) == 8

@@ -1,6 +1,7 @@
 """Permutations, powers, root existence, and root construction."""
 
 import itertools
+import random
 from math import factorial, gcd
 
 import pytest
@@ -24,6 +25,7 @@ from permroots import (
     power,
     root_count,
 )
+from permroots.perm import _image_power
 
 
 @st.composite
@@ -153,6 +155,48 @@ def test_power_splitting_law(sigma, m):
         for _ in range(gcd(length, m))
     )
     assert sorted(len(c) for c in power(sigma, m).cycles()) == expected
+
+
+def _image_power_by_rotation(image, m):
+    """m-th power of a one-line image, one rotation per cycle: the reference
+    for the repeated squaring in the package."""
+    n = len(image)
+    out = [0] * n
+    seen = [False] * n
+    for start in range(1, n + 1):
+        if seen[start - 1]:
+            continue
+        cyc = [start]
+        seen[start - 1] = True
+        x = image[start - 1]
+        while x != start:
+            seen[x - 1] = True
+            cyc.append(x)
+            x = image[x - 1]
+        length = len(cyc)
+        shift = m % length
+        for i in range(length):
+            out[cyc[i] - 1] = cyc[(i + shift) % length]
+    return tuple(out)
+
+
+SQUARING_MS = (*range(1, 14), 60, 720, 2**61 - 1, 10**20 - 1)
+
+
+def test_squaring_equals_rotation_on_all_of_s_0_to_s_7():
+    for n in range(8):
+        images = list(itertools.permutations(range(1, n + 1)))
+        for m in SQUARING_MS:
+            expected = [_image_power_by_rotation(image, m) for image in images]
+            assert [_image_power(image, m) for image in images] == expected, (n, m)
+
+
+def test_squaring_equals_rotation_at_degree_3000():
+    image = list(range(1, 3001))
+    random.Random(3000).shuffle(image)
+    image = tuple(image)
+    for m in (2, 720, 10**20 - 1):
+        assert _image_power(image, m) == _image_power_by_rotation(image, m), m
 
 
 def test_has_mth_root_frozen_values():
