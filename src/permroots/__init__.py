@@ -6,32 +6,22 @@ generating functions that organize those counts, including the constancy
 of root probabilities on blocks of prime-power length.  Everything is
 stdlib-only and exact (integers and Fractions end to end); a brute-force
 scan of small symmetric groups is included as an independent oracle.
+
+The public names are answers, with the pieces they are built from, and
+check routes, which compute the same quantities a second way for selftest
+and the tests.  has_mth_root is the one solvability rule.
 """
 
-from .counting import homogeneous_count, root_count
-from .egf import (
-    EqualityReport,
-    ProbabilityBlock,
-    check_prime_power_equalities,
-    exp_q,
-    prime_power_block_series,
-    prime_root_count_egf,
-    r_total,
-    r_total_from_types,
-    r_total_range,
-    r_total_series,
-    root_count_egf,
-    root_count_from_egf,
-    root_probability,
-)
-from .gsets import GSet, count_epsilons, epsilon_set, g_set, g_set_bounded, is_solvable, iter_epsilons
+# Answers and the pieces they are built from.
+from .counting import root_count
+from .egf import EqualityReport, ProbabilityBlock, check_prime_power_equalities
+from .egf import r_total, r_total_range, root_probability
+from .gsets import count_epsilons, g_set, g_set_bounded, iter_epsilons
 from .numtheory import bracket, divisors, factorize, is_prime, nu_p
 from .perm import (
     CycleType,
     OracleSizeError,
     Permutation,
-    brute_force_root_table,
-    brute_force_roots,
     cycle_type,
     cycle_types,
     enumerate_roots,
@@ -42,65 +32,53 @@ from .perm import (
     parse_permutation,
     power,
 )
-from .series import (
-    MultiSeries,
-    UniSeries,
-    generalized_binomial,
-    multi_from_json,
-    multi_to_json,
-    one_minus_xp_root,
-    uni_from_json,
-    uni_to_json,
-)
+
+# Check routes: the oracle, the generating functions and the classification sum.
+from .egf import exp_q, prime_power_block_series, r_total_from_types, r_total_series
+from .egf import root_count_egf, root_count_from_egf
+from .perm import brute_force_root_table, brute_force_roots
+from .series import MultiSeries, UniSeries, one_minus_xp_root
 
 __all__ = [
+    # answers
     "CycleType",
     "EqualityReport",
-    "GSet",
-    "MultiSeries",
     "OracleSizeError",
     "Permutation",
     "ProbabilityBlock",
-    "UniSeries",
     "bracket",
-    "brute_force_root_table",
-    "brute_force_roots",
     "check_prime_power_equalities",
     "count_epsilons",
     "cycle_type",
     "cycle_types",
     "divisors",
     "enumerate_roots",
-    "epsilon_set",
-    "exp_q",
     "factorize",
     "format_cycle_type",
     "format_permutation",
     "g_set",
     "g_set_bounded",
-    "generalized_binomial",
     "has_mth_root",
-    "homogeneous_count",
     "is_prime",
-    "is_solvable",
     "iter_epsilons",
-    "multi_from_json",
-    "multi_to_json",
     "nu_p",
-    "one_minus_xp_root",
     "parse_cycle_type",
     "parse_permutation",
     "power",
-    "prime_power_block_series",
-    "prime_root_count_egf",
     "r_total",
-    "r_total_from_types",
     "r_total_range",
-    "r_total_series",
     "root_count",
+    "root_probability",
+    # check routes
+    "MultiSeries",
+    "UniSeries",
+    "brute_force_root_table",
+    "brute_force_roots",
+    "exp_q",
+    "one_minus_xp_root",
+    "prime_power_block_series",
+    "r_total_from_types",
+    "r_total_series",
     "root_count_egf",
     "root_count_from_egf",
-    "root_probability",
-    "uni_from_json",
-    "uni_to_json",
 ]

@@ -7,10 +7,12 @@ failures, also under ``python -O``.  A reader that closes the output pipe
 early ends the command with exit 0 and no message.  Size caps (S_n scan
 bound, root stream limit, series truncation) are explicit flags with loud
 refusals, never silent clamps.  Two caps are fixed: an answer (a count, the
-total in the roots --limit message, r_total, p_num, p_den, a probability's
-numerator or denominator) of more than MAX_ANSWER_DIGITS = 100,000 decimal
-digits is refused with exit 4 instead of printed, and a --type of degree
-above perm.MAX_DEGREE = 1,000,000 is refused with exit 4 before it is built.
+total in the roots --limit message, r_total, p_num, p_den, prob's m = q**r,
+a probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
+100,000 decimal digits is refused with exit 4 instead of printed (prob
+refuses an r above _ANSWER_BITS before it forms q**r), and a --type of
+degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4 before it
+is built.
 Decimal columns are presentation only; all computation is exact.
 
 The argument parser is built once, when this module is imported, so
@@ -72,6 +74,16 @@ class CapRefusal(Exception):
     """A requested computation exceeds an explicit size cap."""
 
 
+def _refuse_long(*answers: int) -> None:
+    """Refuse any answer of more than MAX_ANSWER_DIGITS decimal digits."""
+    for value in answers:
+        if value.bit_length() > _ANSWER_BITS and value >= 10**MAX_ANSWER_DIGITS:
+            raise CapRefusal(
+                f"the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
+                f"decimal digits; it is not printed"
+            )
+
+
 @contextmanager
 def _answer_text(*answers: int):
     """Convert the answers to decimal text only inside this block.
@@ -79,12 +91,7 @@ def _answer_text(*answers: int):
     An answer of more than MAX_ANSWER_DIGITS digits is refused before any
     conversion; the interpreter's own limit on int-to-text conversion
     (4300 digits by default) is lifted inside the block only."""
-    for value in answers:
-        if value.bit_length() > _ANSWER_BITS and value >= 10**MAX_ANSWER_DIGITS:
-            raise CapRefusal(
-                f"the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
-                f"decimal digits; it is not printed"
-            )
+    _refuse_long(*answers)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (before 3.10.7)
     if limit:
         sys.set_int_max_str_digits(0)
@@ -140,13 +147,9 @@ def _print_aligned(rows: list[dict], columns: list[str]) -> None:
 def _witness_rows(t: CycleType, m: int) -> list[dict]:
     """Per-length divisibility witness: a root exists iff every row divides."""
     return [
-        {
-            "ell": ell,
-            "a": count,
-            "required": bracket(ell, m),
-            "divides": count % bracket(ell, m) == 0,
-        }
+        {"ell": ell, "a": count, "required": q, "divides": count % q == 0}
         for ell, count in t.nonzero()
+        for q in [bracket(ell, m)]
     ]
 
 
@@ -183,7 +186,7 @@ def _count_detail(t: CycleType, m: int) -> list[dict]:
     """Per-length breakdown: admissible cycle-fusion sizes and solution counts."""
     detail = []
     for ell, count in t.nonzero():
-        elements = g_set_bounded(m, ell, count).elements
+        elements = g_set_bounded(m, ell, count)
         detail.append(
             {
                 "ell": ell,
@@ -292,6 +295,9 @@ def _cmd_prob(args) -> int:
             f"{args.blocks} blocks reach degree {top}, above the truncation cap "
             f"{args.truncation_cap}; raise --truncation-cap explicitly"
         )
+    # m = q**r is printed too: a too-long m is refused before any work, and
+    # q**r is not formed past q**(_ANSWER_BITS + 1) >= 2**(_ANSWER_BITS + 1)
+    _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
     probabilities = [p for block in report.blocks for p in block.probabilities]
     with _answer_text(*(x for p in probabilities for x in (p.numerator, p.denominator))):

@@ -32,7 +32,7 @@ def _length_factor(ell: int, a: int, m: int) -> int:
     Every term a! * ell**(sum (g-1)*e) / prod(g**e * e!) is an integer, so
     each is one exact division, checked to leave no remainder.
     """
-    sizes = g_set_bounded(m, ell, a).elements
+    sizes = g_set_bounded(m, ell, a)
     top = factorial(a)
     total = 0
     for eps in iter_epsilons(sizes, a):
@@ -70,18 +70,3 @@ def root_count(t: CycleType, m: int) -> int:
             )
         total *= factor
     return total
-
-
-def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:
-    """Roots of a permutation made of g*p cycles of length ell when all
-    fusions have the same admissible size g: (g*p)! * ell**(p*(g-1)) /
-    (g**p * p!).  Rejects g not admissible for (m, ell)."""
-    require_int(m, "m")
-    require_int(p, "p", minimum=0)
-    require_int(g, "g")
-    if g not in g_set_bounded(m, ell, g).elements:
-        raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
-    value, rest = divmod(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
-    if rest:
-        raise InternalCheckError(f"non-integer homogeneous count for {(ell, g, p, m)}")
-    return value

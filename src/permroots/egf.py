@@ -62,7 +62,7 @@ def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     require_int(weight_bound, "weight_bound", minimum=0)
     terms = {}
     for ell in range(1, weight_bound + 1):
-        for g in g_set_bounded(m, ell, weight_bound // ell).elements:
+        for g in g_set_bounded(m, ell, weight_bound // ell):
             key = (0,) * (ell - 1) + (g,)
             terms[key] = Fraction(ell ** (g - 1), g)
     return MultiSeries(weight_bound, terms).exp()
@@ -78,29 +78,6 @@ def root_count_from_egf(m: int, t: CycleType) -> int:
     if value.denominator != 1:
         raise InternalCheckError(f"non-integer EGF root count for {t}, m={m}")
     return value.numerator
-
-
-def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
-    """The prime specialization of root_count_egf:
-
-        exp( sum(i**(p-1)/p * t_i**p, all i) + sum(t_j, p not dividing j) )
-
-    since the admissible sizes for prime p are {1, p} when p does not
-    divide ell and {p} when it does.  Checked equal to the general
-    construction on every call."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    require_int(weight_bound, "weight_bound", minimum=0)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, weight_bound + 1):
-        if i * p <= weight_bound:
-            terms[(0,) * (i - 1) + (p,)] = Fraction(i ** (p - 1), p)
-        if i % p:
-            terms[(0,) * (i - 1) + (1,)] = Fraction(1)
-    result = MultiSeries(weight_bound, terms).exp()
-    if result != root_count_egf(p, weight_bound):
-        raise InternalCheckError(f"prime specialization disagrees with general EGF for p={p}")
-    return result
 
 
 def r_total_series(m: int, order: int) -> UniSeries:

@@ -12,24 +12,10 @@ exists, which happens iff bracket(ell, m) divides a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from ._checks import InternalCheckError, require_int
-from .numtheory import bracket, divisors
-
-
-@dataclass(frozen=True)
-class GSet:
-    """Admissible fusion sizes for (m, ell), optionally capped at a bound.
-
-    elements is strictly increasing.  bound is None for the uncapped set.
-    """
-
-    m: int
-    ell: int
-    bound: int | None
-    elements: tuple[int, ...]
+from .numtheory import divisors
 
 
 def _admissible(m: int, ell: int, divisors_of_m: list[int]) -> tuple[int, ...]:
@@ -46,8 +32,9 @@ def _admissible(m: int, ell: int, divisors_of_m: list[int]) -> tuple[int, ...]:
     return elements
 
 
-def g_set(m: int, ell: int) -> GSet:
-    """The set {g : gcd(g*ell, m) == g}, built as {m/d : d | m, gcd(d, ell) == 1}.
+def g_set(m: int, ell: int) -> tuple[int, ...]:
+    """The set {g : gcd(g*ell, m) == g}, increasing, built as
+    {m/d : d | m, gcd(d, ell) == 1}.
 
     The two descriptions coincide; the divisor form is the builder and the
     gcd form is checked for every element produced.  Consequences worth
@@ -60,10 +47,10 @@ def g_set(m: int, ell: int) -> GSet:
     """
     require_int(m, "m")
     require_int(ell, "ell")
-    return GSet(m, ell, None, _admissible(m, ell, divisors(m)))
+    return _admissible(m, ell, divisors(m))
 
 
-def g_set_bounded(m: int, ell: int, a: int) -> GSet:
+def g_set_bounded(m: int, ell: int, a: int) -> tuple[int, ...]:
     """g_set(m, ell) restricted to elements <= a; empty when a == 0.
 
     Finds only the divisors of m up to a: each d <= min(a, isqrt(m)) that
@@ -75,7 +62,7 @@ def g_set_bounded(m: int, ell: int, a: int) -> GSet:
     require_int(a, "a", minimum=0)
     small = [d for d in range(1, min(a, isqrt(m)) + 1) if m % d == 0]
     large = [m // d for d in reversed(small) if d < m // d <= a]
-    return GSet(m, ell, a, _admissible(m, ell, small + large))
+    return _admissible(m, ell, small + large)
 
 
 def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:
@@ -152,11 +139,6 @@ def iter_epsilons(g: tuple[int, ...], a: int):
         count += 1
 
 
-def epsilon_set(g: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
-    """All solution vectors for the sizes g and target a, lexicographic."""
-    return list(iter_epsilons(g, a))
-
-
 def count_epsilons(g: tuple[int, ...], a: int) -> int:
     """Number of solution vectors, by a coin-change table independent of
     the walk: ways[s] counts the vectors over the sizes seen so far that
@@ -169,23 +151,3 @@ def count_epsilons(g: tuple[int, ...], a: int) -> int:
         for s in range(step, a + 1):
             ways[s] += ways[s - step]
     return ways[a]
-
-
-def is_solvable(m: int, ell: int, a: int) -> bool:
-    """Whether a cycles of length ell can all be spent on admissible fusions.
-
-    Decided two ways on every call and the answers checked equal:
-    divisibility of a by bracket(ell, m), and subset-sum reachability of a
-    over the bounded fusion sizes.  a == 0 is vacuously solvable.
-    """
-    require_int(m, "m")
-    require_int(ell, "ell")
-    require_int(a, "a", minimum=0)
-    by_bracket = a % bracket(ell, m) == 0
-    bounded = g_set_bounded(m, ell, a)
-    by_reachability = bool((_reachable_masks(bounded.elements, a)[0] >> a) & 1)
-    if by_bracket != by_reachability:
-        raise InternalCheckError(
-            f"divisibility and reachability disagree for m={m}, ell={ell}, a={a}"
-        )
-    return by_bracket

@@ -21,7 +21,8 @@ Factorization = list[tuple[int, int]]
 def factorize(n: int) -> Factorization:
     """Prime factorization of n as (prime, exponent) pairs, primes increasing.
 
-    factorize(1) == [] (empty product).
+    factorize(1) == [] (empty product).  A prime or semiprime n costs up
+    to sqrt(n) trial divisions; the CLI reaches this only through is_prime.
     """
     require_int(n, "n")
     out: Factorization = []
@@ -41,13 +42,17 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by factorize: up to sqrt(p) trial divisions.
+    The CLI asks only about prob's q, which --truncation-cap bounds."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
     return factorize(p) == [(p, 1)]
 
 
 def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of n: the exponent of the prime p in n."""
+    """p-adic valuation of n: the exponent of the prime p in n.  Checking
+    that p is prime costs up to sqrt(p) trial divisions; no CLI command
+    calls this."""
     require_int(n, "n")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
@@ -68,16 +73,20 @@ def bracket(ell: int, m: int) -> int:
     require_int(ell, "ell")
     require_int(m, "m")
     out, d = 1, gcd(ell, m)
-    while d > 1:  # d holds the primes of ell still left in m
+    # d holds primes of ell still left in m, each to at most its power in
+    # out, so every step doubles each exponent in out: O(log nu_p(m)) steps
+    while d > 1:
         out *= d
         m //= d
-        d = gcd(m, d)
+        d = gcd(m, out)
     return out
 
 
 def divisors(m: int) -> list[int]:
     """All positive divisors of m, strictly increasing: the products of the
-    prime powers in factorize(m), so the cost is that of factorize."""
+    prime powers in factorize(m), so the cost is that of factorize: up to
+    sqrt(m) trial divisions for a prime or semiprime m.  No CLI command
+    calls this: g_set_bounded finds only the divisors it needs."""
     require_int(m, "m")
     out = [1]
     for p, e in factorize(m):

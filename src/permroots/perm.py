@@ -7,8 +7,9 @@ it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
 the root, interleaving their entries.  Every constructed root is verified
 by re-powering before it is emitted.  Powers are taken by repeated
-squaring, so that check costs O(n log m).  The oracle scans S_n once per
-(n, m) and buckets every permutation by its m-th power.
+squaring, so that check costs O(n log m), and O(n**2) at most.  The
+oracle scans S_n once per (n, m) and buckets every permutation by its
+m-th power.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 
 from ._checks import InternalCheckError, require_int
@@ -36,15 +37,26 @@ class DegreeCapError(ValueError):
     """Raised when cycle-type text names a degree above MAX_DEGREE."""
 
 
+@functools.lru_cache(maxsize=16)
+def _order_multiple(n: int) -> int:
+    """lcm(1..n), which the order of every permutation of degree n divides."""
+    return lcm(*range(1, n + 1))
+
+
 def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
     """m-th power of a one-line image by repeated squaring, for m >= 1.
 
     The image is padded with a 0 at index 0, so its 1-based values index it
     directly and each composition is one itemgetter pass.  That is
     floor(log2 m) squarings and popcount(m) - 1 products, so the cost grows
-    with the bit length of m, not with m."""
+    with the bit length of m, not with m.  An m of more than 2n bits is
+    first reduced modulo L = lcm(1..n) < 4**n (to L when L divides it), so
+    at most 2n squarings are done however long m is."""
     if not image:
         return ()
+    if m.bit_length() > 2 * len(image):
+        bound = _order_multiple(len(image))
+        m = m % bound or bound
     square = (0, *image)
     result = None
     while True:
@@ -302,7 +314,7 @@ def _ell_part_maps(cycles, ell: int, m: int, image: list[int]):
     each bundle anchored at the first cycle left so every partition comes
     once, and k fuse levels below them run the product of the fusions."""
     a = len(cycles)
-    sizes = g_set_bounded(m, ell, a).elements
+    sizes = g_set_bounded(m, ell, a)
     bundles: list[tuple] = []
     pools = [cycles]  # pools[-1] holds the cycles no bundle has taken yet
     remaining: dict[int, int] = {}  # bundles of each size still to place

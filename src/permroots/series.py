@@ -150,7 +150,7 @@ class UniSeries:
         return UniSeries(self.order, out)
 
 
-def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
+def _generalized_binomial(alpha: Fraction, k: int) -> Fraction:
     """Binomial coefficient alpha over k for rational alpha:
     alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
     require_int(k, "k", minimum=0)
@@ -170,7 +170,7 @@ def one_minus_xp_root(p: int, order: int) -> "UniSeries":
     alpha = Fraction(1, p)
     coeffs = [Fraction(0)] * (order + 1)
     for k in range(order // p + 1):
-        coeffs[p * k] = generalized_binomial(alpha, k) * (-1) ** k
+        coeffs[p * k] = _generalized_binomial(alpha, k) * (-1) ** k
     return UniSeries(order, coeffs)
 
 
@@ -291,40 +291,3 @@ class MultiSeries:
                 break
             result = result + term
         return result
-
-
-def fraction_to_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def fraction_from_text(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def uni_to_json(series: UniSeries) -> list[str]:
-    """Dense array of "num/den" strings, index = exponent."""
-    return [fraction_to_text(c) for c in series.coeffs]
-
-
-def uni_from_json(data: list[str]) -> UniSeries:
-    if not data:
-        raise ValueError("univariate series JSON must be a nonempty array")
-    return UniSeries(len(data) - 1, [fraction_from_text(c) for c in data])
-
-
-def multi_to_json(series: MultiSeries) -> dict:
-    """{"weight_bound": B, "terms": {"e1,e2,...": "num/den"}}, keys with
-    trailing zeros stripped; the constant term is keyed ""."""
-    terms = {
-        ",".join(map(str, key)): fraction_to_text(coeff)
-        for key, coeff in sorted(series.terms.items())
-    }
-    return {"weight_bound": series.weight_bound, "terms": terms}
-
-
-def multi_from_json(data: dict) -> MultiSeries:
-    terms = {}
-    for key_text, coeff_text in data["terms"].items():
-        key = tuple(int(e) for e in key_text.split(",")) if key_text else ()
-        terms[key] = fraction_from_text(coeff_text)
-    return MultiSeries(data["weight_bound"], terms)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from permroots import (
+    CycleType,
     Permutation,
     bracket,
     brute_force_root_table,
@@ -23,16 +24,17 @@ from permroots import (
     divisors,
     enumerate_roots,
     g_set,
-    is_solvable,
+    has_mth_root,
+    iter_epsilons,
     power,
     prime_power_block_series,
-    prime_root_count_egf,
     r_total,
     r_total_series,
     root_count,
     root_count_egf,
     root_count_from_egf,
 )
+from references import prime_root_count_egf
 
 
 def test_criterion_1_oracle_equivalence():
@@ -183,12 +185,16 @@ def test_criterion_6_root_counts_cover_the_group():
 def test_criterion_7_g_set_laws_exhaustive():
     """For all m, ell <= 60: divisor construction == definition scan; every
     element divides m; min == gcd of the set == bracket(ell, m); coprime
-    case == divisors(m); and solvability over a <= 60 is exactly
-    divisibility by bracket(ell, m)."""
+    case == divisors(m); and for a <= 60 ell-cycles, has_mth_root is exactly
+    divisibility by bracket(ell, m) and exactly the existence of a solution
+    vector over the admissible sizes."""
     start = time.time()
+    one_length = {
+        (ell, a): CycleType((0,) * (ell - 1) + (a,)) for ell in range(1, 61) for a in range(61)
+    }
     for m in range(1, 61):
         for ell in range(1, 61):
-            elements = g_set(m, ell).elements
+            elements = g_set(m, ell)
             scanned = tuple(g for g in range(1, m + 1) if gcd(g * ell, m) == g)
             assert elements == scanned, (m, ell)
             assert all(m % g == 0 for g in elements)
@@ -199,7 +205,10 @@ def test_criterion_7_g_set_laws_exhaustive():
             if gcd(ell, m) == 1:
                 assert list(elements) == divisors(m)
             for a in range(61):
-                assert is_solvable(m, ell, a) == (a % b == 0), (m, ell, a)
+                sizes = tuple(g for g in elements if g <= a)
+                vector = next(iter_epsilons(sizes, a), None)
+                exists = has_mth_root(one_length[ell, a], m)
+                assert exists == (a % b == 0) == (vector is not None), (m, ell, a)
     elapsed = time.time() - start
     assert elapsed < 30
     print(f"PASS criterion 7: g-set laws exhaustive for m, ell <= 60, a <= 60 ({elapsed:.1f}s < 30s)")

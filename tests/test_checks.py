@@ -24,21 +24,16 @@ from permroots import (
     cycle_types,
     divisors,
     enumerate_roots,
-    epsilon_set,
     exp_q,
     factorize,
     g_set,
     g_set_bounded,
-    generalized_binomial,
     has_mth_root,
-    homogeneous_count,
-    is_solvable,
     iter_epsilons,
     nu_p,
     one_minus_xp_root,
     power,
     prime_power_block_series,
-    prime_root_count_egf,
     r_total,
     r_total_from_types,
     r_total_range,
@@ -48,6 +43,7 @@ from permroots import (
     root_count_from_egf,
     root_probability,
 )
+from permroots.series import _generalized_binomial as generalized_binomial
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,18 +94,11 @@ else:
             "target._build_parser().parse_args(['selftest', '--max-n', '5', '-m', '2']))",
         ),
         (
-            "permroots.egf",
-            "root_count_egf",
-            "lambda p, w: target.MultiSeries.one(w)",
-            "target.prime_root_count_egf(2, 4)",
-        ),
-        (
             "permroots.perm",
             "_image_power",
             "lambda image, m: ()",
             "list(target.enumerate_roots(target.Permutation.identity(2), 2))",
         ),
-        ("permroots.gsets", "bracket", "lambda ell, m: 1", "target.is_solvable(2, 2, 1)"),
         (
             "permroots.egf",
             "r_total_series",
@@ -148,9 +137,7 @@ else:
     ],
     ids=[
         "r_total",
-        "prime_root_count_egf",
         "enumerate_roots",
-        "is_solvable",
         "r_total_range",
         "root_count",
         "length_factor_remainder",
@@ -222,11 +209,12 @@ S0 = Permutation.identity(0)
 
 # (entry point, argument name, its smallest valid value, a call passing v as that argument).
 # Every public function, constructor and classmethod whose integer argument is
-# a count, degree, order or bound.  Left out: is_prime, a predicate that answers
-# False rather than raising; coefficient indices and UniSeries.monomial's
-# exponent, which are positions checked against the order; and per-element
-# integers (CycleType multiplicities, Permutation images, MultiSeries
-# exponents, iter_epsilons sizes), which have their own inline checks.
+# a count, degree, order or bound, and the binomial one_minus_xp_root expands
+# with.  Left out: is_prime, a predicate that answers False rather than
+# raising; coefficient indices and UniSeries.monomial's exponent, which are
+# positions checked against the order; and per-element integers (CycleType
+# multiplicities, Permutation images, MultiSeries exponents, iter_epsilons
+# sizes), which have their own inline checks.
 INTEGER_ARGUMENTS = [
     ("factorize", "n", 1, factorize),
     ("nu_p", "n", 1, lambda v: nu_p(v, 2)),
@@ -240,16 +228,8 @@ INTEGER_ARGUMENTS = [
     ("g_set_bounded", "ell", 1, lambda v: g_set_bounded(2, v, 2)),
     ("g_set_bounded", "a", 0, lambda v: g_set_bounded(2, 1, v)),
     ("iter_epsilons", "a", 0, lambda v: list(iter_epsilons((1, 2), v))),
-    ("epsilon_set", "a", 0, lambda v: epsilon_set((1, 2), v)),
     ("count_epsilons", "a", 0, lambda v: count_epsilons((1, 2), v)),
-    ("is_solvable", "m", 1, lambda v: is_solvable(v, 1, 2)),
-    ("is_solvable", "ell", 1, lambda v: is_solvable(2, v, 2)),
-    ("is_solvable", "a", 0, lambda v: is_solvable(2, 1, v)),
     ("root_count", "m", 1, lambda v: root_count(T2, v)),
-    ("homogeneous_count", "ell", 1, lambda v: homogeneous_count(v, 2, 1, 2)),
-    ("homogeneous_count", "g", 1, lambda v: homogeneous_count(1, v, 1, 2)),
-    ("homogeneous_count", "p", 0, lambda v: homogeneous_count(1, 2, v, 2)),
-    ("homogeneous_count", "m", 1, lambda v: homogeneous_count(1, 2, 1, v)),
     ("Permutation.identity", "n", 0, Permutation.identity),
     ("Permutation.from_cycles", "n", 0, lambda v: Permutation.from_cycles(v, ())),
     ("power", "m", 1, lambda v: power(SIGMA, v)),
@@ -267,8 +247,6 @@ INTEGER_ARGUMENTS = [
     ("root_count_egf", "m", 1, lambda v: root_count_egf(v, 4)),
     ("root_count_egf", "weight_bound", 0, lambda v: root_count_egf(2, v)),
     ("root_count_from_egf", "m", 1, lambda v: root_count_from_egf(v, T2)),
-    ("prime_root_count_egf", "p", 2, lambda v: prime_root_count_egf(v, 4)),
-    ("prime_root_count_egf", "weight_bound", 0, lambda v: prime_root_count_egf(2, v)),
     ("r_total_series", "m", 1, lambda v: r_total_series(v, 4)),
     ("r_total_series", "order", 0, lambda v: r_total_series(2, v)),
     ("r_total_from_types", "n", 0, lambda v: r_total_from_types(v, 2)),

@@ -438,6 +438,23 @@ def test_prob_prints_probabilities_beyond_4300_digits_and_refuses_above_the_cap(
             assert (code, out, err) == (4, "", CAP_MESSAGE)
 
 
+@pytest.mark.parametrize(
+    "q,r,printed",
+    [(2, 200_000, True), (2, 332_193, False), (2, 10_000_000, False), (3, 300_000, False)],
+)
+def test_prob_refuses_an_m_above_the_digits_cap_within_two_seconds(q, r, printed):
+    # 2**332192 has 100,000 digits and 2**332193 one more; an r that large is
+    # refused before q**r is formed.  3**300000 has 143,137 digits.
+    code, out, err, elapsed = run_cli_timed("prob", "-q", str(q), "-r", str(r), "--blocks", "3")
+    assert elapsed < 2
+    if printed:
+        assert (code, err) == (0, "")
+        with _any_int_digits():
+            assert out.splitlines()[0] == f"m = {q}^{r} = {q**r}"
+    else:
+        assert (code, out, err) == (4, "", CAP_MESSAGE)
+
+
 def test_table_text_golden(capsys):
     code, out, err = run_cli(capsys, "table", "-m", "2", "--n", "0..5")
     assert (code, err) == (0, "")

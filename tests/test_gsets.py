@@ -13,14 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permroots import (
+    CycleType,
     bracket,
     count_epsilons,
     divisors,
-    epsilon_set,
     factorize,
     g_set,
     g_set_bounded,
-    is_solvable,
+    has_mth_root,
     iter_epsilons,
     nu_p,
 )
@@ -29,24 +29,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_g_set_frozen_values():
-    assert g_set(2, 1).elements == (1, 2)
-    assert g_set(6, 2).elements == (2, 6)
-    assert g_set(4, 2).elements == (4,)
-    assert g_set(1, 7).elements == (1,)
-    assert g_set(12, 1).elements == (1, 2, 3, 4, 6, 12)
+    assert g_set(2, 1) == (1, 2)
+    assert g_set(6, 2) == (2, 6)
+    assert g_set(4, 2) == (4,)
+    assert g_set(1, 7) == (1,)
+    assert g_set(12, 1) == (1, 2, 3, 4, 6, 12)
 
 
 def test_g_set_bounded_frozen_values():
-    assert g_set_bounded(2, 1, 0).elements == ()
-    assert g_set_bounded(2, 1, 2).elements == (1, 2)
-    assert g_set_bounded(2, 4, 1).elements == ()
-    assert g_set_bounded(6, 2, 5).elements == (2,)
+    assert g_set_bounded(2, 1, 0) == ()
+    assert g_set_bounded(2, 1, 2) == (1, 2)
+    assert g_set_bounded(2, 4, 1) == ()
+    assert g_set_bounded(6, 2, 5) == (2,)
 
 
 def test_g_set_matches_definition_scan():
     for m in range(1, 31):
         for ell in range(1, 31):
-            built = g_set(m, ell).elements
+            built = g_set(m, ell)
             scanned = tuple(g for g in range(1, m + 1) if math.gcd(g * ell, m) == g)
             assert built == scanned, (m, ell)
 
@@ -54,7 +54,7 @@ def test_g_set_matches_definition_scan():
 def test_g_set_structural_laws():
     for m in range(1, 31):
         for ell in range(1, 31):
-            elements = g_set(m, ell).elements
+            elements = g_set(m, ell)
             assert elements, "the set is never empty (m itself always qualifies)"
             assert list(elements) == sorted(set(elements))
             assert all(m % g == 0 for g in elements)
@@ -72,7 +72,7 @@ def test_g_set_prime_valuation_characterization():
     every candidate g <= m."""
     for m in range(1, 61):
         for ell in range(1, 61):
-            elements = set(g_set(m, ell).elements)
+            elements = set(g_set(m, ell))
             shared_primes = [p for p, _ in factorize(m) if ell % p == 0]
             for g in range(1, m + 1):
                 characterized = m % g == 0 and all(
@@ -91,11 +91,11 @@ def test_g_set_bounded_equals_the_filtered_full_set():
     # running through 1..30 as a does, so every pair (m, ell) is checked at two
     # or three bounds.  ell enters only through the filter both functions share.
     for m in range(1, 2001):
-        full = [None] + [g_set(m, ell).elements for ell in range(1, 31)]
+        full = [None] + [g_set(m, ell) for ell in range(1, 31)]
         for a in range(61):
             ell = 1 + (m + a) % 30
             expected = full[ell][: bisect_right(full[ell], a)]
-            assert g_set_bounded(m, ell, a).elements == expected, (m, ell, a)
+            assert g_set_bounded(m, ell, a) == expected, (m, ell, a)
 
 
 def test_the_full_set_of_a_huge_m_is_built_within_a_second():
@@ -106,7 +106,7 @@ def test_the_full_set_of_a_huge_m_is_built_within_a_second():
         "import time\n"
         "from permroots import g_set\n"
         "start = time.perf_counter()\n"
-        "elements = g_set(10**20 - 1, 1).elements\n"
+        "elements = g_set(10**20 - 1, 1)\n"
         "print(len(elements), time.perf_counter() - start)\n"
     )
     result = subprocess.run(
@@ -126,11 +126,11 @@ def test_bracket_is_always_a_member():
     for m in range(1, 41):
         for ell in range(1, 41):
             b = bracket(ell, m)
-            assert b in g_set(m, ell).elements
+            assert b in g_set(m, ell)
             for a in (b, 2 * b, 5 * b):
-                assert b in g_set_bounded(m, ell, a).elements
+                assert b in g_set_bounded(m, ell, a)
             if b > 1:
-                assert b not in g_set_bounded(m, ell, b - 1).elements
+                assert b not in g_set_bounded(m, ell, b - 1)
 
 
 def test_g_set_rejects_nonpositive():
@@ -140,18 +140,18 @@ def test_g_set_rejects_nonpositive():
         g_set_bounded(2, 3, -1)
 
 
-def test_epsilon_set_frozen_values():
-    assert epsilon_set((1, 2), 2) == [(0, 1), (2, 0)]
-    assert epsilon_set((1, 2), 4) == [(0, 2), (2, 1), (4, 0)]
-    assert epsilon_set((2,), 3) == []
-    assert epsilon_set((), 0) == [()]
-    assert epsilon_set((), 3) == []
+def test_iter_epsilons_frozen_values():
+    assert list(iter_epsilons((1, 2), 2)) == [(0, 1), (2, 0)]
+    assert list(iter_epsilons((1, 2), 4)) == [(0, 2), (2, 1), (4, 0)]
+    assert list(iter_epsilons((2,), 3)) == []
+    assert list(iter_epsilons((), 0)) == [()]
+    assert list(iter_epsilons((), 3)) == []
 
 
-def test_epsilon_set_is_lexicographic():
+def test_iter_epsilons_is_lexicographic():
     for sizes in ((1, 2), (1, 3, 4), (2, 3), (1, 2, 5)):
         for a in range(15):
-            vectors = epsilon_set(sizes, a)
+            vectors = list(iter_epsilons(sizes, a))
             assert vectors == sorted(vectors)
 
 
@@ -172,7 +172,7 @@ def _size_vectors(draw):
 
 @given(_size_vectors(), st.integers(min_value=0, max_value=30))
 def test_epsilon_vectors_hit_target_and_count_matches(sizes, a):
-    vectors = epsilon_set(sizes, a)
+    vectors = list(iter_epsilons(sizes, a))
     assert len(set(vectors)) == len(vectors)
     for eps in vectors:
         assert len(eps) == len(sizes)
@@ -201,25 +201,30 @@ def test_count_epsilons_on_large_targets():
     assert count_epsilons((), 5) == 0
 
 
-def test_epsilon_set_rejects_bad_sizes():
+def test_iter_epsilons_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        epsilon_set((2, 2), 4)  # not strictly increasing
+        list(iter_epsilons((2, 2), 4))  # not strictly increasing
     with pytest.raises(ValueError):
-        epsilon_set((0, 1), 2)
+        list(iter_epsilons((0, 1), 2))
     with pytest.raises(ValueError):
-        epsilon_set((1, 2), -1)
+        list(iter_epsilons((1, 2), -1))
 
 
-def test_is_solvable_frozen_values():
-    assert is_solvable(2, 2, 3) is False
-    assert is_solvable(2, 2, 4) is True
-    assert is_solvable(9, 6, 0) is True
-    assert is_solvable(1, 5, 7) is True
+def _ell_cycles(ell, a):
+    return CycleType((0,) * (ell - 1) + (a,))
 
 
-def test_is_solvable_iff_some_epsilon_exists():
+def test_has_mth_root_frozen_values_on_one_length():
+    assert has_mth_root(_ell_cycles(2, 3), 2) is False
+    assert has_mth_root(_ell_cycles(2, 4), 2) is True
+    assert has_mth_root(_ell_cycles(6, 0), 9) is True
+    assert has_mth_root(_ell_cycles(5, 7), 1) is True
+
+
+def test_has_mth_root_iff_some_epsilon_exists():
+    # the bracket rule against reachability: a solution vector spends all a cycles
     for m in range(1, 13):
         for ell in range(1, 13):
             for a in range(13):
-                sizes = g_set_bounded(m, ell, a).elements
-                assert is_solvable(m, ell, a) == bool(epsilon_set(sizes, a)), (m, ell, a)
+                vectors = list(iter_epsilons(g_set_bounded(m, ell, a), a))
+                assert has_mth_root(_ell_cycles(ell, a), m) == bool(vectors), (m, ell, a)

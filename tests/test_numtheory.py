@@ -150,6 +150,16 @@ def test_bracket_multiplicative_over_coprime_m(ell, m1, m2):
         assert bracket(ell, m1 * m2) == bracket(ell, m1) * bracket(ell, m2)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 63, 64, 65, 14_000, 200_000])
+def test_bracket_takes_out_a_prime_power_of_any_valuation(r):
+    # each step of the loop doubles the exponents taken out: 18 steps for r = 200,000
+    m = 2**r * 3**5 * 7
+    assert bracket(2, m) == 2**r
+    assert bracket(6, m) == 2**r * 3**5
+    assert bracket(35, m) == 7
+    assert bracket(5, m) == 1
+
+
 def test_bracket_rejects_nonpositive():
     with pytest.raises(ValueError):
         bracket(0, 4)

@@ -1,8 +1,13 @@
 """Permutations, powers, root existence, and root construction."""
 
 import itertools
+import json
+import os
 import random
-from math import factorial, gcd
+import subprocess
+import sys
+from math import factorial, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,7 @@ from permroots import (
     power,
     root_count,
 )
-from permroots.perm import _image_power
+from permroots.perm import _image_power, _order_multiple
 
 
 @st.composite
@@ -180,7 +185,8 @@ def _image_power_by_rotation(image, m):
     return tuple(out)
 
 
-SQUARING_MS = (*range(1, 14), 60, 720, 2**61 - 1, 10**20 - 1)
+# 420 * 2**40 is a multiple of lcm(1..7) = 420 long enough to be reduced on S_1..S_7
+SQUARING_MS = (*range(1, 14), 60, 720, 2**61 - 1, 10**20 - 1, 420 * 2**40, 420 * 2**40 + 1)
 
 
 def test_squaring_equals_rotation_on_all_of_s_0_to_s_7():
@@ -197,6 +203,42 @@ def test_squaring_equals_rotation_at_degree_3000():
     image = tuple(image)
     for m in (2, 720, 10**20 - 1):
         assert _image_power(image, m) == _image_power_by_rotation(image, m), m
+
+
+def test_the_order_multiple_is_below_4_to_the_n():
+    # so reducing an m of more than 2n bits modulo lcm(1..n) always shrinks it
+    bound = 1
+    for n in range(1, 3001):
+        bound = lcm(bound, n)
+        assert bound.bit_length() <= 2 * n, n
+    assert _order_multiple(3000) == bound
+
+
+_HUGE_POWER = """\
+import json, random, time
+from permroots import Permutation, power
+image = list(range(1, 3001))
+random.Random(3000).shuffle(image)
+sigma = Permutation(image)
+start = time.perf_counter()
+tau = power(sigma, 10**20000 + 1)
+print(json.dumps([time.perf_counter() - start, image, list(tau.image)]))
+"""
+
+
+def test_a_huge_exponent_at_degree_3000_is_powered_within_two_seconds():
+    # m has 66,439 bits; reduced modulo lcm(1..3000) it needs at most 6,000 squarings
+    result = subprocess.run(
+        [sys.executable, "-c", _HUGE_POWER],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    elapsed, image, powered = json.loads(result.stdout)
+    assert tuple(powered) == _image_power_by_rotation(tuple(image), 10**20000 + 1)
+    assert elapsed < 2
 
 
 def test_has_mth_root_frozen_values():
