@@ -1,20 +1,27 @@
 """Closed forms the package no longer exports, kept here as references that
-its general routes are checked against."""
+its general routes are checked against.  Each refuses arguments outside its
+domain, as the package's own entry points do, so a reference never answers
+for an input it does not cover."""
 
 from fractions import Fraction
 from math import factorial
 
-from permroots import MultiSeries, g_set_bounded
+from permroots import MultiSeries, g_set_bounded, is_prime
+from permroots._checks import InternalCheckError, require_int
 
 
 def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:
     """Roots of a permutation made of g*p cycles of length ell when all
     fusions have the same admissible size g: (g*p)! * ell**(p*(g-1)) /
     (g**p * p!).  Rejects g not admissible for (m, ell)."""
+    require_int(m, "m")
+    require_int(p, "p", minimum=0)
+    require_int(g, "g")
     if g not in g_set_bounded(m, ell, g):
         raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
     value, rest = divmod(factorial(g * p) * ell ** (p * (g - 1)), g**p * factorial(p))
-    assert rest == 0, (ell, g, p, m)
+    if rest:
+        raise InternalCheckError(f"non-integer homogeneous count for {(ell, g, p, m)}")
     return value
 
 
@@ -25,6 +32,9 @@ def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
 
     since the admissible sizes for prime p are {1, p} when p does not
     divide ell and {p} when it does.  p must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    require_int(weight_bound, "weight_bound", minimum=0)
     terms: dict[tuple[int, ...], Fraction] = {}
     for i in range(1, weight_bound + 1):
         if i * p <= weight_bound:

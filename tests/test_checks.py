@@ -44,6 +44,7 @@ from permroots import (
     root_probability,
 )
 from permroots.series import _generalized_binomial as generalized_binomial
+from references import homogeneous_count, prime_root_count_egf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -209,10 +210,11 @@ S0 = Permutation.identity(0)
 
 # (entry point, argument name, its smallest valid value, a call passing v as that argument).
 # Every public function, constructor and classmethod whose integer argument is
-# a count, degree, order or bound, and the binomial one_minus_xp_root expands
-# with.  Left out: is_prime, a predicate that answers False rather than
-# raising; coefficient indices and UniSeries.monomial's exponent, which are
-# positions checked against the order; and per-element integers (CycleType
+# a count, degree, order or bound, the binomial one_minus_xp_root expands
+# with, and the two closed-form references the tests check against.  Left out:
+# is_prime, a predicate that answers False rather than raising; coefficient
+# indices and UniSeries.monomial's exponent, which are positions checked
+# against the order; and per-element integers (CycleType
 # multiplicities, Permutation images, MultiSeries exponents, iter_epsilons
 # sizes), which have their own inline checks.
 INTEGER_ARGUMENTS = [
@@ -230,6 +232,10 @@ INTEGER_ARGUMENTS = [
     ("iter_epsilons", "a", 0, lambda v: list(iter_epsilons((1, 2), v))),
     ("count_epsilons", "a", 0, lambda v: count_epsilons((1, 2), v)),
     ("root_count", "m", 1, lambda v: root_count(T2, v)),
+    ("homogeneous_count", "ell", 1, lambda v: homogeneous_count(v, 2, 1, 2)),
+    ("homogeneous_count", "g", 1, lambda v: homogeneous_count(1, v, 1, 2)),
+    ("homogeneous_count", "p", 0, lambda v: homogeneous_count(1, 2, v, 2)),
+    ("homogeneous_count", "m", 1, lambda v: homogeneous_count(1, 2, 1, v)),
     ("Permutation.identity", "n", 0, Permutation.identity),
     ("Permutation.from_cycles", "n", 0, lambda v: Permutation.from_cycles(v, ())),
     ("power", "m", 1, lambda v: power(SIGMA, v)),
@@ -247,6 +253,8 @@ INTEGER_ARGUMENTS = [
     ("root_count_egf", "m", 1, lambda v: root_count_egf(v, 4)),
     ("root_count_egf", "weight_bound", 0, lambda v: root_count_egf(2, v)),
     ("root_count_from_egf", "m", 1, lambda v: root_count_from_egf(v, T2)),
+    ("prime_root_count_egf", "p", 2, lambda v: prime_root_count_egf(v, 4)),
+    ("prime_root_count_egf", "weight_bound", 0, lambda v: prime_root_count_egf(2, v)),
     ("r_total_series", "m", 1, lambda v: r_total_series(v, 4)),
     ("r_total_series", "order", 0, lambda v: r_total_series(2, v)),
     ("r_total_from_types", "n", 0, lambda v: r_total_from_types(v, 2)),
@@ -267,13 +275,16 @@ INTEGER_ARGUMENTS = [
     ("UniSeries", "order", 0, UniSeries),
     ("UniSeries.zero", "order", 0, UniSeries.zero),
     ("UniSeries.one", "order", 0, UniSeries.one),
+    ("UniSeries.monomial", "order", 0, lambda v: UniSeries.monomial(v, 0)),
     ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
+    ("substitute_scaled_power", "order", 0, lambda v: UniSeries.one(4).substitute_scaled_power(1, 1, v)),
     ("generalized_binomial", "k", 0, lambda v: generalized_binomial(Fraction(1, 2), v)),
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),
     ("MultiSeries", "weight_bound", 0, MultiSeries),
     ("MultiSeries.zero", "weight_bound", 0, MultiSeries.zero),
     ("MultiSeries.one", "weight_bound", 0, MultiSeries.one),
+    ("MultiSeries.monomial", "weight_bound", 0, lambda v: MultiSeries.monomial(v, (1,))),
 ]
 
 

@@ -88,6 +88,13 @@ def test_prime_specialization_anchor_coefficients():
     assert e3.coefficient((3,)) * factorial(3) == 3
 
 
+def test_prime_specialization_rejects_composites():
+    with pytest.raises(ValueError):
+        prime_root_count_egf(4, 6)
+    with pytest.raises(ValueError):
+        prime_root_count_egf(1, 6)
+
+
 def test_r_total_frozen_values():
     assert [r_total(n, 2) for n in range(6)] == [1, 1, 1, 3, 12, 60]
     assert r_total(0, 9) == 1
