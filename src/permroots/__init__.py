@@ -7,12 +7,12 @@ of root probabilities on blocks of prime-power length.  Everything is
 stdlib-only and exact (integers and Fractions end to end); a brute-force
 scan of small symmetric groups is included as an independent oracle.
 
-The public names are answers, with the pieces they are built from, and
-check routes, which compute the same quantities a second way for selftest
-and the tests.  has_mth_root is the one solvability rule.
+The public names are answers with their pieces, check routes (the same
+quantities a second way, for selftest and the tests), and three test-only
+definitions no answer path calls.  has_mth_root is the one solvability rule.
 """
 
-# Answers and the pieces they are built from.
+# Answers, their pieces, and the test-only g_set, divisors and nu_p.
 from .counting import root_count
 from .egf import EqualityReport, ProbabilityBlock, check_prime_power_equalities
 from .egf import r_total, r_total_range, root_probability
@@ -51,17 +51,14 @@ __all__ = [
     "count_epsilons",
     "cycle_type",
     "cycle_types",
-    "divisors",
     "enumerate_roots",
     "factorize",
     "format_cycle_type",
     "format_permutation",
-    "g_set",
     "g_set_bounded",
     "has_mth_root",
     "is_prime",
     "iter_epsilons",
-    "nu_p",
     "parse_cycle_type",
     "parse_permutation",
     "power",
@@ -81,4 +78,8 @@ __all__ = [
     "r_total_series",
     "root_count_egf",
     "root_count_from_egf",
+    # test-only definitions
+    "divisors",
+    "g_set",
+    "nu_p",
 ]

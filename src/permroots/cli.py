@@ -9,10 +9,9 @@ bound, root stream limit, series truncation) are explicit flags with loud
 refusals, never silent clamps.  Two caps are fixed: an answer (a count, the
 total in the roots --limit message, r_total, p_num, p_den, prob's m = q**r,
 a probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
-100,000 decimal digits is refused with exit 4 instead of printed (prob
-refuses an r above _ANSWER_BITS before it forms q**r), and a --type of
-degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4 before it
-is built.
+100,000 decimal digits is refused with exit 4 instead of printed, and a
+--type of degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4
+before it is built.
 Decimal columns are presentation only; all computation is exact.
 
 The argument parser is built once, when this module is imported, so
@@ -38,7 +37,7 @@ from .counting import root_count
 from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
 from .egf import root_count_from_egf
 from .gsets import count_epsilons, g_set_bounded
-from .numtheory import bracket
+from .numtheory import bracket, is_prime
 from .perm import (
     CycleType,
     DegreeCapError,
@@ -295,9 +294,11 @@ def _cmd_prob(args) -> int:
             f"{args.blocks} blocks reach degree {top}, above the truncation cap "
             f"{args.truncation_cap}; raise --truncation-cap explicitly"
         )
-    # m = q**r is printed too: a too-long m is refused before any work, and
-    # q**r is not formed past q**(_ANSWER_BITS + 1) >= 2**(_ANSWER_BITS + 1)
-    _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
+    # m = q**r is printed too: for a prime q and a positive r (any other is
+    # exit 3, from check_prime_power_equalities) a too-long m is refused before
+    # any work, and q**r is not formed past q**(_ANSWER_BITS + 1)
+    if is_prime(args.q) and args.r > 0:
+        _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
     probabilities = [p for block in report.blocks for p in block.probabilities]
     with _answer_text(*(x for p in probabilities for x in (p.numerator, p.denominator))):

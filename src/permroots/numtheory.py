@@ -50,9 +50,8 @@ def is_prime(p: int) -> bool:
 
 
 def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of n: the exponent of the prime p in n.  Checking
-    that p is prime costs up to sqrt(p) trial divisions; no CLI command
-    calls this."""
+    """p-adic valuation of n: the exponent of the prime p in n.  Checking that
+    p is prime costs up to sqrt(p) trial divisions; no answer path calls this."""
     require_int(n, "n")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
@@ -83,10 +82,9 @@ def bracket(ell: int, m: int) -> int:
 
 
 def divisors(m: int) -> list[int]:
-    """All positive divisors of m, strictly increasing: the products of the
-    prime powers in factorize(m), so the cost is that of factorize: up to
-    sqrt(m) trial divisions for a prime or semiprime m.  No CLI command
-    calls this: g_set_bounded finds only the divisors it needs."""
+    """All positive divisors of m, increasing, from the prime powers in
+    factorize(m): up to sqrt(m) trial divisions for a prime or semiprime m.
+    No answer path calls this; g_set_bounded finds only the divisors it needs."""
     require_int(m, "m")
     out = [1]
     for p, e in factorize(m):

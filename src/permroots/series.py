@@ -54,7 +54,7 @@ class UniSeries:
 
     @classmethod
     def monomial(cls, order: int, exponent: int, coeff=1) -> "UniSeries":
-        if not 0 <= exponent <= require_int(order, "order", minimum=0):
+        if not 0 <= exponent <= order:
             raise ValueError(f"exponent {exponent} outside 0..{order}")
         coeffs = [Fraction(0)] * (exponent + 1)
         coeffs[exponent] = _as_fraction(coeff)
@@ -112,7 +112,7 @@ class UniSeries:
         coefficients: self.order * k >= order."""
         require_int(k, "k")
         c = _as_fraction(c)
-        if self.order < require_int(order, "order", minimum=0) // k:
+        if self.order < order // k:
             raise ValueError(
                 f"source order {self.order} too small to reach order {order} with k={k}"
             )

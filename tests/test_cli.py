@@ -455,6 +455,20 @@ def test_prob_refuses_an_m_above_the_digits_cap_within_two_seconds(q, r, printed
         assert (code, out, err) == (4, "", CAP_MESSAGE)
 
 
+@pytest.mark.parametrize(
+    "q,r,message",
+    [
+        (2, 0, "r must be a positive integer, got 0"),
+        (2, -1, "r must be a positive integer, got -1"),
+        (0, -1, "q must be prime, got 0"),
+        (4, 10_000_000, "q must be prime, got 4"),
+    ],
+)
+def test_prob_checks_q_and_r_before_the_digits_cap(capsys, q, r, message):
+    code, out, err = run_cli(capsys, "prob", "-q", str(q), "-r", str(r), "--blocks", "3")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_table_text_golden(capsys):
     code, out, err = run_cli(capsys, "table", "-m", "2", "--n", "0..5")
     assert (code, err) == (0, "")

@@ -15,17 +15,14 @@ ANSWERS = [
     "count_epsilons",
     "cycle_type",
     "cycle_types",
-    "divisors",
     "enumerate_roots",
     "factorize",
     "format_cycle_type",
     "format_permutation",
-    "g_set",
     "g_set_bounded",
     "has_mth_root",
     "is_prime",
     "iter_epsilons",
-    "nu_p",
     "parse_cycle_type",
     "parse_permutation",
     "power",
@@ -47,6 +44,8 @@ CHECK_ROUTES = [
     "root_count_egf",
     "root_count_from_egf",
 ]
+# Exported, but no answer path calls them: only the tests do.
+TEST_ONLY = ["divisors", "g_set", "nu_p"]
 # No longer exported: each moved into the tests as a reference, became
 # private, or is spelled with another public name.
 REMOVED = [
@@ -64,7 +63,7 @@ REMOVED = [
 
 
 def test_the_public_surface_is_pinned():
-    assert sorted(permroots.__all__) == sorted(ANSWERS + CHECK_ROUTES)
+    assert sorted(permroots.__all__) == sorted(ANSWERS + CHECK_ROUTES + TEST_ONLY)
     assert len(permroots.__all__) == len(set(permroots.__all__)) == 39
     for name in permroots.__all__:
         assert getattr(permroots, name) is not None, name
