@@ -225,21 +225,24 @@ def _cmd_roots(args) -> int:
     m = require_int(args.m, "m")
     if args.limit < 1:
         raise ValueError(f"--limit must be positive, got {args.limit}")
-    limit = None if args.all else args.limit
     total = root_count(cycle_type(sigma), m)
+    shown = total if args.all else min(total, args.limit)
     names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
     emitted = 0
-    for tau in enumerate_roots(sigma, m):
-        if limit is not None and emitted >= limit:
-            with _answer_text(total):
-                print(
-                    f"error: output truncated at --limit {limit} of {total} roots; "
-                    f"raise --limit or pass --all",
-                    file=sys.stderr,
-                )
-            return EXIT_SIZE
+    # A stream that fits is read to its end; a longer one stops at the limit.
+    for tau in itertools.islice(enumerate_roots(sigma, m), None if shown == total else shown):
         print(" ".join(map(names.__getitem__, tau.image)))
         emitted += 1
+    if emitted != shown:
+        raise InternalCheckError(f"enumerate_roots streamed {emitted} roots where {shown} were due")
+    if shown < total:
+        with _answer_text(total):
+            print(
+                f"error: output truncated at --limit {args.limit} of {total} roots; "
+                f"raise --limit or pass --all",
+                file=sys.stderr,
+            )
+        return EXIT_SIZE
     return EXIT_OK
 
 

@@ -28,13 +28,12 @@ which this module verifies by exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
-from ._checks import InternalCheckError, require_int
+from ._checks import FrozenRecord, InternalCheckError, require_int
 from .gsets import g_set_bounded
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
@@ -80,6 +79,15 @@ def root_count_from_egf(m: int, t: CycleType) -> int:
     return value.numerator
 
 
+@lru_cache(maxsize=8, typed=True)
+def _moduli(m: int, order: int) -> tuple[int, ...]:
+    """bracket(ell, m) for ell = 1..order, the input the convolution and the
+    series routes share.  Memoized, so one r_total_range call finds each
+    modulus once: for a huge m each is a chain of big-integer gcds and
+    divisions."""
+    return tuple(bracket(ell, m) for ell in range(1, order + 1))
+
+
 def r_total_series(m: int, order: int) -> UniSeries:
     """EGF of r_total: prod over ell of exp_q(x**ell / ell) with
     q = bracket(ell, m).  Factors with ell > order are 1 up to the
@@ -96,8 +104,8 @@ def r_total_series(m: int, order: int) -> UniSeries:
     require_int(order, "order", minimum=0)
     scale = factorial(order)
     scaled = [scale] + [0] * order  # scale * [x**n] of the partial product
-    for ell in range(1, order + 1):
-        step = bracket(ell, m) * ell
+    for ell, q in enumerate(_moduli(m, order), start=1):
+        step = q * ell
         terms = [
             scale // (ell ** (j // ell) * factorial(j // ell)) for j in range(step, order + 1, step)
         ]
@@ -124,8 +132,8 @@ def _r_total_convolution(hi: int, m: int) -> list[int]:
     factors exp_q(x**ell / ell), whose n! * [x**n] term is
     (k*ell)! / (ell**k * k!) at n = k*ell with q dividing k."""
     values = [1] + [0] * hi
-    for ell in range(1, hi + 1):
-        step = bracket(ell, m) * ell
+    for ell, q in enumerate(_moduli(m, hi), start=1):
+        step = q * ell
         terms = [
             (j, factorial(j) // (ell ** (j // ell) * factorial(j // ell)))
             for j in range(step, hi + 1, step)
@@ -140,8 +148,10 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
 
     Every value up to hi is checked against n! times the coefficient of
     r_total_series(m, hi), the Cauchy product scaled by hi!, expanded once
-    per call: the convolution does binomial sums of unscaled counts, the
-    series divides by hi! after each product step, and they share no code."""
+    per call.  The two routes share their input, the moduli
+    bracket(ell, m), found once per call, but not their arithmetic: the
+    convolution does binomial sums of unscaled counts, the series divides
+    by hi! after each product step."""
     require_int(m, "m")
     require_int(lo, "lo", minimum=0)
     require_int(hi, "hi", minimum=0)
@@ -202,25 +212,29 @@ def prime_power_block_series(p: int, r: int, order: int) -> UniSeries:
     return series
 
 
-@dataclass(frozen=True)
-class ProbabilityBlock:
+class ProbabilityBlock(FrozenRecord):
     """One run of q consecutive degrees and their root probabilities."""
 
-    j: int
-    ns: tuple[int, ...]
-    probabilities: tuple[Fraction, ...]
+    __slots__ = ("j", "ns", "probabilities")
+
+    def __init__(self, j: int, ns: tuple[int, ...], probabilities: tuple[Fraction, ...]):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "probabilities", probabilities)
 
     @property
     def equal(self) -> bool:
         return len(set(self.probabilities)) == 1
 
 
-@dataclass(frozen=True)
-class EqualityReport:
-    q: int
-    r: int
-    m: int
-    blocks: tuple[ProbabilityBlock, ...]
+class EqualityReport(FrozenRecord):
+    __slots__ = ("q", "r", "m", "blocks")
+
+    def __init__(self, q: int, r: int, m: int, blocks: tuple[ProbabilityBlock, ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def all_equal(self) -> bool:

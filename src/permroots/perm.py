@@ -5,22 +5,25 @@ Permutations act on {1, ..., n} and are stored in one-line notation
 (image[i-1] is where i goes).  The m-th power of a single L-cycle splits
 it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
-the root, interleaving their entries.  Every constructed root is verified
-by re-powering before it is emitted.  Powers are taken by repeated
-squaring, so that check costs O(n log m), and O(n**2) at most.  The
-oracle scans S_n once per (n, m) and buckets every permutation by its
-m-th power.
+the root.  Each fusion is written straight from a chain of the g cycles,
+entry t of each going to entry t of the next, and the last closing back
+onto the first through a closing table, a rotation cached per (g, ell, m).
+A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
+written as it is chosen, without a loop of its own.  Every constructed
+root is verified by re-powering before it is emitted.  Powers are taken
+by repeated squaring, so that check costs O(n log m), and O(n**2) at
+most.  The oracle scans S_n once per (n, m) and buckets every
+permutation by its m-th power.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import factorial, lcm
 from operator import itemgetter
 
-from ._checks import InternalCheckError, require_int
+from ._checks import FrozenRecord, InternalCheckError, require_int
 from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
@@ -161,21 +164,21 @@ class Permutation:
         return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in self.cycles())
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(FrozenRecord):
     """Multiplicity vector a, where a[ell-1] counts the ell-cycles.
 
     The weight n is sum(ell * a[ell-1]); trailing zeros are preserved, so
     vectors differing only in trailing zeros compare unequal.
     """
 
-    a: tuple[int, ...]
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        for count in self.a:
+    def __init__(self, a):
+        a = tuple(a)
+        for count in a:
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"multiplicities must be nonnegative ints, got {self.a!r}")
+                raise ValueError(f"multiplicities must be nonnegative ints, got {a!r}")
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
@@ -251,33 +254,56 @@ def has_mth_root(t, m: int) -> bool:
     return all(count % bracket(ell, m) == 0 for ell, count in t.nonzero())
 
 
+@functools.lru_cache(maxsize=256)
+def _closing_shift(g: int, ell: int, m: int) -> int:
+    """The inverse u of m // g modulo ell, which gcd(g*ell, m) == g makes
+    exist: in a fusion of g ell-cycles, entry t of the last cycle goes to
+    entry closing[t] = (t + u) mod ell of the anchor.  The closing table is
+    that rotation, so this bounded cache holds one shift per (g, ell, m)."""
+    return pow(m // g, -1, ell)
+
+
+def _closing(anchor, g: int, ell: int, m: int):
+    """anchor[closing[t]] for t = 0..ell-1: where the last cycle of a fusion
+    of g ell-cycles sends its entries."""
+    shift = _closing_shift(g, ell, m)
+    return anchor[shift:] + anchor[:shift]
+
+
+def _write_fusion(image: list[int], anchor, chain, closing) -> None:
+    """Write the cycle that runs anchor, chain[0], ..., chain[-1] entry by
+    entry into image (image[x] = its successor): entry t of each cycle goes
+    to entry t of the next, and entry t of the last to closing[t]."""
+    source = anchor
+    for target in chain:
+        for x, y in zip(source, target):
+            image[x] = y
+        source = target
+    for x, y in zip(source, closing):
+        image[x] = y
+
+
 def _fusions(bundle, ell: int, m: int, image: list[int]):
     """All (g*ell)-cycles D with D**m equal to the product of the bundle.
-    Each D is written into image (image[x-1] = D(x)) before a yield.
+    Each D is written into image (image[x] = D(x)) before a yield.
 
-    The m-th power of a (g*ell)-cycle reads off g cycles of length ell
-    along every m-th position, one per residue class mod g.  So D is
-    rebuilt by interleaving: the bundle cycle holding the smallest element
-    is pinned to residue class 0 starting at position 0 (which kills the
+    Since gcd(g*ell, m) == g, the m-th power of D takes each entry of D to
+    the entry m places on, so it splits D into g cycles of length ell, one
+    per residue class mod g.  The bundle cycle holding the smallest element,
+    the anchor, is pinned to class 0 at position 0 (which kills the
     rotational symmetry of D), and each ordering of the other g-1 cycles,
     combined with each of the ell rotations of each, fills classes 1..g-1.
-    Exactly (g-1)! * ell**(g-1) distinct cycles result.
-    """
-    g = len(bundle)
-    span = g * ell
-    anchor, others = bundle[0], bundle[1:]
-    for ordering in itertools.permutations(others):
-        for offsets in itertools.product(range(ell), repeat=g - 1):
-            seq = [0] * span
-            for t in range(ell):
-                seq[t * m % span] = anchor[t]
-            for j in range(1, g):
-                cyc = ordering[j - 1]
-                off = offsets[j - 1]
-                for t in range(ell):
-                    seq[(j + t * m) % span] = cyc[(off + t) % ell]
-            for i in range(span):
-                image[seq[i - 1] - 1] = seq[i]
+    D is written straight from that chain of cycles by _write_fusion, its
+    closing table being the anchor rotated by _closing_shift; the rotations
+    of each companion are made once per bundle.  Exactly
+    (g-1)! * ell**(g-1) distinct cycles result, ordered by companion order,
+    then rotation offset."""
+    anchor = bundle[0]
+    closing = _closing(anchor, len(bundle), ell, m)
+    rotations = [[cyc[off:] + cyc[:off] for off in range(ell)] for cyc in bundle[1:]]
+    for ordering in itertools.permutations(rotations):
+        for chain in itertools.product(*ordering):
+            _write_fusion(image, anchor, chain, closing)
             yield
 
 
@@ -307,39 +333,51 @@ def _nested(levels):
             return
 
 
-def _ell_part_maps(cycles, ell: int, m: int, image: list[int]):
+def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int]):
     """All restrictions of an m-th root to the ell-cycles' support, written into image.
 
-    Per solution vector with k bundles, k choose levels partition the cycles,
-    each bundle anchored at the first cycle left so every partition comes
-    once, and k fuse levels below them run the product of the fusions."""
-    a = len(cycles)
-    sizes = g_set_bounded(m, ell, a)
-    bundles: list[tuple] = []
+    Per solution vector over the admissible sizes, one _nested runs its
+    choose levels, which partition the cycles into bundles, each anchored
+    at the first cycle left so every partition comes once, and below them
+    one fuse level per bundle with more than one fusion, which runs those
+    fusions.  A bundle with exactly one, (g-1)! * ell**(g-1) == 1, that is
+    g == 1 or g == 2 on fixed points, is written by its choose step."""
+    one_fusion_sizes = {g for g in sizes if g == 1 or (g == 2 and ell == 1)}
+    multi: list[tuple] = []  # the bundles with a fuse level, in choose order
     pools = [cycles]  # pools[-1] holds the cycles no bundle has taken yet
     remaining: dict[int, int] = {}  # bundles of each size still to place
 
     def choose():
         anchor, rest = pools[-1][0], pools[-1][1:]
         for g in sizes:
-            if remaining[g]:
-                remaining[g] -= 1
-                for companions in itertools.combinations(rest, g - 1):
-                    chosen = set(companions)
-                    bundles.append((anchor, *companions))
-                    pools.append([c for c in rest if c not in chosen])
-                    yield
-                    bundles.pop()
-                    pools.pop()
-                remaining[g] += 1
+            if not remaining[g]:
+                continue
+            remaining[g] -= 1
+            one_fusion = g in one_fusion_sizes
+            if one_fusion:  # the companion as it stands, then back to the anchor
+                closing = _closing(anchor, g, ell, m)
+            for picked in itertools.combinations(range(len(rest)), g - 1):
+                companions = [rest[i] for i in picked]
+                if one_fusion:
+                    _write_fusion(image, anchor, companions, closing)
+                else:
+                    multi.append((anchor, *companions))
+                pools.append([c for i, c in enumerate(rest) if i not in picked] if picked else rest)
+                yield
+                if not one_fusion:
+                    multi.pop()
+                pools.pop()
+            remaining[g] += 1
 
     def fuse(j):
-        return _fusions(bundles[j], ell, m, image)
+        return _fusions(multi[j], ell, m, image)
 
-    for eps in iter_epsilons(sizes, a):
+    for eps in iter_epsilons(sizes, len(cycles)):
         remaining.update(zip(sizes, eps))
-        k = sum(eps)
-        yield from _nested([choose] * k + [functools.partial(fuse, j) for j in range(k)])
+        fuse_levels = sum(count for g, count in zip(sizes, eps) if g not in one_fusion_sizes)
+        yield from _nested(
+            [choose] * sum(eps) + [functools.partial(fuse, j) for j in range(fuse_levels)]
+        )
 
 
 def enumerate_roots(sigma: Permutation, m: int):
@@ -348,21 +386,31 @@ def enumerate_roots(sigma: Permutation, m: int):
     Streams lazily.  The order is deterministic: cycle lengths ell
     ascending, solution vectors lexicographic, bundle partitions in
     anchored order, interleavings by companion order then rotation offset.
-    The empty permutation is its own m-th root for every m.
+    The empty permutation is its own m-th root for every m.  sigma is split
+    into cycles once, and each ell's admissible sizes are found once per
+    call.
     """
     require_int(m, "m")
-    if not has_mth_root(cycle_type(sigma), m):
-        return
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for cyc in sigma.cycles():
         by_len.setdefault(len(cyc), []).append(cyc)
+    a = [0] * sigma.degree
+    for ell, cycles in by_len.items():
+        a[ell - 1] = len(cycles)
+    if not has_mth_root(CycleType(a), m):
+        return
     target = sigma.image
-    image = [0] * sigma.degree  # each root overwrites every entry: the bundles cover sigma
+    # image[x] is the root's image of x; image[0] is padding.  Each root
+    # overwrites every other entry: the bundles cover sigma.
+    image = [0] * (sigma.degree + 1)
     parts = [
-        functools.partial(_ell_part_maps, by_len[ell], ell, m, image) for ell in sorted(by_len)
+        functools.partial(
+            _ell_part_maps, by_len[ell], ell, m, g_set_bounded(m, ell, len(by_len[ell])), image
+        )
+        for ell in sorted(by_len)
     ]
     for _ in _nested(parts):
-        root = tuple(image)
+        root = tuple(image[1:])
         if _image_power(root, m) != target:
             raise InternalCheckError("constructed root failed re-powering")
         yield Permutation(root)

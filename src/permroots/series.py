@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from ._checks import require_int
+from ._checks import refuse_rebinding, require_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -24,16 +24,12 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
 
 
-def _refuse_rebinding(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot rebind {name!r}")
-
-
 class UniSeries:
     """A polynomial truncation sum(coeffs[j] * x**j, j = 0..order).
     Immutable, so no caller can change a cached series."""
 
     __slots__ = ("order", "coeffs")
-    __setattr__ = __delattr__ = _refuse_rebinding
+    __setattr__ = __delattr__ = refuse_rebinding
 
     def __init__(self, order: int, coeffs=()):
         require_int(order, "order", minimum=0)
@@ -54,6 +50,7 @@ class UniSeries:
 
     @classmethod
     def monomial(cls, order: int, exponent: int, coeff=1) -> "UniSeries":
+        require_int(order, "order", minimum=0)
         if not 0 <= exponent <= order:
             raise ValueError(f"exponent {exponent} outside 0..{order}")
         coeffs = [Fraction(0)] * (exponent + 1)
@@ -110,6 +107,7 @@ class UniSeries:
         """The series in x obtained by substituting c * x**k for the
         variable, truncated at the given order.  Requires enough source
         coefficients: self.order * k >= order."""
+        require_int(order, "order", minimum=0)
         require_int(k, "k")
         c = _as_fraction(c)
         if self.order < order // k:
@@ -194,7 +192,7 @@ class MultiSeries:
     can change a cached series."""
 
     __slots__ = ("weight_bound", "terms")
-    __setattr__ = __delattr__ = _refuse_rebinding
+    __setattr__ = __delattr__ = refuse_rebinding
 
     def __init__(self, weight_bound: int, terms=None):
         require_int(weight_bound, "weight_bound", minimum=0)

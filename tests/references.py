@@ -1,10 +1,12 @@
-"""Closed forms the package no longer exports, kept here as references that
-its general routes are checked against.  Each refuses arguments outside its
-domain, as the package's own entry points do, so a reference never answers
-for an input it does not cover."""
+"""Closed forms the package no longer exports, and the interleaving the root
+construction once used, kept here as references that the package's own
+routes are checked against.  Each refuses arguments outside its domain, as
+the package's own entry points do, so a reference never answers for an
+input it does not cover."""
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from permroots import MultiSeries, g_set_bounded, is_prime
 from permroots._checks import InternalCheckError, require_int
@@ -42,3 +44,33 @@ def prime_root_count_egf(p: int, weight_bound: int) -> MultiSeries:
         if i % p:
             terms[(0,) * (i - 1) + (1,)] = Fraction(1)
     return MultiSeries(weight_bound, terms).exp()
+
+
+def interleaved_fusions(bundle, ell: int, m: int, image: list[int]):
+    """The fusions of a bundle of g ell-cycles, written by interleaving as
+    perm._fusions once did: for each ordering of the companions and each
+    rotation offset of each, the (g*ell)-cycle D read off the sequence with
+
+        seq[(j + t*m) mod g*ell] = cycle_j[(offset_j + t) mod ell],
+
+    the anchor being cycle 0 at offset 0.  Each D is written into the
+    unpadded image (image[x-1] = D(x)) before a yield.  Rejects a bundle
+    size g that is not admissible for (m, ell)."""
+    g = len(bundle)
+    span = g * ell
+    if gcd(span, m) != g:
+        raise ValueError(f"g={g} is not an admissible fusion size for m={m}, ell={ell}")
+    anchor, others = bundle[0], bundle[1:]
+    for ordering in itertools.permutations(others):
+        for offsets in itertools.product(range(ell), repeat=g - 1):
+            seq = [0] * span
+            for t in range(ell):
+                seq[t * m % span] = anchor[t]
+            for j in range(1, g):
+                cyc = ordering[j - 1]
+                off = offsets[j - 1]
+                for t in range(ell):
+                    seq[(j + t * m) % span] = cyc[(off + t) % ell]
+            for i in range(span):
+                image[seq[i - 1] - 1] = seq[i]
+            yield

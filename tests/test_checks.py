@@ -43,6 +43,7 @@ from permroots import (
     root_count_from_egf,
     root_probability,
 )
+from permroots.egf import EqualityReport, ProbabilityBlock
 from permroots.series import _generalized_binomial as generalized_binomial
 from references import homogeneous_count, prime_root_count_egf
 
@@ -176,6 +177,14 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             ["count", "-m", "2", "--type", "1^2"],
             "non-integer factor for ell=1, a=2, m=2",
         ),
+        (
+            "permroots.cli",
+            "enumerate_roots",
+            "(lambda real: lambda sigma, m: (tau for i, tau in enumerate(real(sigma, m)) if i))"
+            "(target.enumerate_roots)",  # drops the first root
+            ["roots", "--all", "-m", "2", "--type", "1^4"],
+            "enumerate_roots streamed 9 roots where 10 were due",
+        ),
     ]:
         result = run_optimized(
             f"import sys, {module} as target\n"
@@ -214,11 +223,9 @@ S0 = Permutation.identity(0)
 # with, and the two closed-form references the tests check against.  Left out:
 # is_prime, a predicate that answers False rather than raising; coefficient
 # indices and UniSeries.monomial's exponent, which are positions checked
-# against the order; the order of UniSeries.monomial and of
-# substitute_scaled_power, which is compared with the exponent or the source
-# order but not yet checked to be an integer; and per-element integers (CycleType
-# multiplicities, Permutation images, MultiSeries exponents, iter_epsilons
-# sizes), which have their own inline checks.
+# against the order; and per-element integers (CycleType multiplicities,
+# Permutation images, MultiSeries exponents, iter_epsilons sizes), which have
+# their own inline checks.
 INTEGER_ARGUMENTS = [
     ("factorize", "n", 1, factorize),
     ("nu_p", "n", 1, lambda v: nu_p(v, 2)),
@@ -277,7 +284,14 @@ INTEGER_ARGUMENTS = [
     ("UniSeries", "order", 0, UniSeries),
     ("UniSeries.zero", "order", 0, UniSeries.zero),
     ("UniSeries.one", "order", 0, UniSeries.one),
+    ("UniSeries.monomial", "order", 0, lambda v: UniSeries.monomial(v, 1)),
     ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
+    (
+        "substitute_scaled_power",
+        "order",
+        0,
+        lambda v: UniSeries.one(4).substitute_scaled_power(1, 2, v),
+    ),
     ("generalized_binomial", "k", 0, lambda v: generalized_binomial(Fraction(1, 2), v)),
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),
@@ -297,3 +311,49 @@ def test_integer_arguments_refuse_bools_floats_and_small_values(entry, name, min
     bad = {"bool": True, "float": 2.0, "below_minimum": minimum - 1}[kind]
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call(bad)
+
+
+BLOCK = ProbabilityBlock(0, (0, 1), (Fraction(1), Fraction(1)))
+# (record, an equal record built anew, a record that differs in one field, its repr)
+RECORDS = [
+    (
+        CycleType((2, 0, 1)),
+        CycleType([2, 0, 1]),
+        CycleType((2, 0, 1, 0)),
+        "CycleType(a=(2, 0, 1))",
+    ),
+    (
+        BLOCK,
+        ProbabilityBlock(0, (0, 1), (Fraction(1), Fraction(1))),
+        ProbabilityBlock(1, (0, 1), (Fraction(1), Fraction(1))),
+        "ProbabilityBlock(j=0, ns=(0, 1), probabilities=(Fraction(1, 1), Fraction(1, 1)))",
+    ),
+    (
+        EqualityReport(2, 1, 2, (BLOCK,)),
+        EqualityReport(2, 1, 2, (ProbabilityBlock(0, (0, 1), (Fraction(1), Fraction(1))),)),
+        EqualityReport(2, 1, 2, ()),
+        f"EqualityReport(q=2, r=1, m=2, blocks=({BLOCK!r},))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record,same,other,text", RECORDS, ids=lambda v: type(v).__name__)
+def test_records_compare_hash_and_print_by_their_fields(record, same, other, text):
+    assert record == same and hash(record) == hash(same)
+    assert record != other
+    assert record != text and record != record._fields()  # another class is never equal
+    assert repr(record) == text
+    assert hash(record) == hash(record._fields())
+
+
+@pytest.mark.parametrize("record", [r[0] for r in RECORDS], ids=lambda v: type(v).__name__)
+def test_records_refuse_rebinding(record):
+    name = record.__slots__[0]
+    before = getattr(record, name)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(record, name, before)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no __dict__ to hold it either
+    assert getattr(record, name) == before

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from permroots import cli
+from permroots import cli, perm
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
@@ -245,6 +246,32 @@ ROOTS_ALL_DIGESTS = [
         1458,
         "b8d43a55f9c35382a60e2b5d2b37fafd4e1a71bff8f3b088ee88c56ab8034fce",
     ),
+    # Fusions of 3 and 4 cycles per bundle, and 11,264 roots of fixed points
+    # under m = 8.  3^4, 1^2 2^6 and 2^2 4^2 have no root under their m, so
+    # their stdout is empty.
+    (
+        ("-m", "6", "--type", "2^4 3^3"),
+        216,
+        "74da4498959a8eb1e5dcf604e66e76ff846743a4738c5737d4dd4ed675620ed5",
+    ),
+    (
+        ("-m", "3", "--type", "3^3"),
+        18,
+        "28b7e5e8b1d403b4a1d7e2d338e33cd158621b6e902726e4ef96a97887307168",
+    ),
+    (
+        ("-m", "4", "--type", "1^2 2^4"),
+        96,
+        "8276b64e7182f82519face4feb561fda5aef84b602eb3178e3fd2243fd1f3281",
+    ),
+    (
+        ("-m", "8", "--type", "1^8"),
+        11264,
+        "eac49ee8cacde1edcd4323a4d0624579a0dd418609dfcfec8cb9ea374da130f7",
+    ),
+    (("-m", "3", "--type", "3^4"), 0, hashlib.sha256(b"").hexdigest()),
+    (("-m", "4", "--type", "1^2 2^6"), 0, hashlib.sha256(b"").hexdigest()),
+    (("-m", "8", "--type", "2^2 4^2"), 0, hashlib.sha256(b"").hexdigest()),
 ]
 
 
@@ -301,6 +328,65 @@ def test_roots_limit_truncation_is_loud(capsys):
     code, out, err = run_cli(capsys, "roots", "-m", "2", "--type", "1^6", "--all")
     assert code == 0
     assert len(out.splitlines()) == 76
+
+
+def _counting_image_power(monkeypatch):
+    """Route perm._image_power through a counter; return the list of calls."""
+    calls = []
+    real = perm._image_power
+
+    def counted(image, m):
+        calls.append(len(image))
+        return real(image, m)
+
+    monkeypatch.setattr(perm, "_image_power", counted)
+    return calls
+
+
+@pytest.mark.parametrize("limit,code,lines", [("5", 4, 5), ("75", 4, 75), ("76", 0, 76)])
+def test_roots_builds_no_root_past_the_limit(capsys, monkeypatch, limit, code, lines):
+    calls = _counting_image_power(monkeypatch)
+    result = run_cli(capsys, "roots", "-m", "2", "--type", "1^6", "--limit", limit)
+    assert result[0] == code
+    assert len(result[1].splitlines()) == len(calls) == lines
+
+
+def test_roots_limit_1_repowers_one_root_under_a_huge_m(capsys, monkeypatch):
+    calls = _counting_image_power(monkeypatch)
+    m = str(2 * 10**4000 + 1)  # 4,001 digits: each re-powering costs a reduction of m
+    code, out, err = run_cli(capsys, "roots", "-m", m, "--type", "1^3000", "--limit", "1")
+    assert code == 4
+    assert out.count("\n") == 1
+    assert err.startswith("error: output truncated at --limit 1 of ")
+    assert calls == [3000]
+
+
+def _skipping_first_root(real):
+    return lambda sigma, m: itertools.islice(real(sigma, m), 1, None)
+
+
+def _repeating_first_root(real):
+    return lambda sigma, m: itertools.chain(itertools.islice(real(sigma, m), 1), real(sigma, m))
+
+
+@pytest.mark.parametrize(
+    "fault,argv,emitted",
+    [
+        (_skipping_first_root, ("--all",), 9),
+        (_skipping_first_root, ("--limit", "10"), 9),
+        (_skipping_first_root, ("--limit", "12"), 9),
+        (_repeating_first_root, ("--all",), 11),
+        (_repeating_first_root, ("--limit", "10"), 11),
+    ],
+)
+def test_roots_exit_5_when_the_stream_and_the_count_disagree(
+    capsys, monkeypatch, fault, argv, emitted
+):
+    monkeypatch.setattr(cli, "enumerate_roots", fault(cli.enumerate_roots))
+    code, out, err = run_cli(capsys, "roots", "-m", "2", "--type", "1^4", *argv)
+    assert code == 5
+    assert out.count("\n") == emitted
+    assert err == f"internal check failed: enumerate_roots streamed {emitted} roots where 10 were due\n"
 
 
 def _involution_number(n):
@@ -667,6 +753,24 @@ def test_importing_the_library_builds_no_parser():
             "-c",
             "import sys, permroots; "
             "print(sorted({'argparse', 'permroots.cli'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so the modules seen are those permroots imports
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, permroots.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,

@@ -296,3 +296,19 @@ def test_cached_series_cannot_be_rebound():
     with pytest.raises(AttributeError):
         root_count_egf(2, 2).terms = {(2,): Fraction(99)}
     assert root_count_from_egf(2, CycleType((2,))) == 2
+
+
+def test_r_total_range_finds_each_modulus_once(monkeypatch):
+    calls = []
+    real = egf.bracket
+
+    def counted(ell, m):
+        calls.append(ell)
+        return real(ell, m)
+
+    monkeypatch.setattr(egf, "bracket", counted)
+    egf._moduli.cache_clear()
+    hi = 30
+    values = r_total_range(0, hi, 12)
+    assert sorted(calls) == list(range(1, hi + 1))  # the two routes share one list
+    assert values[:8] == tuple(r_total_from_types(n, 12) for n in range(8))

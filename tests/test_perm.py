@@ -30,7 +30,8 @@ from permroots import (
     power,
     root_count,
 )
-from permroots.perm import _image_power, _order_multiple
+from permroots.perm import _closing, _fusions, _image_power, _order_multiple, _write_fusion
+from references import interleaved_fusions
 
 
 @st.composite
@@ -404,6 +405,41 @@ def test_construction_depth_is_not_bounded_by_the_recursion_limit():
     first = next(enumerate_roots(sigma, 6))
     assert power(first, 6) == sigma
     assert cycle_type(first) == CycleType((0,) * 5 + (400,) + (0,) * 2394)
+
+
+FUSION_PREFIX = 512  # every fusion of a bundle of g <= 3 cycles; a prefix of larger ones
+
+
+def test_fusion_writes_match_the_interleaving_reference():
+    """The closing-table writes of _fusions, and the direct write of a
+    one-fusion bundle, give the images the interleaving gives, in its order,
+    for every admissible (g, ell, m) with g*ell <= 48 and m <= 60."""
+    cases = 0
+    for m in range(1, 61):
+        for g in (g for g in range(1, 49) if m % g == 0):
+            for ell in (ell for ell in range(1, 48 // g + 1) if gcd(m // g, ell) == 1):
+                labels = list(range(1, g * ell + 1))
+                random.Random(f"{g} {ell} {m}").shuffle(labels)
+                bundle = tuple(tuple(labels[i * ell : (i + 1) * ell]) for i in range(g))
+                padded, plain = [0] * (g * ell + 1), [0] * (g * ell)
+                written = [
+                    tuple(padded[1:])
+                    for _ in itertools.islice(_fusions(bundle, ell, m, padded), FUSION_PREFIX)
+                ]
+                expected = [
+                    tuple(plain)
+                    for _ in itertools.islice(
+                        interleaved_fusions(bundle, ell, m, plain), FUSION_PREFIX
+                    )
+                ]
+                assert written == expected, (g, ell, m)
+                assert len(written) == min(factorial(g - 1) * ell ** (g - 1), FUSION_PREFIX)
+                if len(expected) == 1:  # a one-fusion bundle: its choose step writes it
+                    padded = [0] * (g * ell + 1)
+                    _write_fusion(padded, bundle[0], bundle[1:], _closing(bundle[0], g, ell, m))
+                    assert [tuple(padded[1:])] == expected, (g, ell, m)
+                cases += 1
+    assert cases == 2880
 
 
 def test_construction_matches_the_count_beyond_the_oracle_range():
