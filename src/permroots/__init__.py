@@ -7,17 +7,17 @@ of root probabilities on blocks of prime-power length.  Everything is
 stdlib-only and exact (integers and Fractions end to end); a brute-force
 scan of small symmetric groups is included as an independent oracle.
 
-The public names are answers with their pieces, check routes (the same
-quantities a second way, for selftest and the tests), and three test-only
-definitions no answer path calls.  has_mth_root is the one solvability rule.
+The public names are answers with their pieces and check routes (the same
+quantities a second way, for selftest and the tests).  has_mth_root is the
+one solvability rule.
 """
 
-# Answers, their pieces, and the test-only g_set, divisors and nu_p.
+# Answers and their pieces.
 from .counting import root_count
 from .egf import EqualityReport, ProbabilityBlock, check_prime_power_equalities
 from .egf import r_total, r_total_range, root_probability
-from .gsets import count_epsilons, g_set, g_set_bounded, iter_epsilons
-from .numtheory import bracket, divisors, factorize, is_prime, nu_p
+from .gsets import count_epsilons, g_set_bounded, iter_epsilons
+from .numtheory import bracket, factorize, is_prime
 from .perm import (
     CycleType,
     OracleSizeError,
@@ -78,8 +78,4 @@ __all__ = [
     "r_total_series",
     "root_count_egf",
     "root_count_from_egf",
-    # test-only definitions
-    "divisors",
-    "g_set",
-    "nu_p",
 ]

@@ -7,6 +7,11 @@ generating function
     exp( sum over ell >= 1 and admissible g of (ell**(g-1) / g) * t_ell**g )
 
 has root_count(a, m) as the coefficient of prod(t_ell**a_ell / a_ell!).
+Truncating it at weight w leaves every coefficient of lower weight as it
+is, so one series serves every cycle type up to w: one reader,
+_count_from_series, takes a count from it and checks that it is an
+integer, both for root_count_from_egf and for selftest, which expands one
+series per m.
 The univariate route counts permutations having at least one m-th root:
 
     sum over n of r_total(n, m) * x**n / n!  =  prod over ell of
@@ -67,16 +72,24 @@ def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     return MultiSeries(weight_bound, terms).exp()
 
 
-def root_count_from_egf(m: int, t: CycleType) -> int:
-    """root_count recovered from the EGF: the coefficient of
-    prod(t_ell**a_ell) times prod(a_ell!)."""
-    series = root_count_egf(m, t.n)
+def _count_from_series(series: MultiSeries, t: CycleType, m: int) -> int:
+    """root_count of type t read from root_count_egf(m, w) for any weight
+    bound w >= t.n: the coefficient of prod(t_ell**a_ell) times
+    prod(a_ell!), which must be an integer.  A truncation at weight w keeps
+    every coefficient of lower weight as it is, so one series per m serves
+    every type up to its bound."""
     value = series.coefficient(t.a)
     for count in t.a:
         value *= factorial(count)
     if value.denominator != 1:
         raise InternalCheckError(f"non-integer EGF root count for {t}, m={m}")
     return value.numerator
+
+
+def root_count_from_egf(m: int, t: CycleType) -> int:
+    """root_count recovered from the EGF: the coefficient of
+    prod(t_ell**a_ell) times prod(a_ell!)."""
+    return _count_from_series(root_count_egf(m, t.n), t, m)
 
 
 @lru_cache(maxsize=8, typed=True)

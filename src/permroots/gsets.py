@@ -12,57 +12,39 @@ exists, which happens iff bracket(ell, m) divides a.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, isqrt
 
 from ._checks import InternalCheckError, require_int
-from .numtheory import divisors
 
 
-def _admissible(m: int, ell: int, divisors_of_m: list[int]) -> tuple[int, ...]:
-    """The g among the increasing divisors of m with gcd(m // g, ell) == 1.
-
-    That divisor form selects; the gcd form gcd(g*ell, m) == g is checked
-    for every element selected."""
-    elements = tuple(g for g in divisors_of_m if gcd(m // g, ell) == 1)
-    for g in elements:
-        if gcd(g * ell, m) != g:
-            raise InternalCheckError(
-                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
-            )
-    return elements
-
-
-def g_set(m: int, ell: int) -> tuple[int, ...]:
-    """The set {g : gcd(g*ell, m) == g}, increasing, built as
-    {m/d : d | m, gcd(d, ell) == 1}.
-
-    The two descriptions coincide; the divisor form is the builder and the
-    gcd form is checked for every element produced.  Consequences worth
-    remembering: every element divides m, the minimum (and the gcd of the
-    whole set) is bracket(ell, m), and when gcd(ell, m) == 1 the set is all
-    divisors of m.  Listing every divisor of m costs one factorize(m):
-    quick when m has only small prime factors, but up to sqrt(m) trial
-    divisions when m is prime or the product of two large primes; callers
-    that need only the sizes up to a bound use g_set_bounded.
-    """
-    require_int(m, "m")
-    require_int(ell, "ell")
-    return _admissible(m, ell, divisors(m))
-
-
+# typed: True or 2.0 must not read the entry for 1 or 2
+@functools.lru_cache(maxsize=256, typed=True)
 def g_set_bounded(m: int, ell: int, a: int) -> tuple[int, ...]:
-    """g_set(m, ell) restricted to elements <= a; empty when a == 0.
+    """The admissible fusion sizes g <= a, {g : gcd(g*ell, m) == g, g <= a},
+    increasing; empty when a == 0.
 
-    Finds only the divisors of m up to a: each d <= min(a, isqrt(m)) that
-    divides m gives d and m // d, which covers every divisor <= a.  So it
-    takes min(a, sqrt(m)) steps however large m is.
+    Built as {m/d : d | m, gcd(d, ell) == 1}, and the gcd form is checked
+    for every element produced.  Every element divides m, and the minimum
+    of the unbounded set is bracket(ell, m).  Finds only the divisors of m
+    up to a: each d <= min(a, isqrt(m)) that divides m gives d and m // d,
+    which covers every divisor <= a.  So it takes min(a, sqrt(m)) steps
+    however large m is.  Memoized in a bounded cache, so one command finds
+    the sizes of each (m, ell, a) once; the result is a tuple, which no
+    caller can change.
     """
     require_int(m, "m")
     require_int(ell, "ell")
     require_int(a, "a", minimum=0)
     small = [d for d in range(1, min(a, isqrt(m)) + 1) if m % d == 0]
     large = [m // d for d in reversed(small) if d < m // d <= a]
-    return _admissible(m, ell, small + large)
+    elements = tuple(g for g in small + large if gcd(m // g, ell) == 1)
+    for g in elements:
+        if gcd(g * ell, m) != g:
+            raise InternalCheckError(
+                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
+            )
+    return elements
 
 
 def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:

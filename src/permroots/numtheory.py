@@ -49,21 +49,8 @@ def is_prime(p: int) -> bool:
     return factorize(p) == [(p, 1)]
 
 
-def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of n: the exponent of the prime p in n.  Checking that
-    p is prime costs up to sqrt(p) trial divisions; no answer path calls this."""
-    require_int(n, "n")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def bracket(ell: int, m: int) -> int:
-    """Product over primes p dividing ell of p**nu_p(m).
+    """Product over primes p dividing ell of the full power of p in m.
 
     Divides m, and equals 1 iff gcd(ell, m) == 1.  A permutation whose
     cycle type has a_ell cycles of length ell (for every ell) admits an
@@ -73,20 +60,11 @@ def bracket(ell: int, m: int) -> int:
     require_int(m, "m")
     out, d = 1, gcd(ell, m)
     # d holds primes of ell still left in m, each to at most its power in
-    # out, so every step doubles each exponent in out: O(log nu_p(m)) steps
+    # out, so every step doubles each exponent in out: O(log e) steps, e
+    # the largest exponent in m of a prime dividing ell
     while d > 1:
         out *= d
         m //= d
         d = gcd(m, out)
     return out
 
-
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, increasing, from the prime powers in
-    factorize(m): up to sqrt(m) trial divisions for a prime or semiprime m.
-    No answer path calls this; g_set_bounded finds only the divisors it needs."""
-    require_int(m, "m")
-    out = [1]
-    for p, e in factorize(m):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)

@@ -12,8 +12,12 @@ A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
 written as it is chosen, without a loop of its own.  Every constructed
 root is verified by re-powering before it is emitted.  Powers are taken
 by repeated squaring, so that check costs O(n log m), and O(n**2) at
-most.  The oracle scans S_n once per (n, m) and buckets every
-permutation by its m-th power.
+most.  A root that passes it is a permutation of 1..n, so it is not
+validated a second time: every slot of a built root holds 0 (never
+written) or a value in 1..n; a 0 stays 0 under every power, a repeated
+value makes every power non-injective, unlike sigma, and the reduction of
+a huge m leaves an exponent of at least 1.  The oracle
+scans S_n once per (n, m) and buckets every permutation by its m-th power.
 """
 
 from __future__ import annotations
@@ -81,6 +85,14 @@ class Permutation:
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a permutation of 1..{len(image)}: {image!r}")
         self.image = image
+
+    @classmethod
+    def _proved(cls, image: tuple[int, ...]) -> "Permutation":
+        """The Permutation of an image already proved to be a permutation of
+        1..n, such as a re-powered root, built without checking it again."""
+        perm = object.__new__(cls)
+        perm.image = image
+        return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -388,7 +400,12 @@ def enumerate_roots(sigma: Permutation, m: int):
     anchored order, interleavings by companion order then rotation offset.
     The empty permutation is its own m-th root for every m.  sigma is split
     into cycles once, and each ell's admissible sizes are found once per
-    call.
+    call.  A root tau with tau**m == sigma is a permutation of 1..n, so it
+    is emitted without a second validation: each slot of tau holds 0 (never
+    written) or a value in 1..n, a 0 would leave a 0 in tau**m, and a
+    repeated value would make tau**m non-injective.  The reduction of an m
+    of more than 2n bits modulo lcm(1..n) keeps an exponent of at least 1,
+    so this holds for every m.
     """
     require_int(m, "m")
     by_len: dict[int, list[tuple[int, ...]]] = {}
@@ -413,7 +430,7 @@ def enumerate_roots(sigma: Permutation, m: int):
         root = tuple(image[1:])
         if _image_power(root, m) != target:
             raise InternalCheckError("constructed root failed re-powering")
-        yield Permutation(root)
+        yield Permutation._proved(root)
 
 
 def brute_force_root_table(

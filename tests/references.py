@@ -1,15 +1,55 @@
-"""Closed forms the package no longer exports, and the interleaving the root
-construction once used, kept here as references that the package's own
-routes are checked against.  Each refuses arguments outside its domain, as
-the package's own entry points do, so a reference never answers for an
-input it does not cover."""
+"""Closed forms and definitions the package no longer exports, and the
+interleaving the root construction once used, kept here as references that
+the package's own routes are checked against.  Each refuses arguments
+outside its domain, as the package's own entry points do, so a reference
+never answers for an input it does not cover."""
 
 import itertools
 from fractions import Fraction
 from math import factorial, gcd
 
-from permroots import MultiSeries, g_set_bounded, is_prime
+from permroots import MultiSeries, factorize, g_set_bounded, is_prime
 from permroots._checks import InternalCheckError, require_int
+
+
+def divisors(m: int) -> list[int]:
+    """All positive divisors of m, increasing, from the prime powers in
+    factorize(m): up to sqrt(m) trial divisions for a prime or semiprime m."""
+    require_int(m, "m")
+    out = [1]
+    for p, e in factorize(m):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def nu_p(n: int, p: int) -> int:
+    """p-adic valuation of n: the exponent of the prime p in n.  Checking that
+    p is prime costs up to sqrt(p) trial divisions."""
+    require_int(n, "n")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def g_set(m: int, ell: int) -> tuple[int, ...]:
+    """The whole admissible set {g : gcd(g*ell, m) == g}, increasing, built
+    as {m/d : d | m, gcd(d, ell) == 1} from every divisor of m, with the gcd
+    form checked for every element.  g_set_bounded finds the elements up to
+    a bound from the divisors of m up to it; this lists all of them, by one
+    factorize(m)."""
+    require_int(m, "m")
+    require_int(ell, "ell")
+    elements = tuple(m // d for d in reversed(divisors(m)) if gcd(d, ell) == 1)
+    for g in elements:
+        if gcd(g * ell, m) != g:
+            raise InternalCheckError(
+                f"g={g} from the divisor form fails gcd({g}*{ell}, {m}) == {g}"
+            )
+    return elements
 
 
 def homogeneous_count(ell: int, g: int, p: int, m: int) -> int:

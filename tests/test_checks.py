@@ -22,15 +22,12 @@ from permroots import (
     check_prime_power_equalities,
     count_epsilons,
     cycle_types,
-    divisors,
     enumerate_roots,
     exp_q,
     factorize,
-    g_set,
     g_set_bounded,
     has_mth_root,
     iter_epsilons,
-    nu_p,
     one_minus_xp_root,
     power,
     prime_power_block_series,
@@ -45,7 +42,7 @@ from permroots import (
 )
 from permroots.egf import EqualityReport, ProbabilityBlock
 from permroots.series import _generalized_binomial as generalized_binomial
-from references import homogeneous_count, prime_root_count_egf
+from references import divisors, g_set, homogeneous_count, nu_p, prime_root_count_egf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -154,6 +151,24 @@ def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
     assert result.stdout.splitlines()[-1].startswith("InternalCheckError:")  # after selftest's ok lines
 
 
+# Faults in root construction that the re-powering check alone must catch,
+# since a root that passes it is not validated again.  Each hits the first
+# fusion written into a root of degree >= 2, so the first such root is not a
+# permutation: it keeps a 0 where the fusion was not written, or it takes one
+# value twice when the fusion's first slot gets another slot's value.
+UNWRITTEN_SLOT = (
+    "(lambda real, fault: lambda image, anchor, chain, closing: "
+    "None if len(image) > 2 and next(fault, False) else real(image, anchor, chain, closing))"
+    "(target._write_fusion, iter([True]))"
+)
+REPEATED_VALUE = (
+    "(lambda real, fault: lambda image, anchor, chain, closing: "
+    "(real(image, anchor, chain, closing), len(image) > 2 and next(fault, False) "
+    "and image.__setitem__(anchor[0], image[anchor[0]] % (len(image) - 1) + 1)))"
+    "(target._write_fusion, iter([True]))"
+)
+
+
 def test_cli_exits_5_under_optimize_when_a_route_is_broken():
     for module, attr, replacement, argv, message in [
         (
@@ -184,6 +199,14 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             "(target.enumerate_roots)",  # drops the first root
             ["roots", "--all", "-m", "2", "--type", "1^4"],
             "enumerate_roots streamed 9 roots where 10 were due",
+        ),
+        *(
+            ("permroots.perm", "_write_fusion", fault, argv, "constructed root failed re-powering")
+            for fault in (UNWRITTEN_SLOT, REPEATED_VALUE)
+            for argv in (
+                ["roots", "--all", "-m", "2", "--type", "1^4"],
+                ["selftest", "--max-n", "4", "-m", "2"],
+            )
         ),
     ]:
         result = run_optimized(

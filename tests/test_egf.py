@@ -69,6 +69,22 @@ def test_root_count_from_egf_matches_product_formula():
                 assert root_count_from_egf(m, t) == root_count(t, m), (m, t)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_one_series_reads_the_count_of_every_lower_weight(m):
+    # a truncation at weight 8 leaves every coefficient of lower weight as it is
+    series = root_count_egf(m, 8)
+    for n in range(9):
+        for t in cycle_types(n):
+            assert egf._count_from_series(series, t, m) == root_count_from_egf(m, t), t
+
+
+def test_selftest_expands_one_root_count_series_per_m(capsys):
+    root_count_egf.cache_clear()
+    assert main(["selftest", "--max-n", "5", "-m", "2,3"]) == 0
+    assert root_count_egf.cache_info().misses == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_first_power_egf_counts_every_type_once():
     e = root_count_egf(1, 5)
     for t in cycle_types(5):

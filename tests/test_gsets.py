@@ -16,16 +16,15 @@ from permroots import (
     CycleType,
     bracket,
     count_epsilons,
-    divisors,
     factorize,
-    g_set,
     g_set_bounded,
     has_mth_root,
     iter_epsilons,
-    nu_p,
 )
+from references import divisors, g_set, nu_p
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_g_set_frozen_values():
@@ -89,7 +88,8 @@ def test_g_set_bounded_equals_the_filtered_full_set():
     # g_set_bounded scans only the divisors of m up to a; g_set lists all of
     # them.  Every pair (m, a) with m <= 2000 and a <= 60 is checked, with ell
     # running through 1..30 as a does, so every pair (m, ell) is checked at two
-    # or three bounds.  ell enters only through the filter both functions share.
+    # or three bounds.  ell enters only through each function's coprimality
+    # filter, which the two write in their own terms.
     for m in range(1, 2001):
         full = [None] + [g_set(m, ell) for ell in range(1, 31)]
         for a in range(61):
@@ -104,7 +104,7 @@ def test_the_full_set_of_a_huge_m_is_built_within_a_second():
     # process's timeout turns a hang into a failure.
     code = (
         "import time\n"
-        "from permroots import g_set\n"
+        "from references import g_set\n"
         "start = time.perf_counter()\n"
         "elements = g_set(10**20 - 1, 1)\n"
         "print(len(elements), time.perf_counter() - start)\n"
@@ -113,7 +113,7 @@ def test_the_full_set_of_a_huge_m_is_built_within_a_second():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])},
         timeout=30,
     )
     assert (result.returncode, result.stderr) == (0, "")
@@ -131,6 +131,37 @@ def test_bracket_is_always_a_member():
                 assert b in g_set_bounded(m, ell, a)
             if b > 1:
                 assert b not in g_set_bounded(m, ell, b - 1)
+
+
+def test_g_set_bounded_cache_refuses_what_the_function_refuses():
+    # typed: True == 1 and 1.0 == 1 hash alike, but must not read the entry for 1
+    assert g_set_bounded(1, 1, 2) == (1,)
+    assert g_set_bounded(1, 1, 1) == (1,)
+    size = g_set_bounded.cache_info().currsize
+    for args in [(True, 1, 2), (1.0, 1, 2), (1, True, 2), (1, 1.0, 2), (1, 1, 2.0), (1, 1, True)]:
+        with pytest.raises(ValueError):
+            g_set_bounded(*args)
+    assert g_set_bounded.cache_info().currsize == size  # nothing raised is cached
+    assert type(g_set_bounded(12, 1, 12)) is tuple  # shared by every caller, so immutable
+
+
+def test_the_bench_worker_empties_the_g_set_bounded_cache():
+    # the benchmark starts every command with empty caches, found by name
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(TESTS.parent / 'bench')!r})\n"
+        "import worker\n"
+        "import permroots.cli as cli\n"
+        "print(cli.g_set_bounded.cache_clear in worker.cache_clearers())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "True\n")
 
 
 def test_g_set_rejects_nonpositive():

