@@ -7,7 +7,7 @@ it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
 the root.  Each fusion is written straight from a chain of the g cycles,
 entry t of each going to entry t of the next, and the last closing back
-onto the first through a closing table, a rotation cached per (g, ell, m).
+onto the first through a closing table, the anchor rotated per bundle.
 A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
 written as it is chosen, without a loop of its own.  Every constructed
 root is verified by re-powering before it is emitted.  Powers are taken
@@ -253,32 +253,23 @@ def power(sigma: Permutation, m: int) -> Permutation:
     return Permutation(_image_power(sigma.image, m))
 
 
-def has_mth_root(t, m: int) -> bool:
+def has_mth_root(t: CycleType, m: int) -> bool:
     """Whether permutations of cycle type t admit an m-th root.
 
     Criterion: bracket(ell, m) divides a_ell for every ell (Wilf,
-    "generatingfunctionology", 2nd ed., theorem 4.8.2).  Accepts a
-    CycleType or a Permutation.
+    "generatingfunctionology", 2nd ed., theorem 4.8.2).  t is a CycleType;
+    for a permutation sigma, pass cycle_type(sigma).
     """
     require_int(m, "m")
-    if isinstance(t, Permutation):
-        t = cycle_type(t)
     return all(count % bracket(ell, m) == 0 for ell, count in t.nonzero())
-
-
-@functools.lru_cache(maxsize=256)
-def _closing_shift(g: int, ell: int, m: int) -> int:
-    """The inverse u of m // g modulo ell, which gcd(g*ell, m) == g makes
-    exist: in a fusion of g ell-cycles, entry t of the last cycle goes to
-    entry closing[t] = (t + u) mod ell of the anchor.  The closing table is
-    that rotation, so this bounded cache holds one shift per (g, ell, m)."""
-    return pow(m // g, -1, ell)
 
 
 def _closing(anchor, g: int, ell: int, m: int):
     """anchor[closing[t]] for t = 0..ell-1: where the last cycle of a fusion
-    of g ell-cycles sends its entries."""
-    shift = _closing_shift(g, ell, m)
+    of g ell-cycles sends its entries.  Entry t of the last cycle goes to
+    entry closing[t] = (t + u) mod ell of the anchor, u the inverse of
+    m // g modulo ell, which gcd(g*ell, m) == g makes exist."""
+    shift = pow(m // g, -1, ell)
     return anchor[shift:] + anchor[:shift]
 
 
@@ -306,7 +297,7 @@ def _fusions(bundle, ell: int, m: int, image: list[int]):
     rotational symmetry of D), and each ordering of the other g-1 cycles,
     combined with each of the ell rotations of each, fills classes 1..g-1.
     D is written straight from that chain of cycles by _write_fusion, its
-    closing table being the anchor rotated by _closing_shift; the rotations
+    closing table made by _closing; the rotations
     of each companion are made once per bundle.  Exactly
     (g-1)! * ell**(g-1) distinct cycles result, ordered by companion order,
     then rotation offset."""

@@ -1,10 +1,13 @@
 """Exact truncated power series over Fraction, in one variable or many.
 
-UniSeries is dense in a single variable x up to a fixed truncation order.
-MultiSeries is sparse in countably many variables t_1, t_2, ... truncated
-by total weight sum(ell * e_ell), the natural grading when t_ell marks
-cycles of length ell.  All coefficients are Fractions, so every identity
-checked against these classes is exact, not floating-point.
+They serve only the checking routes in egf and keep only the algebra
+those call.  UniSeries is dense in a single variable x up to a fixed
+truncation order, with a series product, substitute_scaled_power and
+partial_sums.  MultiSeries is sparse in countably many variables t_1,
+t_2, ... truncated by total weight sum(ell * e_ell), the natural grading
+when t_ell marks cycles of length ell, with a sum, a product and exp.  All
+coefficients are Fractions, so every identity checked against these
+classes is exact, not floating-point.
 """
 
 from __future__ import annotations
@@ -41,54 +44,27 @@ class UniSeries:
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
-    def zero(cls, order: int) -> "UniSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "UniSeries":
         return cls(order, [Fraction(1)])
-
-    @classmethod
-    def monomial(cls, order: int, exponent: int, coeff=1) -> "UniSeries":
-        require_int(order, "order", minimum=0)
-        if not 0 <= exponent <= order:
-            raise ValueError(f"exponent {exponent} outside 0..{order}")
-        coeffs = [Fraction(0)] * (exponent + 1)
-        coeffs[exponent] = _as_fraction(coeff)
-        return cls(order, coeffs)
 
     def coefficient(self, j: int) -> Fraction:
         if not 0 <= j <= self.order:
             raise ValueError(f"coefficient {j} outside truncation order {self.order}")
         return self.coeffs[j]
 
-    def _check_order(self, other: "UniSeries") -> None:
+    def __mul__(self, other: "UniSeries") -> "UniSeries":
+        if not isinstance(other, UniSeries):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "UniSeries") -> "UniSeries":
-        self._check_order(other)
-        return UniSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "UniSeries") -> "UniSeries":
-        self._check_order(other)
-        return UniSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, UniSeries):
-            self._check_order(other)
-            out = [Fraction(0)] * (self.order + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs[: self.order + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-            return UniSeries(self.order, out)
-        scalar = _as_fraction(other)
-        return UniSeries(self.order, [scalar * a for a in self.coeffs])
-
-    __rmul__ = __mul__
+        out = [Fraction(0)] * (self.order + 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs[: self.order + 1 - i]):
+                if b:
+                    out[i + j] += a * b
+        return UniSeries(self.order, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -96,9 +72,6 @@ class UniSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, coeffs={list(self.coeffs)})"
@@ -123,20 +96,6 @@ class UniSeries:
                 out[j * k] = a * power
             power *= c
         return UniSeries(order, out)
-
-    def exp(self) -> "UniSeries":
-        """exp(self) for zero constant term, by the derivative recurrence
-        n * b_n = sum(j * a_j * b_{n-j}, j = 1..n)."""
-        if self.coeffs[0]:
-            raise ValueError("exp needs a zero constant term")
-        b = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if self.coeffs[j]:
-                    acc += j * self.coeffs[j] * b[n - j]
-            b[n] = acc / n
-        return UniSeries(self.order, b)
 
     def partial_sums(self) -> "UniSeries":
         """self / (1 - x): coefficient n becomes sum(coeffs[0..n])."""
@@ -211,16 +170,8 @@ class MultiSeries:
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
-    def zero(cls, weight_bound: int) -> "MultiSeries":
-        return cls(weight_bound)
-
-    @classmethod
     def one(cls, weight_bound: int) -> "MultiSeries":
         return cls(weight_bound, {(): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, weight_bound: int, exponents, coeff=1) -> "MultiSeries":
-        return cls(weight_bound, {tuple(exponents): coeff})
 
     def coefficient(self, exponents) -> Fraction:
         key = _strip(tuple(exponents))
@@ -240,6 +191,8 @@ class MultiSeries:
         return MultiSeries(self.weight_bound, out)
 
     def __mul__(self, other):
+        """The truncated product with another MultiSeries, or every
+        coefficient times a Fraction or int on the right."""
         if isinstance(other, MultiSeries):
             self._check_bound(other)
             out: dict[tuple[int, ...], Fraction] = {}
@@ -260,17 +213,12 @@ class MultiSeries:
             self.weight_bound, {k: scalar * c for k, c in self.terms.items()}
         )
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiSeries)
             and self.weight_bound == other.weight_bound
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.weight_bound, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"MultiSeries(weight_bound={self.weight_bound}, {len(self.terms)} terms)"

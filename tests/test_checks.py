@@ -245,10 +245,9 @@ S0 = Permutation.identity(0)
 # a count, degree, order or bound, the binomial one_minus_xp_root expands
 # with, and the two closed-form references the tests check against.  Left out:
 # is_prime, a predicate that answers False rather than raising; coefficient
-# indices and UniSeries.monomial's exponent, which are positions checked
-# against the order; and per-element integers (CycleType multiplicities,
-# Permutation images, MultiSeries exponents, iter_epsilons sizes), which have
-# their own inline checks.
+# indices, which are positions checked against the order; and per-element
+# integers (CycleType multiplicities, Permutation images, MultiSeries
+# exponents, iter_epsilons sizes), which have their own inline checks.
 INTEGER_ARGUMENTS = [
     ("factorize", "n", 1, factorize),
     ("nu_p", "n", 1, lambda v: nu_p(v, 2)),
@@ -305,9 +304,7 @@ INTEGER_ARGUMENTS = [
     ("check_prime_power_equalities", "r", 1, lambda v: check_prime_power_equalities(2, v, 2)),
     ("check_prime_power_equalities", "blocks", 1, lambda v: check_prime_power_equalities(2, 1, v)),
     ("UniSeries", "order", 0, UniSeries),
-    ("UniSeries.zero", "order", 0, UniSeries.zero),
     ("UniSeries.one", "order", 0, UniSeries.one),
-    ("UniSeries.monomial", "order", 0, lambda v: UniSeries.monomial(v, 1)),
     ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
     (
         "substitute_scaled_power",
@@ -319,9 +316,7 @@ INTEGER_ARGUMENTS = [
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),
     ("MultiSeries", "weight_bound", 0, MultiSeries),
-    ("MultiSeries.zero", "weight_bound", 0, MultiSeries.zero),
     ("MultiSeries.one", "weight_bound", 0, MultiSeries.one),
-    ("MultiSeries.monomial", "weight_bound", 0, lambda v: MultiSeries.monomial(v, (1,))),
 ]
 
 

@@ -245,7 +245,7 @@ def test_a_huge_exponent_at_degree_3000_is_powered_within_two_seconds():
 def test_has_mth_root_frozen_values():
     assert has_mth_root(cycle_type(Permutation([2, 3, 4, 1])), 2) is False
     assert has_mth_root(CycleType((0, 2)), 2) is True
-    assert has_mth_root(Permutation([2, 3, 4, 1]), 3) is True
+    assert has_mth_root(cycle_type(Permutation([2, 3, 4, 1])), 3) is True
     assert has_mth_root(CycleType(()), 9) is True
 
 

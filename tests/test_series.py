@@ -6,8 +6,6 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from permroots import MultiSeries, UniSeries, one_minus_xp_root
 from permroots.series import _generalized_binomial as generalized_binomial
@@ -29,48 +27,16 @@ def test_uniseries_construction_and_coefficients():
 
 
 def test_uniseries_arithmetic():
-    x = UniSeries.monomial(5, 1)
-    s = (x + UniSeries.one(5)) * (x + UniSeries.one(5))
+    one_plus_x = UniSeries(5, [1, 1])
+    s = one_plus_x * one_plus_x
     assert [s.coefficient(j) for j in range(3)] == [1, 2, 1]
-    assert (2 * x).coefficient(1) == 2
-    assert (x - x) == UniSeries.zero(5)
     with pytest.raises(ValueError):
-        x * UniSeries.one(4)
+        UniSeries(5, [0, 1]) * UniSeries.one(4)
 
 
 def test_uniseries_mul_truncates():
-    x4 = UniSeries.monomial(5, 4)
-    assert (x4 * x4) == UniSeries.zero(5)
-
-
-def test_exp_of_x():
-    x = UniSeries.monomial(8, 1)
-    e = x.exp()
-    for j in range(9):
-        assert e.coefficient(j) == Fraction(1, factorial(j))
-    with pytest.raises(ValueError):
-        UniSeries.one(3).exp()
-
-
-@st.composite
-def _sparse_series(draw, order=10):
-    terms = draw(
-        st.dictionaries(
-            st.integers(min_value=1, max_value=order),
-            st.fractions(min_value=-3, max_value=3, max_denominator=6),
-            max_size=4,
-        )
-    )
-    coeffs = [Fraction(0)] * (order + 1)
-    for j, c in terms.items():
-        coeffs[j] = c
-    return UniSeries(order, coeffs)
-
-
-@settings(max_examples=80)
-@given(_sparse_series(), _sparse_series())
-def test_exp_turns_sums_into_products(a, b):
-    assert (a + b).exp() == a.exp() * b.exp()
+    x4 = UniSeries(5, [0, 0, 0, 0, 1])
+    assert (x4 * x4) == UniSeries(5)
 
 
 def test_partial_sums_is_division_by_one_minus_x():
@@ -112,15 +78,15 @@ def test_one_minus_xp_root_is_a_pth_root():
         product = UniSeries.one(order)
         for _ in range(p):
             product = product * g
-        expected = UniSeries.one(order) - UniSeries.monomial(order, p)
+        expected = UniSeries(order, [1] + [0] * (p - 1) + [-1])
         assert product == expected, p
         assert all(g.coefficient(j) == 0 for j in range(order + 1) if j % p)
 
 
 def test_multiseries_basics():
-    t1 = MultiSeries.monomial(6, (1,))
-    t2 = MultiSeries.monomial(6, (0, 1))
-    s = t1 * t2 + 2 * t1
+    t1 = MultiSeries(6, {(1,): 1})
+    t2 = MultiSeries(6, {(0, 1): 1})
+    s = t1 * t2 + t1 * 2
     assert s.coefficient((1, 1)) == 1
     assert s.coefficient((1,)) == 2
     assert s.coefficient((0, 0)) == 0  # trailing zeros normalize to ()
@@ -128,13 +94,13 @@ def test_multiseries_basics():
     with pytest.raises(ValueError):
         s.coefficient((7,))  # weight beyond the bound
     with pytest.raises(ValueError):
-        t1 + MultiSeries.monomial(5, (1,))
+        t1 + MultiSeries(5, {(1,): 1})
 
 
 def test_multiseries_weight_truncation():
-    t3 = MultiSeries.monomial(5, (0, 0, 1))  # weight 3
+    t3 = MultiSeries(5, {(0, 0, 1): 1})  # weight 3
     assert (t3 * t3).terms == {}  # weight 6 > 5 dropped
-    assert (t3 * MultiSeries.monomial(5, (2,))).coefficient((2, 0, 1)) == 1
+    assert (t3 * MultiSeries(5, {(2,): 1})).coefficient((2, 0, 1)) == 1
 
 
 def test_multiseries_mul_mixed_key_lengths():
@@ -147,8 +113,8 @@ def test_multiseries_mul_mixed_key_lengths():
 
 def test_multiseries_exp():
     bound = 6
-    t1 = MultiSeries.monomial(bound, (1,))
-    t2 = MultiSeries.monomial(bound, (0, 1))
+    t1 = MultiSeries(bound, {(1,): 1})
+    t2 = MultiSeries(bound, {(0, 1): 1})
     e = (t1 + t2).exp()
     for a in range(4):
         for b in range(2):

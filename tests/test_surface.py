@@ -3,6 +3,7 @@
 import pytest
 
 import permroots
+from permroots import CycleType, MultiSeries, Permutation, UniSeries, has_mth_root
 
 ANSWERS = [
     "CycleType",
@@ -72,3 +73,65 @@ def test_the_public_surface_is_pinned():
         assert not hasattr(permroots, name), name
         with pytest.raises(ImportError):
             exec(f"from permroots import {name}", {})
+
+
+# The methods each check-route series class defines: the algebra the routes in
+# egf, and the references the tests compare with, call.  A new method is an
+# explicit change to these sets.
+SERIES_METHODS = {
+    UniSeries: {
+        "__init__",
+        "__setattr__",
+        "__delattr__",
+        "one",
+        "coefficient",
+        "__mul__",
+        "__eq__",
+        "__repr__",
+        "substitute_scaled_power",
+        "partial_sums",
+    },
+    MultiSeries: {
+        "__init__",
+        "__setattr__",
+        "__delattr__",
+        "one",
+        "coefficient",
+        "_check_bound",
+        "__add__",
+        "__mul__",
+        "__eq__",
+        "__repr__",
+        "exp",
+    },
+}
+REMOVED_SERIES_METHODS = {
+    UniSeries: ["zero", "monomial", "exp", "__add__", "__sub__", "__rmul__"],
+    MultiSeries: ["zero", "monomial", "__rmul__"],
+}
+
+
+@pytest.mark.parametrize("cls", [UniSeries, MultiSeries], ids=lambda cls: cls.__name__)
+def test_the_series_methods_are_pinned(cls):
+    defined = {
+        name
+        for name, value in vars(cls).items()
+        if callable(value) or isinstance(value, classmethod)
+    }
+    assert defined == SERIES_METHODS[cls]
+    for name in REMOVED_SERIES_METHODS[cls]:
+        assert not hasattr(cls, name), name
+    assert cls.__hash__ is None  # equal by value and immutable, but never a key
+    with pytest.raises(TypeError):
+        2 * cls.one(3)
+
+
+def test_uniseries_has_no_scalar_product():
+    with pytest.raises(TypeError):
+        UniSeries.one(3) * 2
+
+
+def test_has_mth_root_takes_a_cycle_type_only():
+    assert has_mth_root(CycleType((0, 1)), 3) is True
+    with pytest.raises(AttributeError):
+        has_mth_root(Permutation([2, 1]), 3)
