@@ -2,15 +2,38 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permroots import MultiSeries, UniSeries, one_minus_xp_root
 from permroots.series import _generalized_binomial as generalized_binomial
 
 GOLDEN = Path(__file__).parent / "golden"
+
+_SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _uniseries(draw, order=8):
+    return UniSeries(order, draw(st.lists(_SMALL_FRACTIONS, max_size=order + 1)))
+
+
+@st.composite
+def _multiseries(draw, weight_bound=6, constant=True):
+    """A sparse MultiSeries in t_1..t_3 whose terms lie within the weight
+    bound, with or without a constant term."""
+    keys = [
+        key
+        for key in product(range(weight_bound + 1), repeat=3)
+        if (constant or any(key)) and key[0] + 2 * key[1] + 3 * key[2] <= weight_bound
+    ]
+    terms = draw(st.dictionaries(st.sampled_from(keys), _SMALL_FRACTIONS, max_size=4))
+    return MultiSeries(weight_bound, terms)
 
 
 def test_uniseries_construction_and_coefficients():
@@ -26,6 +49,14 @@ def test_uniseries_construction_and_coefficients():
         UniSeries(2, [0.5])
 
 
+def test_uniseries_constructor_pads_with_zeros():
+    assert UniSeries(3, [1]) == UniSeries.one(3)
+    assert UniSeries(3).coeffs == (Fraction(0),) * 4
+    assert all(type(c) is Fraction for c in UniSeries(2, [1, 2]).coeffs)
+    with pytest.raises(TypeError):
+        UniSeries(2, [True])
+
+
 def test_uniseries_arithmetic():
     one_plus_x = UniSeries(5, [1, 1])
     s = one_plus_x * one_plus_x
@@ -37,6 +68,13 @@ def test_uniseries_arithmetic():
 def test_uniseries_mul_truncates():
     x4 = UniSeries(5, [0, 0, 0, 0, 1])
     assert (x4 * x4) == UniSeries(5)
+
+
+@settings(max_examples=60)
+@given(_uniseries(), _uniseries(), _uniseries())
+def test_uniseries_mul_commutes_and_associates(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
 
 
 def test_partial_sums_is_division_by_one_minus_x():
@@ -57,6 +95,15 @@ def test_substitute_scaled_power():
         f.substitute_scaled_power(1, 2, 12)  # source order too small
     with pytest.raises(ValueError):
         f.substitute_scaled_power(1, 0, 2)
+
+
+@settings(max_examples=60)
+@given(_uniseries(order=4), _uniseries(order=4), _SMALL_FRACTIONS, st.integers(1, 3))
+def test_substitute_scaled_power_respects_products(f, g, c, k):
+    order = 4 * k
+    assert (f * g).substitute_scaled_power(c, k, order) == (
+        f.substitute_scaled_power(c, k, order) * g.substitute_scaled_power(c, k, order)
+    )
 
 
 def test_generalized_binomial_frozen_values():
@@ -97,6 +144,32 @@ def test_multiseries_basics():
         t1 + MultiSeries(5, {(1,): 1})
 
 
+def test_multiseries_constructor_merges_keys_and_drops_zeros():
+    s = MultiSeries(4, {(1, 0): 1, (1,): 2, (0, 1): 1, (0, 1, 0): -1, (0, 0, 0, 0, 1): 7})
+    assert s.terms == {(1,): 3}  # (0, 1) cancelled; weight 5 > 4 dropped
+    assert MultiSeries(4, {(): 0}).terms == {}
+    for key in [(-1,), (True,), (0.5,)]:
+        with pytest.raises(ValueError):
+            MultiSeries(4, {key: 1})
+
+
+def test_multiseries_scalar_product_on_the_right():
+    s = MultiSeries(4, {(): 1, (0, 1): Fraction(1, 2)})
+    assert s * 3 == MultiSeries(4, {(): 3, (0, 1): Fraction(3, 2)})
+    assert s * Fraction(-2, 3) == MultiSeries(4, {(): Fraction(-2, 3), (0, 1): Fraction(-1, 3)})
+    assert (s * 0).terms == {}
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            s * bad
+
+
+@settings(max_examples=60)
+@given(_multiseries(), _multiseries(), _multiseries())
+def test_multiseries_mul_commutes_and_distributes_over_sums(a, b, c):
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+
+
 def test_multiseries_weight_truncation():
     t3 = MultiSeries(5, {(0, 0, 1): 1})  # weight 3
     assert (t3 * t3).terms == {}  # weight 6 > 5 dropped
@@ -129,6 +202,62 @@ def test_multiseries_exp_addition_law():
     a = MultiSeries(bound, {(1,): Fraction(1, 2), (0, 1): Fraction(3)})
     b = MultiSeries(bound, {(0, 0, 1): Fraction(-2), (1,): Fraction(1, 3)})
     assert (a + b).exp() == a.exp() * b.exp()
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_multiseries_exp_of_one_variable(ell):
+    # exp(c * t_ell) = sum(c**k / k! * t_ell**k) up to weight ell * k <= bound
+    bound, c = 7, Fraction(-2, 3)
+    key = (0,) * (ell - 1) + (1,)
+    e = MultiSeries(bound, {key: c}).exp()
+    expected = {
+        (0,) * (ell - 1) + (k,) if k else (): c**k / factorial(k) for k in range(bound // ell + 1)
+    }
+    assert e.terms == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multiseries(constant=False), _multiseries(constant=False))
+def test_multiseries_exp_turns_sums_into_products(a, b):
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+# (series, an equal series built anew, one that differs in one coefficient, its repr)
+SERIES = [
+    (
+        UniSeries(2, [1, Fraction(1, 2)]),
+        UniSeries(2, [Fraction(1), Fraction(1, 2), 0]),
+        UniSeries(2, [1, Fraction(1, 3)]),
+        "UniSeries(order=2, coeffs=[Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)])",
+    ),
+    (
+        MultiSeries(3, {(): 1, (0, 1): 2}),
+        MultiSeries(3, {(0,): 1, (0, 1, 0): 2}),
+        MultiSeries(3, {(): 1, (0, 1): 3}),
+        "MultiSeries(weight_bound=3, 2 terms)",
+    ),
+]
+
+
+@pytest.mark.parametrize("series,same,other,text", SERIES, ids=lambda v: type(v).__name__)
+def test_series_compare_by_value_and_print(series, same, other, text):
+    assert series == same
+    assert series != other
+    assert series != text and series != 1  # another class is never equal
+    assert repr(series) == text
+
+
+@pytest.mark.parametrize("series", [s[0] for s in SERIES], ids=lambda v: type(v).__name__)
+def test_series_refuse_rebinding(series):
+    for name in series.__slots__:
+        before = getattr(series, name)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(series, name, before)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(series, name)
+        assert getattr(series, name) == before
+    with pytest.raises(AttributeError):
+        series.extra = 1  # no __dict__ to hold it either
 
 
 # The golden files hold coefficients as "num/den" text: a dense array indexed
