@@ -9,15 +9,19 @@ the root.  Each fusion is written straight from a chain of the g cycles,
 entry t of each going to entry t of the next, and the last closing back
 onto the first through a closing table, the anchor rotated per bundle.
 A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
-written as it is chosen, without a loop of its own.  Every constructed
-root is verified by re-powering before it is emitted.  Powers are taken
-by repeated squaring, so that check costs O(n log m), and O(n**2) at
-most.  A root that passes it is a permutation of 1..n, so it is not
-validated a second time: every slot of a built root holds 0 (never
-written) or a value in 1..n; a 0 stays 0 under every power, a repeated
-value makes every power non-injective, unlike sigma, and the reduction of
-a huge m leaves an exponent of at least 1.  The oracle
-scans S_n once per (n, m) and buckets every permutation by its m-th power.
+written as it is chosen, without a loop of its own.  The construction
+factors over cycle lengths as the count does, since the maps of each ell
+write only the points of the ell-cycles: the smallest ell's maps are
+streamed, and each larger ell's are built once and replayed, within a
+fixed cap on what one call records.  Every constructed root is verified
+by re-powering before it is emitted.  Powers are taken by repeated
+squaring, so that check costs O(n log m), and O(n**2) at most.  A root
+that passes it is a permutation of 1..n, so it is not validated a second
+time: every slot of a built root holds 0 (never written) or a value in
+1..n; a 0 stays 0 under every power, a repeated value makes every power
+non-injective, unlike sigma, and the reduction of a huge m leaves an
+exponent of at least 1.  The oracle scans S_n once per (n, m) and buckets
+every permutation by its m-th power.
 """
 
 from __future__ import annotations
@@ -383,6 +387,54 @@ def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list
         )
 
 
+# Slots (one point of one recorded map) that the inner cycle lengths of one
+# enumerate_roots call may record in all: about 9 MB of tuples at most.
+_REPLAY_CAP = 1 << 20
+
+
+def _replay(image: list[int], support: tuple[int, ...], recording):
+    """Write each recorded tuple of values back onto support in image,
+    yielding after each: the run of maps the recording was taken from."""
+    for values in recording:
+        for x, y in zip(support, values):
+            image[x] = y
+        yield
+
+
+def _replayed(maps, support: tuple[int, ...], image: list[int], free: list[int]):
+    """maps, an ell-part's maps that write only support, as a _nested level
+    that records its first complete run and replays it on every later call.
+
+    free[0] holds the slots the call may still record.  A first run that
+    would pass it drops what it recorded, returns those slots, and leaves
+    maps to be regenerated on every later call."""
+    read = itemgetter(*support)  # an inner ell >= 2 gives 2 points at least, so a tuple
+    recording: list[tuple[int, ...]] | None = None
+    regenerate = False
+
+    def record():
+        nonlocal recording, regenerate
+        values: list[tuple[int, ...]] | None = []
+        for _ in maps():
+            if values is not None:
+                if free[0] < len(support):  # past the cap: give its slots back
+                    free[0] += len(values) * len(support)
+                    values = None
+                else:
+                    free[0] -= len(support)
+                    values.append(read(image))
+            yield
+        recording = values
+        regenerate = values is None
+
+    def level():
+        if recording is not None:
+            return _replay(image, support, recording)
+        return maps() if regenerate else record()
+
+    return level
+
+
 def enumerate_roots(sigma: Permutation, m: int):
     """Yield every tau with tau**m == sigma, each verified by re-powering.
 
@@ -391,12 +443,18 @@ def enumerate_roots(sigma: Permutation, m: int):
     anchored order, interleavings by companion order then rotation offset.
     The empty permutation is its own m-th root for every m.  sigma is split
     into cycles once, and each ell's admissible sizes are found once per
-    call.  A root tau with tau**m == sigma is a permutation of 1..n, so it
-    is emitted without a second validation: each slot of tau holds 0 (never
-    written) or a value in 1..n, a 0 would leave a 0 in tau**m, and a
-    repeated value would make tau**m non-injective.  The reduction of an m
-    of more than 2n bits modulo lcm(1..n) keeps an exponent of at least 1,
-    so this holds for every m.
+    call.  The maps of the smallest ell are streamed.  Those of each larger
+    ell are built once, with their values on its points recorded, and
+    written back for every later map of the smaller lengths, in the same
+    order.  The call records at most _REPLAY_CAP slots (a point in one map);
+    a length whose first run would pass that keeps no recording and is
+    built again per outer map, so memory stays O(n + _REPLAY_CAP) however
+    long the stream runs.  A root tau with tau**m == sigma is a permutation
+    of 1..n, so it is emitted without a second validation: each slot of tau
+    holds 0 (never written) or a value in 1..n, a 0 would leave a 0 in
+    tau**m, and a repeated value would make tau**m non-injective.  The
+    reduction of an m of more than 2n bits modulo lcm(1..n) keeps an
+    exponent of at least 1, so this holds for every m.
     """
     require_int(m, "m")
     by_len: dict[int, list[tuple[int, ...]]] = {}
@@ -411,12 +469,16 @@ def enumerate_roots(sigma: Permutation, m: int):
     # image[x] is the root's image of x; image[0] is padding.  Each root
     # overwrites every other entry: the bundles cover sigma.
     image = [0] * (sigma.degree + 1)
-    parts = [
-        functools.partial(
-            _ell_part_maps, by_len[ell], ell, m, g_set_bounded(m, ell, len(by_len[ell])), image
+    free = [_REPLAY_CAP]  # the slots this call may still record
+    parts = []
+    for ell in sorted(by_len):
+        cycles = by_len[ell]
+        maps = functools.partial(
+            _ell_part_maps, cycles, ell, m, g_set_bounded(m, ell, len(cycles)), image
         )
-        for ell in sorted(by_len)
-    ]
+        if parts:
+            maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, free)
+        parts.append(maps)
     for _ in _nested(parts):
         root = tuple(image[1:])
         if _image_power(root, m) != target:

@@ -1,14 +1,27 @@
 """Closed forms and definitions the package no longer exports, and the
 interleaving the root construction once used, kept here as references that
-the package's own routes are checked against.  Each refuses arguments
-outside its domain, as the package's own entry points do, so a reference
-never answers for an input it does not cover."""
+the package's own routes are checked against, and the root construction
+run under other replay caps, down to 0, where it regenerates every map as
+it did before replay.  Each refuses arguments outside its domain, as the
+package's own entry points do, so a reference never answers for an input it
+does not cover."""
 
 import itertools
 from fractions import Fraction
 from math import factorial, gcd
+from unittest import mock
 
-from permroots import MultiSeries, factorize, g_set_bounded, is_prime
+from permroots import (
+    CycleType,
+    MultiSeries,
+    cycle_type,
+    enumerate_roots,
+    factorize,
+    g_set_bounded,
+    is_prime,
+    perm,
+    root_count,
+)
 from permroots._checks import InternalCheckError, require_int
 
 
@@ -114,3 +127,20 @@ def interleaved_fusions(bundle, ell: int, m: int, image: list[int]):
             for i in range(span):
                 image[seq[i - 1] - 1] = seq[i]
             yield
+
+
+def roots_under_replay_caps(sigma, m: int) -> dict[int, list]:
+    """list(enumerate_roots(sigma, m)) for each of several replay caps: the
+    default; 0, under which every inner cycle length's maps are regenerated
+    for each map of the lengths before it, as before replay; and half, all
+    but one, and all of the slots the inner lengths record when none passes
+    the cap, so that a first run crosses the cap partway or just fits."""
+    lengths = cycle_type(sigma).nonzero()
+    slots = sum(
+        root_count(CycleType((0,) * (ell - 1) + (a,)), m) * ell * a for ell, a in lengths[1:]
+    )
+    runs = {}
+    for cap in sorted({perm._REPLAY_CAP, 0, slots // 2, max(slots - 1, 0), slots}):
+        with mock.patch.object(perm, "_REPLAY_CAP", cap):
+            runs[cap] = list(enumerate_roots(sigma, m))
+    return runs

@@ -66,6 +66,16 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
     )
 
 
+# A replay of an inner cycle length's recorded maps that writes one wrong
+# value: the first replayed map sends its last point where its first goes, so
+# the first root built from it takes that value twice.
+WRONG_REPLAY = (
+    "(lambda real: lambda image, support, recording: "
+    "real(image, support, [recording[0][:-1] + recording[0][:1], *recording[1:]]))"
+    "(target._replay)"
+)
+
+
 FAULT_PROBE = """
 import sys
 from permroots._checks import InternalCheckError
@@ -133,6 +143,13 @@ else:
             "target._cmd_selftest("
             "target._build_parser().parse_args(['selftest', '--max-n', '3', '-m', '2']))",
         ),
+        (
+            "permroots.perm",
+            "_replay",
+            WRONG_REPLAY,
+            "list(target.enumerate_roots("
+            "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
+        ),
     ],
     ids=[
         "r_total",
@@ -142,6 +159,7 @@ else:
         "length_factor_remainder",
         "r_total_series_remainder",
         "oracle_table",
+        "replay",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
@@ -199,6 +217,13 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             "(target.enumerate_roots)",  # drops the first root
             ["roots", "--all", "-m", "2", "--type", "1^4"],
             "enumerate_roots streamed 9 roots where 10 were due",
+        ),
+        (
+            "permroots.perm",
+            "_replay",
+            WRONG_REPLAY,
+            ["roots", "--all", "-m", "4", "--type", "1^6 3^2"],
+            "constructed root failed re-powering",
         ),
         *(
             ("permroots.perm", "_write_fusion", fault, argv, "constructed root failed re-powering")

@@ -21,12 +21,14 @@ from permroots.egf import EqualityReport, ProbabilityBlock
 from permroots.perm import (
     MAX_DEGREE,
     Permutation,
+    cycle_type,
     enumerate_roots,
     format_permutation,
     parse_cycle_type,
     parse_permutation,
     power,
 )
+from references import roots_under_replay_caps
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -318,6 +320,32 @@ def test_roots_lines_are_the_formatted_enumerated_roots(capsys, m, selector):
     roots = list(enumerate_roots(sigma, int(m)))
     assert roots
     assert out == "".join(format_permutation(tau) + "\n" for tau in roots)
+
+
+def _case_sigma(selector):
+    flag, text = selector
+    if flag == "--perm":
+        return parse_permutation(text)
+    return parse_cycle_type(text).canonical_permutation()
+
+
+MULTI_LENGTH_CASES = [
+    (m, selector)
+    for m, selector in ROOTS_FORMAT_CASES
+    if len({len(cyc) for cyc in _case_sigma(selector).cycles()}) > 1
+]
+
+
+@pytest.mark.parametrize(
+    "m,selector", MULTI_LENGTH_CASES, ids=[f"{m} {' '.join(s)}" for m, s in MULTI_LENGTH_CASES]
+)
+def test_replayed_roots_equal_regenerated_roots(m, selector):
+    sigma, m = _case_sigma(selector), int(m)
+    runs = roots_under_replay_caps(sigma, m)
+    regenerated = runs.pop(0)
+    assert len(regenerated) == root_count(cycle_type(sigma), m)
+    for cap, roots in runs.items():
+        assert roots == regenerated, cap
 
 
 def test_roots_limit_truncation_is_loud(capsys):

@@ -6,11 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permroots import (
@@ -30,8 +32,9 @@ from permroots import (
     power,
     root_count,
 )
+from permroots import perm
 from permroots.perm import _closing, _fusions, _image_power, _order_multiple, _write_fusion
-from references import interleaved_fusions
+from references import interleaved_fusions, roots_under_replay_caps
 
 
 @st.composite
@@ -453,3 +456,85 @@ def test_construction_matches_the_count_beyond_the_oracle_range():
                     assert len(roots) == len(set(roots)) == expected, (t, m)
                     cases += 1
     assert cases == 314
+
+
+@st.composite
+def _multi_length_powers(draw, max_n=12):
+    """(tau**m, m) for tau of degree <= max_n and m in {2, 3, 4, 6, 12}: a
+    sigma that has an m-th root, kept when it has two cycle lengths or more
+    and at most 600 roots."""
+    m = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    sigma = power(Permutation(draw(st.permutations(list(range(1, n + 1))))), m)
+    t = cycle_type(sigma)
+    assume(len(t.nonzero()) > 1 and root_count(t, m) <= 600)
+    return sigma, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(_multi_length_powers())
+def test_replayed_roots_equal_regenerated_roots_on_sampled_permutations(case):
+    sigma, m = case
+    runs = roots_under_replay_caps(sigma, m)
+    regenerated = runs.pop(0)
+    assert len(regenerated) == root_count(cycle_type(sigma), m)
+    for cap, roots in runs.items():
+        assert roots == regenerated, cap
+
+
+def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
+    """1^4 2^2 3^2 under m = 2: the fixed points have 10 maps, the 2-cycles 2
+    maps on 4 points and the 3-cycles 4 maps on 6 points.  The 2-cycles'
+    first map is recorded before the 3-cycles' first run, their second map
+    after it.  A cap of 28 slots holds 4 + 24 of them, so the 2-cycles drop
+    their recording at their second map and are built again for each
+    fixed-point map.  Under a cap of 16 the 3-cycles drop theirs at their
+    third map and give its 12 slots back, so the 2-cycles' second map fits."""
+    sigma = parse_cycle_type("1^4 2^2 3^2").canonical_permutation()
+    built, replayed = Counter(), Counter()  # by cycle length; by points written
+    real_maps, real_replay = perm._ell_part_maps, perm._replay
+
+    def counted_maps(cycles, ell, *rest):
+        built[ell] += 1
+        return real_maps(cycles, ell, *rest)
+
+    def counted_replay(image, support, recording):
+        replayed[len(support)] += 1
+        return real_replay(image, support, recording)
+
+    monkeypatch.setattr(perm, "_ell_part_maps", counted_maps)
+    monkeypatch.setattr(perm, "_replay", counted_replay)
+    runs = []
+    for cap, builds, replays in [
+        (perm._REPLAY_CAP, {1: 1, 2: 1, 3: 1}, {4: 9, 6: 19}),
+        (28, {1: 1, 2: 10, 3: 1}, {6: 19}),
+        (16, {1: 1, 2: 1, 3: 20}, {4: 9}),
+        (0, {1: 1, 2: 10, 3: 20}, {}),
+    ]:
+        built.clear()
+        replayed.clear()
+        monkeypatch.setattr(perm, "_REPLAY_CAP", cap)
+        runs.append(list(enumerate_roots(sigma, 2)))
+        assert (built, replayed) == (builds, replays), cap
+    assert len(runs[0]) == 80
+    assert all(roots == runs[0] for roots in runs)
+
+
+def test_streaming_memory_is_bounded_by_the_replay_cap():
+    """200,000 roots of 1^1 2^40 under m = 2.  The fixed point has one map,
+    so the first run of the 2-cycles never ends within them: it records up
+    to the cap, 2**20 // 80 maps of 80 points, and then drops the recording.
+    A recorded slot costs one 8-byte pointer, and each map's tuple header and
+    list slot about 0.6 bytes more per slot; without the cap the recording
+    grew to 137.7 MB over these roots."""
+    sigma = parse_cycle_type("1^1 2^40").canonical_permutation()
+    roots = enumerate_roots(sigma, 2)
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(roots, 200_000):
+            pass
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * perm._REPLAY_CAP + 2**20
+    assert current < 2**20  # the stream is still open, and holds no recording
