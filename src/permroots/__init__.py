@@ -8,8 +8,11 @@ stdlib-only and exact (integers and Fractions end to end); a brute-force
 scan of small symmetric groups is included as an independent oracle.
 
 The public names are answers with their pieces and check routes (the same
-quantities a second way, for selftest and the tests).  has_mth_root is the
-one solvability rule.
+quantities a second way).  Every check route runs in some command:
+brute_force_root_table, root_count_egf and r_total_from_types in selftest,
+r_total_series inside r_total_range.  Routes that only the tests need,
+such as the block series behind the prime-power constancy, live in the
+tests' references.  has_mth_root is the one solvability rule.
 """
 
 # Answers and their pieces.
@@ -34,10 +37,9 @@ from .perm import (
 )
 
 # Check routes: the oracle, the generating functions and the classification sum.
-from .egf import exp_q, prime_power_block_series, r_total_from_types, r_total_series
-from .egf import root_count_egf, root_count_from_egf
-from .perm import brute_force_root_table, brute_force_roots
-from .series import MultiSeries, UniSeries, one_minus_xp_root
+from .egf import r_total_from_types, r_total_series, root_count_egf
+from .perm import brute_force_root_table
+from .series import MultiSeries, UniSeries
 
 __all__ = [
     # answers
@@ -70,12 +72,7 @@ __all__ = [
     "MultiSeries",
     "UniSeries",
     "brute_force_root_table",
-    "brute_force_roots",
-    "exp_q",
-    "one_minus_xp_root",
-    "prime_power_block_series",
     "r_total_from_types",
     "r_total_series",
     "root_count_egf",
-    "root_count_from_egf",
 ]

@@ -10,17 +10,17 @@ has root_count(a, m) as the coefficient of prod(t_ell**a_ell / a_ell!).
 Truncating it at weight w leaves every coefficient of lower weight as it
 is, so one series serves every cycle type up to w: one reader,
 _count_from_series, takes a count from it and checks that it is an
-integer, both for root_count_from_egf and for selftest, which expands one
-series per m.
+integer, for selftest, which expands one series per m.
 The univariate route counts permutations having at least one m-th root:
 
     sum over n of r_total(n, m) * x**n / n!  =  prod over ell of
         exp_q(x**ell / ell)   with q = bracket(ell, m),
 
-where exp_q keeps every q-th term of exp (Wilf, "generatingfunctionology",
-2nd ed., section 4.8).  The values r_total(lo..hi, m) are produced by one
-integer pass, a binomial (labelled) convolution of the factors, whose terms
-(k*ell)! / (ell**k * k!) count the permutations made of k ell-cycles.  The
+where exp_q(y), the sum of y**(i*q) / (i*q)! over i, keeps every q-th
+term of exp (Wilf, "generatingfunctionology", 2nd ed., section 4.8).  The
+values r_total(lo..hi, m) are produced by one integer pass, a binomial
+(labelled) convolution of the factors, whose terms (k*ell)! / (ell**k * k!)
+count the permutations made of k ell-cycles.  The
 product series, expanded once to order hi, checks every value.  It is an
 ordinary (Cauchy) product of the same factors, each coefficient held as an
 integer scaled by hi!, so each product step is one exact division by hi!
@@ -28,7 +28,10 @@ that must leave no remainder.  selftest and the tests also compare the
 values with r_total_from_types, the sum of class sizes over the cycle types
 passing the existence criterion.  For prime powers m = p**r the
 probabilities r_total(n, m) / n! are constant on blocks of p consecutive n,
-which this module verifies by exact arithmetic.
+which check_prime_power_equalities verifies value by value in exact
+arithmetic.  The series proof of that constancy, r_total_series(p**r) ==
+G / (1 - x) with G supported on multiples of p, is checked by the tests
+(tests/references.py), not by any command.
 """
 
 from __future__ import annotations
@@ -42,17 +45,7 @@ from ._checks import FrozenRecord, InternalCheckError, require_int
 from .gsets import g_set_bounded
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
-from .series import MultiSeries, UniSeries, one_minus_xp_root
-
-
-def exp_q(q: int, order: int) -> UniSeries:
-    """Every q-th term of exp: sum over i of x**(i*q) / (i*q)!."""
-    require_int(q, "q")
-    require_int(order, "order", minimum=0)
-    coeffs = [Fraction(0)] * (order + 1)
-    for j in range(0, order + 1, q):
-        coeffs[j] = Fraction(1, factorial(j))
-    return UniSeries(order, coeffs)
+from .series import MultiSeries, UniSeries
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
@@ -84,12 +77,6 @@ def _count_from_series(series: MultiSeries, t: CycleType, m: int) -> int:
     if value.denominator != 1:
         raise InternalCheckError(f"non-integer EGF root count for {t}, m={m}")
     return value.numerator
-
-
-def root_count_from_egf(m: int, t: CycleType) -> int:
-    """root_count recovered from the EGF: the coefficient of
-    prod(t_ell**a_ell) times prod(a_ell!)."""
-    return _count_from_series(root_count_egf(m, t.n), t, m)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -196,33 +183,6 @@ def r_total(n: int, m: int) -> int:
 def root_probability(n: int, m: int) -> Fraction:
     """Probability that a uniform permutation of S_n has an m-th root."""
     return Fraction(r_total(n, m), factorial(n))
-
-
-def prime_power_block_series(p: int, r: int, order: int) -> UniSeries:
-    """The series G with r_total_series(p**r) == G / (1 - x).
-
-    Splitting the product over ell by divisibility by p: the coprime part
-    prod(exp(x**ell / ell), p not dividing ell) telescopes to
-    (1 - x**p)**(1/p) / (1 - x), so
-
-        G = (1 - x**p)**(1/p) * prod(exp_q(x**(jp) / (jp)), j >= 1)
-
-    with q = p**r.  G has nonzero coefficients only at exponents divisible
-    by p, which is why the probabilities are constant on blocks of p
-    consecutive n: dividing by (1 - x) turns isolated coefficients into
-    runs of equal partial sums."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    require_int(r, "r")
-    require_int(order, "order", minimum=0)
-    m = p**r
-    series = one_minus_xp_root(p, order)
-    for ell in range(p, order + 1, p):
-        factor = exp_q(m, order // ell).substitute_scaled_power(
-            Fraction(1, ell), ell, order
-        )
-        series = series * factor
-    return series
 
 
 class ProbabilityBlock(FrozenRecord):

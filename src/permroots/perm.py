@@ -12,15 +12,16 @@ A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
 written as it is chosen, without a loop of its own.  The construction
 factors over cycle lengths as the count does, since the maps of each ell
 write only the points of the ell-cycles: the smallest ell's maps are
-streamed, and each larger ell's are built once and replayed, within a
-fixed cap on what one call records.  Every constructed root is verified
-by re-powering before it is emitted.  Powers are taken by repeated
-squaring, so that check costs O(n log m), and O(n**2) at most.  A root
-that passes it is a permutation of 1..n, so it is not validated a second
-time: every slot of a built root holds 0 (never written) or a value in
-1..n; a 0 stays 0 under every power, a repeated value makes every power
-non-injective, unlike sigma, and the reduction of a huge m leaves an
-exponent of at least 1.  The oracle scans S_n once per (n, m) and buckets
+streamed, and each larger ell's are built once and replayed when the
+smaller lengths have more than one map, within a fixed cap on what one
+call records.  Every constructed root is verified by re-powering before
+it is emitted.  Powers are taken by repeated squaring, so that check
+costs O(n log m), and O(n**2) at most.  A root that passes it is a
+permutation of 1..n, so it is not validated a second time: every slot of
+a built root holds 0 (never written) or a value in 1..n; a 0 stays 0
+under every power, a repeated value makes every power non-injective,
+unlike sigma, and the reduction of a huge m leaves an exponent of at
+least 1.  The oracle scans S_n once per (n, m) and buckets
 every permutation by its m-th power.
 """
 
@@ -99,10 +100,6 @@ class Permutation:
         return perm
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, require_int(n, "n", minimum=0) + 1))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         """Build from disjoint cycles; elements not mentioned are fixed."""
         image = list(range(1, require_int(n, "n", minimum=0) + 1))
@@ -125,18 +122,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (self * other)(x) == self(other(x))."""
-        if self.degree != other.degree:
-            raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(self.image[y - 1] for y in other.image)
-
-    def inverse(self) -> "Permutation":
-        image = [0] * self.degree
-        for i, y in enumerate(self.image, start=1):
-            image[y - 1] = i
-        return Permutation(image)
 
     def __pow__(self, m: int) -> "Permutation":
         return power(self, m)
@@ -173,11 +158,6 @@ class Permutation:
                 x = self.image[x - 1]
             out.append(tuple(cyc))
         return out
-
-    def cycle_string(self) -> str:
-        if self.degree == 0:
-            return "()"
-        return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in self.cycles())
 
 
 class CycleType(FrozenRecord):
@@ -446,7 +426,10 @@ def enumerate_roots(sigma: Permutation, m: int):
     call.  The maps of the smallest ell are streamed.  Those of each larger
     ell are built once, with their values on its points recorded, and
     written back for every later map of the smaller lengths, in the same
-    order.  The call records at most _REPLAY_CAP slots (a point in one map);
+    order.  A length is recorded only when the smaller lengths have more
+    than one map in all, that is, when one of them has admissible sizes
+    other than (1,); otherwise its maps run once and are streamed.  The
+    call records at most _REPLAY_CAP slots (a point in one map);
     a length whose first run would pass that keeps no recording and is
     built again per outer map, so memory stays O(n + _REPLAY_CAP) however
     long the stream runs.  A root tau with tau**m == sigma is a permutation
@@ -471,14 +454,20 @@ def enumerate_roots(sigma: Permutation, m: int):
     image = [0] * (sigma.degree + 1)
     free = [_REPLAY_CAP]  # the slots this call may still record
     parts = []
+    replays = False  # whether the next length's level runs more than once
     for ell in sorted(by_len):
         cycles = by_len[ell]
-        maps = functools.partial(
-            _ell_part_maps, cycles, ell, m, g_set_bounded(m, ell, len(cycles)), image
-        )
-        if parts:
+        sizes = g_set_bounded(m, ell, len(cycles))
+        maps = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image)
+        if replays:
             maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, free)
         parts.append(maps)
+        # One map in all exactly when every length so far has sizes (1,),
+        # which leave each cycle as it is.  As a root exists, other sizes
+        # give two maps at least: two solution vectors when they hold 1
+        # and some g <= a, else bundles of g > 1 cycles of length ell >= 2,
+        # each with (g-1)! * ell**(g-1) fusions.
+        replays = replays or sizes != (1,)
     for _ in _nested(parts):
         root = tuple(image[1:])
         if _image_power(root, m) != target:
@@ -507,16 +496,6 @@ def brute_force_root_table(
     for cand in itertools.permutations(range(1, n + 1)):  # lexicographic
         table.setdefault(_image_power(cand, m), []).append(cand)
     return table
-
-
-def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permutation]:
-    """All m-th roots of sigma by scanning S_n, in lexicographic order.
-
-    Independent of the constructive enumerator: no shared cycle logic
-    beyond raw powering.  Reads sigma's bucket of brute_force_root_table,
-    so it refuses n > max_n the same way."""
-    bucket = brute_force_root_table(sigma.degree, m, max_n).get(sigma.image, ())
-    return [Permutation(image) for image in bucket]
 
 
 def parse_permutation(text: str) -> Permutation:

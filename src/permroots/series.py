@@ -2,18 +2,18 @@
 
 They serve only the checking routes in egf and keep only the algebra
 those call.  UniSeries is dense in a single variable x up to a fixed
-truncation order, with a series product, substitute_scaled_power and
-partial_sums.  MultiSeries is sparse in countably many variables t_1,
-t_2, ... truncated by total weight sum(ell * e_ell), the natural grading
-when t_ell marks cycles of length ell, with a sum, a product and exp.  All
-coefficients are Fractions, so every identity checked against these
-classes is exact, not floating-point.
+truncation order: the type r_total_series returns, with a series product
+for the Fraction references in the tests.  MultiSeries is sparse in
+countably many variables t_1, t_2, ... truncated by total weight
+sum(ell * e_ell), the natural grading when t_ell marks cycles of length
+ell, with a sum, a product and exp.  All coefficients are Fractions, so
+every identity checked against these classes is exact, not
+floating-point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from types import MappingProxyType
 
 from ._checks import refuse_rebinding, require_int
@@ -43,10 +43,6 @@ class UniSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    @classmethod
-    def one(cls, order: int) -> "UniSeries":
-        return cls(order, [Fraction(1)])
-
     def coefficient(self, j: int) -> Fraction:
         if not 0 <= j <= self.order:
             raise ValueError(f"coefficient {j} outside truncation order {self.order}")
@@ -75,60 +71,6 @@ class UniSeries:
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, coeffs={list(self.coeffs)})"
-
-    def substitute_scaled_power(self, c, k: int, order: int) -> "UniSeries":
-        """The series in x obtained by substituting c * x**k for the
-        variable, truncated at the given order.  Requires enough source
-        coefficients: self.order * k >= order."""
-        require_int(order, "order", minimum=0)
-        require_int(k, "k")
-        c = _as_fraction(c)
-        if self.order < order // k:
-            raise ValueError(
-                f"source order {self.order} too small to reach order {order} with k={k}"
-            )
-        out = [Fraction(0)] * (order + 1)
-        power = Fraction(1)
-        for j, a in enumerate(self.coeffs):
-            if j * k > order:
-                break
-            if a:
-                out[j * k] = a * power
-            power *= c
-        return UniSeries(order, out)
-
-    def partial_sums(self) -> "UniSeries":
-        """self / (1 - x): coefficient n becomes sum(coeffs[0..n])."""
-        out = []
-        acc = Fraction(0)
-        for a in self.coeffs:
-            acc += a
-            out.append(acc)
-        return UniSeries(self.order, out)
-
-
-def _generalized_binomial(alpha: Fraction, k: int) -> Fraction:
-    """Binomial coefficient alpha over k for rational alpha:
-    alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
-    require_int(k, "k", minimum=0)
-    alpha = _as_fraction(alpha)
-    num = Fraction(1)
-    for i in range(k):
-        num *= alpha - i
-    return num / factorial(k)
-
-
-def one_minus_xp_root(p: int, order: int) -> "UniSeries":
-    """(1 - x**p)**(1/p) as an exact truncated series: the one place a
-    non-integer exponent appears, expanded with rational binomials
-    sum(binom(1/p, k) * (-1)**k * x**(p*k))."""
-    require_int(p, "p")
-    require_int(order, "order", minimum=0)
-    alpha = Fraction(1, p)
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // p + 1):
-        coeffs[p * k] = _generalized_binomial(alpha, k) * (-1) ** k
-    return UniSeries(order, coeffs)
 
 
 def _strip(key: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,6 +1,9 @@
-"""Closed forms and definitions the package no longer exports, and the
-interleaving the root construction once used, kept here as references that
-the package's own routes are checked against, and the root construction
+"""Closed forms, definitions and check routes that no command runs, kept
+here as references that the package's own routes are checked against: the
+number-theory definitions, the prime-power block series that proves the
+constancy of root probabilities, the series algebra it needs, the EGF and
+brute-force root lookups for one permutation, the group operations, the
+interleaving the root construction once used, and the root construction
 run under other replay caps, down to 0, where it regenerates every map as
 it did before replay.  Each refuses arguments outside its domain, as the
 package's own entry points do, so a reference never answers for an input it
@@ -14,6 +17,9 @@ from unittest import mock
 from permroots import (
     CycleType,
     MultiSeries,
+    Permutation,
+    UniSeries,
+    brute_force_root_table,
     cycle_type,
     enumerate_roots,
     factorize,
@@ -21,8 +27,125 @@ from permroots import (
     is_prime,
     perm,
     root_count,
+    root_count_egf,
 )
 from permroots._checks import InternalCheckError, require_int
+from permroots.egf import _count_from_series
+from permroots.series import _as_fraction
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(range(1, require_int(n, "n", minimum=0) + 1))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """The composition a after b: compose(a, b)(x) == a(b(x))."""
+    if a.degree != b.degree:
+        raise ValueError("cannot compose permutations of different degrees")
+    return Permutation(a.image[y - 1] for y in b.image)
+
+
+def inverse(p: Permutation) -> Permutation:
+    image = [0] * p.degree
+    for i, y in enumerate(p.image, start=1):
+        image[y - 1] = i
+    return Permutation(image)
+
+
+def brute_force_roots(sigma: Permutation, m: int, max_n: int = 8) -> list[Permutation]:
+    """All m-th roots of sigma by scanning S_n, in lexicographic order: sigma's
+    bucket of brute_force_root_table, which refuses n > max_n."""
+    bucket = brute_force_root_table(sigma.degree, m, max_n).get(sigma.image, ())
+    return [Permutation(image) for image in bucket]
+
+
+def root_count_from_egf(m: int, t: CycleType) -> int:
+    """root_count recovered from the EGF: the coefficient of
+    prod(t_ell**a_ell) times prod(a_ell!)."""
+    return _count_from_series(root_count_egf(m, t.n), t, m)
+
+
+def exp_q(q: int, order: int) -> UniSeries:
+    """Every q-th term of exp: sum over i of x**(i*q) / (i*q)!."""
+    require_int(q, "q")
+    require_int(order, "order", minimum=0)
+    coeffs = [Fraction(0)] * (order + 1)
+    for j in range(0, order + 1, q):
+        coeffs[j] = Fraction(1, factorial(j))
+    return UniSeries(order, coeffs)
+
+
+def substitute_scaled_power(series: UniSeries, c, k: int, order: int) -> UniSeries:
+    """The series in x obtained by substituting c * x**k for the variable
+    of series, truncated at the given order.  Requires enough source
+    coefficients: series.order * k >= order."""
+    require_int(order, "order", minimum=0)
+    require_int(k, "k")
+    c = _as_fraction(c)
+    if series.order < order // k:
+        raise ValueError(
+            f"source order {series.order} too small to reach order {order} with k={k}"
+        )
+    out = [Fraction(0)] * (order + 1)
+    power = Fraction(1)
+    for j, a in enumerate(series.coeffs[: order // k + 1]):
+        if a:
+            out[j * k] = a * power
+        power *= c
+    return UniSeries(order, out)
+
+
+def partial_sums(series: UniSeries) -> UniSeries:
+    """series / (1 - x): coefficient n becomes sum(coeffs[0..n])."""
+    return UniSeries(series.order, itertools.accumulate(series.coeffs))
+
+
+def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
+    """Binomial coefficient alpha over k for rational alpha:
+    alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
+    require_int(k, "k", minimum=0)
+    alpha = _as_fraction(alpha)
+    num = Fraction(1)
+    for i in range(k):
+        num *= alpha - i
+    return num / factorial(k)
+
+
+def one_minus_xp_root(p: int, order: int) -> UniSeries:
+    """(1 - x**p)**(1/p) as an exact truncated series, expanded with rational
+    binomials: sum(binom(1/p, k) * (-1)**k * x**(p*k))."""
+    require_int(p, "p")
+    require_int(order, "order", minimum=0)
+    alpha = Fraction(1, p)
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range(order // p + 1):
+        coeffs[p * k] = generalized_binomial(alpha, k) * (-1) ** k
+    return UniSeries(order, coeffs)
+
+
+def prime_power_block_series(p: int, r: int, order: int) -> UniSeries:
+    """The series G with r_total_series(p**r) == G / (1 - x).
+
+    Splitting the product over ell by divisibility by p: the coprime part
+    prod(exp(x**ell / ell), p not dividing ell) telescopes to
+    (1 - x**p)**(1/p) / (1 - x), so
+
+        G = (1 - x**p)**(1/p) * prod(exp_q(x**(jp) / (jp)), j >= 1)
+
+    with q = p**r.  G has nonzero coefficients only at exponents divisible
+    by p, which is why the probabilities are constant on blocks of p
+    consecutive n: dividing by (1 - x) turns isolated coefficients into
+    runs of equal partial sums."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    require_int(r, "r")
+    require_int(order, "order", minimum=0)
+    m = p**r
+    series = one_minus_xp_root(p, order)
+    for ell in range(p, order + 1, p):
+        factor = substitute_scaled_power(exp_q(m, order // ell), Fraction(1, ell), ell, order)
+        series = series * factor
+    return series
 
 
 def divisors(m: int) -> list[int]:
@@ -133,12 +256,16 @@ def roots_under_replay_caps(sigma, m: int) -> dict[int, list]:
     """list(enumerate_roots(sigma, m)) for each of several replay caps: the
     default; 0, under which every inner cycle length's maps are regenerated
     for each map of the lengths before it, as before replay; and half, all
-    but one, and all of the slots the inner lengths record when none passes
-    the cap, so that a first run crosses the cap partway or just fits."""
-    lengths = cycle_type(sigma).nonzero()
-    slots = sum(
-        root_count(CycleType((0,) * (ell - 1) + (a,)), m) * ell * a for ell, a in lengths[1:]
-    )
+    but one, and all of the slots the recorded lengths take when none passes
+    the cap, so that a first run crosses the cap partway or just fits.  A
+    length is recorded when the lengths before it have more than one map in
+    all, the product of their single-length root counts."""
+    slots, outer_maps = 0, 1
+    for ell, a in cycle_type(sigma).nonzero():
+        maps = root_count(CycleType((0,) * (ell - 1) + (a,)), m)
+        if outer_maps > 1:
+            slots += maps * ell * a
+        outer_maps *= maps
     runs = {}
     for cap in sorted({perm._REPLAY_CAP, 0, slots // 2, max(slots - 1, 0), slots}):
         with mock.patch.object(perm, "_REPLAY_CAP", cap):

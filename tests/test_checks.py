@@ -18,31 +18,39 @@ from permroots import (
     UniSeries,
     bracket,
     brute_force_root_table,
-    brute_force_roots,
     check_prime_power_equalities,
     count_epsilons,
     cycle_types,
     enumerate_roots,
-    exp_q,
     factorize,
     g_set_bounded,
     has_mth_root,
     iter_epsilons,
-    one_minus_xp_root,
     power,
-    prime_power_block_series,
     r_total,
     r_total_from_types,
     r_total_range,
     r_total_series,
     root_count,
     root_count_egf,
-    root_count_from_egf,
     root_probability,
 )
 from permroots.egf import EqualityReport, ProbabilityBlock
-from permroots.series import _generalized_binomial as generalized_binomial
-from references import divisors, g_set, homogeneous_count, nu_p, prime_root_count_egf
+from references import (
+    brute_force_roots,
+    divisors,
+    exp_q,
+    g_set,
+    generalized_binomial,
+    homogeneous_count,
+    identity,
+    nu_p,
+    one_minus_xp_root,
+    prime_power_block_series,
+    prime_root_count_egf,
+    root_count_from_egf,
+    substitute_scaled_power,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,12 +114,12 @@ else:
             "permroots.perm",
             "_image_power",
             "lambda image, m: ()",
-            "list(target.enumerate_roots(target.Permutation.identity(2), 2))",
+            "list(target.enumerate_roots(target.Permutation((1, 2)), 2))",
         ),
         (
             "permroots.egf",
             "r_total_series",
-            "lambda m, order: target.UniSeries.one(order)",
+            "lambda m, order: target.UniSeries(order, [1])",
             "target.r_total_range(0, 5, 2)",
         ),
         (
@@ -192,7 +200,7 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
         (
             "permroots.egf",
             "r_total_series",
-            "lambda m, order: target.UniSeries.one(order)",
+            "lambda m, order: target.UniSeries(order, [1])",
             ["table", "-m", "2", "--n", "0..5"],
             "convolution and series routes disagree",
         ),
@@ -262,13 +270,15 @@ def test_selftest_exits_5_when_the_oracle_table_drops_a_root(monkeypatch, capsys
 
 
 T2 = CycleType((2,))
-SIGMA = Permutation.identity(2)
-S0 = Permutation.identity(0)
+UNIT = UniSeries(4, [1])
+SIGMA = identity(2)
+S0 = identity(0)
 
 # (entry point, argument name, its smallest valid value, a call passing v as that argument).
 # Every public function, constructor and classmethod whose integer argument is
-# a count, degree, order or bound, the binomial one_minus_xp_root expands
-# with, and the two closed-form references the tests check against.  Left out:
+# a count, degree, order or bound, and the test references whose arguments
+# are checked the same way (the binomial one_minus_xp_root expands with
+# included).  Left out:
 # is_prime, a predicate that answers False rather than raising; coefficient
 # indices, which are positions checked against the order; and per-element
 # integers (CycleType multiplicities, Permutation images, MultiSeries
@@ -292,7 +302,7 @@ INTEGER_ARGUMENTS = [
     ("homogeneous_count", "g", 1, lambda v: homogeneous_count(1, v, 1, 2)),
     ("homogeneous_count", "p", 0, lambda v: homogeneous_count(1, 2, v, 2)),
     ("homogeneous_count", "m", 1, lambda v: homogeneous_count(1, 2, 1, v)),
-    ("Permutation.identity", "n", 0, Permutation.identity),
+    ("identity", "n", 0, identity),
     ("Permutation.from_cycles", "n", 0, lambda v: Permutation.from_cycles(v, ())),
     ("power", "m", 1, lambda v: power(SIGMA, v)),
     ("Permutation.__pow__", "m", 1, lambda v: SIGMA**v),
@@ -329,14 +339,8 @@ INTEGER_ARGUMENTS = [
     ("check_prime_power_equalities", "r", 1, lambda v: check_prime_power_equalities(2, v, 2)),
     ("check_prime_power_equalities", "blocks", 1, lambda v: check_prime_power_equalities(2, 1, v)),
     ("UniSeries", "order", 0, UniSeries),
-    ("UniSeries.one", "order", 0, UniSeries.one),
-    ("substitute_scaled_power", "k", 1, lambda v: UniSeries.one(4).substitute_scaled_power(1, v, 4)),
-    (
-        "substitute_scaled_power",
-        "order",
-        0,
-        lambda v: UniSeries.one(4).substitute_scaled_power(1, 2, v),
-    ),
+    ("substitute_scaled_power", "k", 1, lambda v: substitute_scaled_power(UNIT, 1, v, 4)),
+    ("substitute_scaled_power", "order", 0, lambda v: substitute_scaled_power(UNIT, 1, 2, v)),
     ("generalized_binomial", "k", 0, lambda v: generalized_binomial(Fraction(1, 2), v)),
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),

@@ -28,7 +28,7 @@ from permroots.perm import (
     parse_permutation,
     power,
 )
-from references import roots_under_replay_caps
+from references import identity, roots_under_replay_caps
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -464,7 +464,7 @@ def test_roots_limit_message_carries_a_total_beyond_4300_digits(capsys):
     elapsed = time.perf_counter() - start
     assert code == 4
     [line] = out.splitlines()
-    assert power(Permutation(map(int, line.split())), 2) == Permutation.identity(3000)
+    assert power(Permutation(map(int, line.split())), 2) == identity(3000)
     with _any_int_digits():
         total = str(_involution_number(3000))
     assert err == f"error: output truncated at --limit 1 of {total} roots; raise --limit or pass --all\n"

@@ -20,7 +20,6 @@ from permroots import (
     OracleSizeError,
     Permutation,
     brute_force_root_table,
-    brute_force_roots,
     cycle_type,
     cycle_types,
     enumerate_roots,
@@ -34,7 +33,14 @@ from permroots import (
 )
 from permroots import perm
 from permroots.perm import _closing, _fusions, _image_power, _order_multiple, _write_fusion
-from references import interleaved_fusions, roots_under_replay_caps
+from references import (
+    brute_force_roots,
+    compose,
+    identity,
+    interleaved_fusions,
+    inverse,
+    roots_under_replay_caps,
+)
 
 
 @st.composite
@@ -67,21 +73,19 @@ def test_one_line_text_round_trip():
 def test_cycles_are_canonical():
     sigma = Permutation([3, 4, 1, 2, 5])
     assert sigma.cycles() == [(1, 3), (2, 4), (5,)]
-    assert sigma.cycle_string() == "(1 3)(2 4)(5)"
-    assert Permutation([]).cycle_string() == "()"
 
 
 def test_group_operations():
     a = Permutation([2, 3, 1])
-    assert a * a.inverse() == Permutation.identity(3)
-    assert (a * a).image == power(a, 2).image
-    assert a**3 == Permutation.identity(3)
+    assert compose(a, inverse(a)) == identity(3)
+    assert compose(a, a).image == power(a, 2).image
+    assert a**3 == identity(3)
 
 
 def test_cycle_type_frozen_values():
     assert cycle_type(Permutation([2, 1, 4, 3, 5])).a == (1, 2, 0, 0, 0)
     assert cycle_type(Permutation([])).a == ()
-    assert cycle_type(Permutation.identity(3)).a == (3, 0, 0)
+    assert cycle_type(identity(3)).a == (3, 0, 0)
 
 
 def test_cycle_type_weight_and_class_size():
@@ -150,7 +154,7 @@ def test_power_splits_an_eight_cycle():
 
 def test_power_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
-        power(Permutation.identity(2), 0)
+        power(identity(2), 0)
 
 
 @settings(max_examples=150)
@@ -253,11 +257,11 @@ def test_has_mth_root_frozen_values():
 
 
 def test_enumerate_roots_frozen_values():
-    assert sorted(enumerate_roots(Permutation.identity(2), 2)) == [
+    assert sorted(enumerate_roots(identity(2), 2)) == [
         Permutation([1, 2]),
         Permutation([2, 1]),
     ]
-    roots_of_id4 = sorted(enumerate_roots(Permutation.identity(4), 2))
+    roots_of_id4 = sorted(enumerate_roots(identity(4), 2))
     assert len(roots_of_id4) == 10
     assert sorted(enumerate_roots(Permutation([2, 3, 1]), 2)) == [Permutation([3, 1, 2])]
     assert list(enumerate_roots(Permutation([2, 3, 4, 1]), 2)) == []
@@ -269,7 +273,7 @@ def test_empty_permutation_is_its_own_root():
 
 
 def test_enumeration_is_deterministic_and_lazy():
-    sigma = Permutation.identity(6)
+    sigma = identity(6)
     first = list(enumerate_roots(sigma, 2))
     second = list(enumerate_roots(sigma, 2))
     assert first == second
@@ -288,7 +292,7 @@ def test_every_emitted_root_powers_back():
 
 def test_brute_force_frozen_values():
     assert brute_force_roots(Permutation([2, 1]), 2) == []
-    assert brute_force_roots(Permutation.identity(2), 2) == [
+    assert brute_force_roots(identity(2), 2) == [
         Permutation([1, 2]),
         Permutation([2, 1]),
     ]
@@ -297,11 +301,11 @@ def test_brute_force_frozen_values():
 
 def test_brute_force_respects_its_bound():
     with pytest.raises(OracleSizeError):
-        brute_force_roots(Permutation.identity(9), 2)
+        brute_force_roots(identity(9), 2)
     # the bound is an argument, not ambient state
-    assert len(brute_force_roots(Permutation.identity(3), 2, max_n=3)) == 4
+    assert len(brute_force_roots(identity(3), 2, max_n=3)) == 4
     with pytest.raises(OracleSizeError):
-        brute_force_roots(Permutation.identity(4), 2, max_n=3)
+        brute_force_roots(identity(4), 2, max_n=3)
     message = r"^exhaustive scan over S_9 refused \(bound max_n=8\); pass a larger max_n$"
     with pytest.raises(OracleSizeError, match=message):
         brute_force_root_table(9, 2)
@@ -363,7 +367,7 @@ def test_oracle_equivalence_sampled_larger_degrees():
         (Permutation([2, 1, 4, 3, 6, 5, 7]), 2),        # 2^3 1
         (Permutation([2, 3, 1, 5, 6, 4, 8, 7]), 3),     # 3^2 2
         (Permutation([2, 3, 4, 1, 6, 5, 8, 7]), 2),     # 4 2^2
-        (Permutation.identity(7), 2),
+        (identity(7), 2),
     ]
     for sigma, m in samples:
         expected = brute_force_roots(sigma, m)
@@ -385,9 +389,9 @@ def _permutation_pairs(draw, max_n=5):
 @given(_permutation_pairs(), st.sampled_from([2, 3, 4]))
 def test_roots_transform_under_conjugation(pair, m):
     sigma, rho = pair
-    conjugate = rho * sigma * rho.inverse()
+    conjugate = compose(rho, compose(sigma, inverse(rho)))
     roots = set(enumerate_roots(sigma, m))
-    conjugated_roots = {rho * tau * rho.inverse() for tau in roots}
+    conjugated_roots = {compose(rho, compose(tau, inverse(rho))) for tau in roots}
     assert set(enumerate_roots(conjugate, m)) == conjugated_roots
     assert root_count(cycle_type(conjugate), m) == len(roots)
 
@@ -395,7 +399,7 @@ def test_roots_transform_under_conjugation(pair, m):
 def test_construction_depth_is_not_bounded_by_the_recursion_limit():
     # 2,400 fixed points under m = 2: the first solution vector pairs them
     # all, 1,200 bundles deep
-    sigma = Permutation.identity(2400)
+    sigma = identity(2400)
     first = next(enumerate_roots(sigma, 2))
     assert power(first, 2) == sigma
     assert first.image[:4] == (2, 1, 4, 3)
@@ -404,7 +408,7 @@ def test_construction_depth_is_not_bounded_by_the_recursion_limit():
     assert list(enumerate_roots(sigma, 1)) == [sigma]
     # 2,400 fixed points under m = 6: the first solution vector fuses them
     # all into 6-cycles, 400 bundle choices above 400 fusions
-    sigma = Permutation.identity(2400)
+    sigma = identity(2400)
     first = next(enumerate_roots(sigma, 6))
     assert power(first, 6) == sigma
     assert cycle_type(first) == CycleType((0,) * 5 + (400,) + (0,) * 2394)
@@ -520,21 +524,46 @@ def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
     assert all(roots == runs[0] for roots in runs)
 
 
-def test_streaming_memory_is_bounded_by_the_replay_cap():
-    """200,000 roots of 1^1 2^40 under m = 2.  The fixed point has one map,
-    so the first run of the 2-cycles never ends within them: it records up
-    to the cap, 2**20 // 80 maps of 80 points, and then drops the recording.
-    A recorded slot costs one 8-byte pointer, and each map's tuple header and
-    list slot about 0.6 bytes more per slot; without the cap the recording
-    grew to 137.7 MB over these roots."""
-    sigma = parse_cycle_type("1^1 2^40").canonical_permutation()
+def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
+    """1^1 2^2 3^2 under m = 2: the fixed point has one map, so the
+    2-cycles' level runs once and is streamed, not recorded.  The 2-cycles
+    have two maps, so the 3-cycles' level runs twice and is recorded."""
+    recorded = []
+    real = perm._replayed
+
+    def counted(maps, support, image, free):
+        recorded.append(len(support))
+        return real(maps, support, image, free)
+
+    monkeypatch.setattr(perm, "_replayed", counted)
+    sigma = parse_cycle_type("1^1 2^2 3^2").canonical_permutation()
+    assert len(list(enumerate_roots(sigma, 2))) == root_count(cycle_type(sigma), 2) == 8
+    assert recorded == [6]
+
+
+@pytest.mark.parametrize(
+    "text,count,recorded",
+    [("1^1 2^40", 200_000, False), ("1^2 2^40", 20_000, True)],
+    ids=["one-outer-map", "two-outer-maps"],
+)
+def test_streaming_memory_is_bounded_by_the_replay_cap(text, count, recorded):
+    """Stream roots of 2-cycles under m = 2 after one or two fixed points.
+    One fixed point has one map, so the 2-cycles' level runs once and is not
+    recorded: the stream stays under 1 MB.  Two fixed points have two maps,
+    so the first run of the 2-cycles, which never ends within these roots,
+    records up to the cap, 2**20 // 80 = 13,107 maps of 80 points, and then
+    drops the recording.  A recorded slot costs one 8-byte pointer, and each
+    map's tuple header and list slot about 0.6 bytes more per slot; without
+    the cap the recording grew to 137.7 MB over 200,000 roots."""
+    sigma = parse_cycle_type(text).canonical_permutation()
     roots = enumerate_roots(sigma, 2)
     tracemalloc.start()
     try:
-        for _ in itertools.islice(roots, 200_000):
+        for _ in itertools.islice(roots, count):
             pass
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 10 * perm._REPLAY_CAP + 2**20
     assert current < 2**20  # the stream is still open, and holds no recording
+    assert (peak >= 2**20) == recorded  # 2**20 slots of 8 bytes, or none

@@ -1,9 +1,14 @@
 """The names the package exports, pinned."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import permroots
 from permroots import CycleType, MultiSeries, Permutation, UniSeries, has_mth_root
+
+PACKAGE = Path(permroots.__file__).resolve().parent
 
 ANSWERS = [
     "CycleType",
@@ -32,25 +37,24 @@ ANSWERS = [
     "root_count",
     "root_probability",
 ]
+# Each runs in some command; a route that only the tests call lives in
+# tests/references.py instead.
 CHECK_ROUTES = [
     "MultiSeries",
     "UniSeries",
     "brute_force_root_table",
-    "brute_force_roots",
-    "exp_q",
-    "one_minus_xp_root",
-    "prime_power_block_series",
     "r_total_from_types",
     "r_total_series",
     "root_count_egf",
-    "root_count_from_egf",
 ]
 # No longer exported: each moved into the tests as a reference, became
 # private, or is spelled with another public name.
 REMOVED = [
     "GSet",
+    "brute_force_roots",
     "divisors",
     "epsilon_set",
+    "exp_q",
     "g_set",
     "generalized_binomial",
     "homogeneous_count",
@@ -58,7 +62,10 @@ REMOVED = [
     "multi_from_json",
     "multi_to_json",
     "nu_p",
+    "one_minus_xp_root",
+    "prime_power_block_series",
     "prime_root_count_egf",
+    "root_count_from_egf",
     "uni_from_json",
     "uni_to_json",
 ]
@@ -66,13 +73,66 @@ REMOVED = [
 
 def test_the_public_surface_is_pinned():
     assert sorted(permroots.__all__) == sorted(ANSWERS + CHECK_ROUTES)
-    assert len(permroots.__all__) == len(set(permroots.__all__)) == 36
+    assert len(permroots.__all__) == len(set(permroots.__all__)) == 31
     for name in permroots.__all__:
         assert getattr(permroots, name) is not None, name
     for name in REMOVED:
         assert not hasattr(permroots, name), name
         with pytest.raises(ImportError):
             exec(f"from permroots import {name}", {})
+
+
+def _uses(name: str, source: str) -> list[int]:
+    """The lines where source reads name, by a bare name or an attribute,
+    outside the function or class that defines it.  Imports, __all__
+    strings and annotations do not count: none of them runs the route."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            skipped.update(map(id, ast.walk(node)))
+        for annotation in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+            if annotation is not None:
+                skipped.update(map(id, ast.walk(annotation)))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in skipped
+        and (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+        )
+    )
+
+
+@pytest.mark.parametrize("name", CHECK_ROUTES)
+def test_every_check_route_runs_in_the_package(name):
+    uses = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _uses(name, path.read_text(encoding="utf-8"))
+    ]
+    assert uses, f"no package code runs {name}: move it to tests/references.py"
+
+
+USE_PROBE = """
+from .egf import route
+__all__ = ["route"]
+def route(n: route) -> route:
+    return route(n - 1) if n else 0
+def caller(series: route) -> "route":
+    return series
+"""
+
+
+def test_the_use_scan_counts_neither_definitions_nor_imports_nor_annotations():
+    assert _uses("route", USE_PROBE) == []
+    assert _uses("route", USE_PROBE + "value = route(3)\nother = egf.route\n") == [8, 9]
+
+
+def test_permutation_leaves_its_group_operations_to_the_tests():
+    for name in ("identity", "inverse", "__mul__", "cycle_string"):
+        assert not hasattr(Permutation, name), name
 
 
 # The methods each check-route series class defines: the algebra the routes in
@@ -83,13 +143,10 @@ SERIES_METHODS = {
         "__init__",
         "__setattr__",
         "__delattr__",
-        "one",
         "coefficient",
         "__mul__",
         "__eq__",
         "__repr__",
-        "substitute_scaled_power",
-        "partial_sums",
     },
     MultiSeries: {
         "__init__",
@@ -106,7 +163,17 @@ SERIES_METHODS = {
     },
 }
 REMOVED_SERIES_METHODS = {
-    UniSeries: ["zero", "monomial", "exp", "__add__", "__sub__", "__rmul__"],
+    UniSeries: [
+        "zero",
+        "monomial",
+        "one",
+        "exp",
+        "__add__",
+        "__sub__",
+        "__rmul__",
+        "substitute_scaled_power",
+        "partial_sums",
+    ],
     MultiSeries: ["zero", "monomial", "__rmul__"],
 }
 
@@ -123,12 +190,12 @@ def test_the_series_methods_are_pinned(cls):
         assert not hasattr(cls, name), name
     assert cls.__hash__ is None  # equal by value and immutable, but never a key
     with pytest.raises(TypeError):
-        2 * cls.one(3)
+        2 * cls(3)
 
 
 def test_uniseries_has_no_scalar_product():
     with pytest.raises(TypeError):
-        UniSeries.one(3) * 2
+        UniSeries(3, [1]) * 2
 
 
 def test_has_mth_root_takes_a_cycle_type_only():
