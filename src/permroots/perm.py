@@ -9,12 +9,15 @@ the root.  Each fusion is written straight from a chain of the g cycles,
 entry t of each going to entry t of the next, and the last closing back
 onto the first through a closing table, the anchor rotated per bundle.
 A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
-written as it is chosen, without a loop of its own.  The construction
-factors over cycle lengths as the count does, since the maps of each ell
-write only the points of the ell-cycles: the smallest ell's maps are
-streamed, and each larger ell's are built once and replayed when the
-smaller lengths have more than one map, within a fixed cap on what one
-call records.  Every constructed root is verified by re-powering before
+written as it is chosen, without a loop of its own.  A permutation is split
+into cycles once, on first use, and that split serves cycles(),
+cycle_type and enumerate_roots alike.  The construction factors over cycle
+lengths as the count does, since the maps of each ell write only the
+points of the ell-cycles.  A length whose admissible sizes are (1,) has
+one map, written once before the stream.  Of the others, the smallest
+ell's maps are streamed, and each larger ell's are built once and replayed
+for every map of the smaller ones, within a fixed cap on what one call
+records.  Every constructed root is verified by re-powering before
 it is emitted.  Powers are taken by repeated squaring, so that check
 costs O(n log m), and O(n**2) at most.  A root that passes it is a
 permutation of 1..n, so it is not validated a second time: every slot of
@@ -83,7 +86,7 @@ def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation."""
 
-    __slots__ = ("image",)
+    __slots__ = ("image", "_cycles")
 
     def __init__(self, image):
         image = tuple(image)
@@ -144,6 +147,15 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles (fixed points included), each rotated so its
         minimum comes first, listed in order of those minima."""
+        return list(self._split())
+
+    def _split(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles, split on first use and kept: every later call, and
+        cycle_type and enumerate_roots, reads the same tuple."""
+        try:
+            return self._cycles
+        except AttributeError:
+            pass
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -157,6 +169,7 @@ class Permutation:
                 cyc.append(x)
                 x = self.image[x - 1]
             out.append(tuple(cyc))
+        self._cycles = out = tuple(out)
         return out
 
 
@@ -175,6 +188,14 @@ class CycleType(FrozenRecord):
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ValueError(f"multiplicities must be nonnegative ints, got {a!r}")
         object.__setattr__(self, "a", a)
+
+    @classmethod
+    def _proved(cls, a: tuple[int, ...]) -> "CycleType":
+        """The CycleType of a vector already known to hold nonnegative int
+        counts, such as one counted from a split, built without checking it."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "a", a)
+        return t
 
     @property
     def n(self) -> int:
@@ -205,9 +226,9 @@ class CycleType(FrozenRecord):
 
 def cycle_type(sigma: Permutation) -> CycleType:
     a = [0] * sigma.degree
-    for cyc in sigma.cycles():
+    for cyc in sigma._split():
         a[len(cyc) - 1] += 1
-    return CycleType(tuple(a))
+    return CycleType._proved(tuple(a))
 
 
 def cycle_types(n: int):
@@ -422,31 +443,31 @@ def enumerate_roots(sigma: Permutation, m: int):
     ascending, solution vectors lexicographic, bundle partitions in
     anchored order, interleavings by companion order then rotation offset.
     The empty permutation is its own m-th root for every m.  sigma is split
-    into cycles once, and each ell's admissible sizes are found once per
-    call.  The maps of the smallest ell are streamed.  Those of each larger
-    ell are built once, with their values on its points recorded, and
-    written back for every later map of the smaller lengths, in the same
-    order.  A length is recorded only when the smaller lengths have more
-    than one map in all, that is, when one of them has admissible sizes
-    other than (1,); otherwise its maps run once and are streamed.  The
-    call records at most _REPLAY_CAP slots (a point in one map);
-    a length whose first run would pass that keeps no recording and is
-    built again per outer map, so memory stays O(n + _REPLAY_CAP) however
-    long the stream runs.  A root tau with tau**m == sigma is a permutation
-    of 1..n, so it is emitted without a second validation: each slot of tau
-    holds 0 (never written) or a value in 1..n, a 0 would leave a 0 in
-    tau**m, and a repeated value would make tau**m non-injective.  The
-    reduction of an m of more than 2n bits modulo lcm(1..n) keeps an
-    exponent of at least 1, so this holds for every m.
+    into cycles once per Permutation, and each ell's admissible sizes are
+    found once per call.  A length whose sizes are (1,) leaves each cycle a
+    cycle: its one map is written once, before the stream, and takes no
+    loop.  Of the other lengths, the smallest one's maps are streamed.
+    Those of each larger ell are built once, with their values on its
+    points recorded, and written back for every later map of the smaller
+    streamed lengths, in the same order.  The call records at most
+    _REPLAY_CAP slots (a point in one map); a length whose first run would
+    pass that keeps no recording and is built again per outer map, so
+    memory stays O(n + _REPLAY_CAP) however long the stream runs.  A root
+    tau with tau**m == sigma is a permutation of 1..n, so it is emitted
+    without a second validation: each slot of tau holds 0 (never written)
+    or a value in 1..n, a 0 would leave a 0 in tau**m, and a repeated value
+    would make tau**m non-injective.  The reduction of an m of more than
+    2n bits modulo lcm(1..n) keeps an exponent of at least 1, so this holds
+    for every m.
     """
     require_int(m, "m")
     by_len: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in sigma.cycles():
+    for cyc in sigma._split():
         by_len.setdefault(len(cyc), []).append(cyc)
     a = [0] * sigma.degree
     for ell, cycles in by_len.items():
         a[ell - 1] = len(cycles)
-    if not has_mth_root(CycleType(a), m):
+    if not has_mth_root(CycleType._proved(tuple(a)), m):
         return
     target = sigma.image
     # image[x] is the root's image of x; image[0] is padding.  Each root
@@ -454,20 +475,22 @@ def enumerate_roots(sigma: Permutation, m: int):
     image = [0] * (sigma.degree + 1)
     free = [_REPLAY_CAP]  # the slots this call may still record
     parts = []
-    replays = False  # whether the next length's level runs more than once
     for ell in sorted(by_len):
         cycles = by_len[ell]
         sizes = g_set_bounded(m, ell, len(cycles))
+        if sizes == (1,):  # each cycle stays a cycle: one map, written once here
+            for cyc in cycles:
+                _write_fusion(image, cyc, (), _closing(cyc, 1, ell, m))
+            continue
         maps = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image)
-        if replays:
+        # The smaller lengths have more than one map in all exactly when one
+        # of them is streamed, that is, has sizes other than (1,).  As a root
+        # exists, such sizes give two maps at least: two solution vectors
+        # when they hold 1 and some g <= a, else bundles of g > 1 cycles of
+        # length ell >= 2, each with (g-1)! * ell**(g-1) fusions.
+        if parts:
             maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, free)
         parts.append(maps)
-        # One map in all exactly when every length so far has sizes (1,),
-        # which leave each cycle as it is.  As a root exists, other sizes
-        # give two maps at least: two solution vectors when they hold 1
-        # and some g <= a, else bundles of g > 1 cycles of length ell >= 2,
-        # each with (g-1)! * ell**(g-1) fusions.
-        replays = replays or sizes != (1,)
     for _ in _nested(parts):
         root = tuple(image[1:])
         if _image_power(root, m) != target:

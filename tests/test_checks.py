@@ -158,6 +158,14 @@ else:
             "list(target.enumerate_roots("
             "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
         ),
+        (
+            # the 3-cycle's sizes are (1,) under m = 2: its one map is written
+            # before the stream, here as sigma itself, which squares to sigma**2
+            "permroots.perm",
+            "_closing",
+            "lambda anchor, g, ell, m: anchor",
+            "list(target.enumerate_roots(target.Permutation((2, 3, 1)), 2))",
+        ),
     ],
     ids=[
         "r_total",
@@ -168,6 +176,7 @@ else:
         "r_total_series_remainder",
         "oracle_table",
         "replay",
+        "one_map_part",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):

@@ -75,6 +75,28 @@ def test_cycles_are_canonical():
     assert sigma.cycles() == [(1, 3), (2, 4), (5,)]
 
 
+def test_the_kept_split_cannot_be_changed_through_cycles():
+    sigma = Permutation([2, 3, 1, 5, 4])
+    roots = list(enumerate_roots(sigma, 5))
+    listed = sigma.cycles()
+    listed.append((9,))
+    listed[0] = (1,)
+    assert sigma.cycles() == [(1, 2, 3), (4, 5)]
+    assert sigma.cycles() is not sigma.cycles()
+    assert cycle_type(sigma).a == (0, 1, 1, 0, 0)
+    assert list(enumerate_roots(sigma, 5)) == roots == [Permutation([3, 1, 2, 5, 4])]
+
+
+def test_counted_cycle_types_equal_validated_ones_on_s_0_to_s_6():
+    for n in range(7):
+        for image in itertools.permutations(range(1, n + 1)):
+            counted = cycle_type(Permutation(image))
+            validated = CycleType(counted.a)
+            assert type(counted) is CycleType
+            assert counted == validated and hash(counted) == hash(validated)
+            assert counted.n == n
+
+
 def test_group_operations():
     a = Permutation([2, 3, 1])
     assert compose(a, inverse(a)) == identity(3)

@@ -130,6 +130,12 @@ def test_the_use_scan_counts_neither_definitions_nor_imports_nor_annotations():
     assert _uses("route", USE_PROBE + "value = route(3)\nother = egf.route\n") == [8, 9]
 
 
+def test_the_unchecked_constructors_stay_private():
+    for cls in (Permutation, CycleType):
+        assert "_proved" in vars(cls), cls
+    assert not [name for name in permroots.__all__ if name.startswith("_")]
+
+
 def test_permutation_leaves_its_group_operations_to_the_tests():
     for name in ("identity", "inverse", "__mul__", "cycle_string"):
         assert not hasattr(Permutation, name), name
