@@ -17,20 +17,28 @@ when bracket(ell, m) does not divide a_ell.
 
 from __future__ import annotations
 
+import functools
 from math import factorial
 
 from ._checks import InternalCheckError, require_int
 from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
-from .perm import CycleType
+
+TYPE_CHECKING = False  # true for type checkers; spares importing typing at run time
+if TYPE_CHECKING:  # perm imports _length_factor, so CycleType is only an annotation here
+    from .perm import CycleType
 
 
+# typed: True or 2.0 must not read the entry for 1 or 2
+@functools.lru_cache(maxsize=256, typed=True)
 def _length_factor(ell: int, a: int, m: int) -> int:
     """The factor of root_count for a cycles of length ell: a! times the
     eps-sum, which is empty (so 0) when bracket(ell, m) does not divide a.
+    It is also the number of maps enumerate_roots builds on those cycles.
 
     Every term a! * ell**(sum (g-1)*e) / prod(g**e * e!) is an integer, so
-    each is one exact division, checked to leave no remainder.
+    each is one exact division, checked to leave no remainder.  Memoized in
+    a bounded cache, so a command's count and construction share each factor.
     """
     sizes = g_set_bounded(m, ell, a)
     top = factorial(a)

@@ -16,16 +16,16 @@ lengths as the count does, since the maps of each ell write only the
 points of the ell-cycles.  A length whose admissible sizes are (1,) has
 one map, written once before the stream.  Of the others, the smallest
 ell's maps are streamed, and each larger ell's are built once and replayed
-for every map of the smaller ones, within a fixed cap on what one call
-records.  Every constructed root is verified by re-powering before
-it is emitted.  Powers are taken by repeated squaring, so that check
-costs O(n log m), and O(n**2) at most.  A root that passes it is a
-permutation of 1..n, so it is not validated a second time: every slot of
-a built root holds 0 (never written) or a value in 1..n; a 0 stays 0
-under every power, a repeated value makes every power non-injective,
-unlike sigma, and the reduction of a huge m leaves an exponent of at
-least 1.  The oracle scans S_n once per (n, m) and buckets
-every permutation by its m-th power.
+for every map of the smaller ones if their number, the count's factor for
+ell, fits a fixed cap on what one call records, decided before the stream.
+Every constructed root is verified by re-powering before it is emitted.
+Powers are taken by repeated squaring, so that check costs O(n log m), and
+O(n**2) at most.  A root that passes it is a permutation of 1..n, so it is
+not validated a second time: every slot of a built root holds 0 (never
+written) or a value in 1..n; a 0 stays 0 under every power, a repeated
+value makes every power non-injective, unlike sigma, and the reduction of
+a huge m leaves an exponent of at least 1.  The oracle scans S_n once per
+(n, m) and buckets every permutation by its m-th power.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from ._checks import FrozenRecord, InternalCheckError, require_int
+from .counting import _length_factor
 from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
@@ -402,36 +403,25 @@ def _replay(image: list[int], support: tuple[int, ...], recording):
         yield
 
 
-def _replayed(maps, support: tuple[int, ...], image: list[int], free: list[int]):
-    """maps, an ell-part's maps that write only support, as a _nested level
-    that records its first complete run and replays it on every later call.
-
-    free[0] holds the slots the call may still record.  A first run that
-    would pass it drops what it recorded, returns those slots, and leaves
-    maps to be regenerated on every later call."""
+def _replayed(maps, support: tuple[int, ...], image: list[int], count: int):
+    """maps, an ell-part's count maps that write only support, as a _nested
+    level that records its first complete run and replays it on every later
+    call.  A first run of other than count maps raises InternalCheckError."""
     read = itemgetter(*support)  # an inner ell >= 2 gives 2 points at least, so a tuple
     recording: list[tuple[int, ...]] | None = None
-    regenerate = False
 
     def record():
-        nonlocal recording, regenerate
-        values: list[tuple[int, ...]] | None = []
+        nonlocal recording
+        values = []
         for _ in maps():
-            if values is not None:
-                if free[0] < len(support):  # past the cap: give its slots back
-                    free[0] += len(values) * len(support)
-                    values = None
-                else:
-                    free[0] -= len(support)
-                    values.append(read(image))
+            values.append(read(image))
             yield
+        if len(values) != count:
+            raise InternalCheckError(f"{len(values)} inner maps built where {count} were due")
         recording = values
-        regenerate = values is None
 
     def level():
-        if recording is not None:
-            return _replay(image, support, recording)
-        return maps() if regenerate else record()
+        return record() if recording is None else _replay(image, support, recording)
 
     return level
 
@@ -442,17 +432,16 @@ def enumerate_roots(sigma: Permutation, m: int):
     Streams lazily.  The order is deterministic: cycle lengths ell
     ascending, solution vectors lexicographic, bundle partitions in
     anchored order, interleavings by companion order then rotation offset.
-    The empty permutation is its own m-th root for every m.  sigma is split
-    into cycles once per Permutation, and each ell's admissible sizes are
-    found once per call.  A length whose sizes are (1,) leaves each cycle a
-    cycle: its one map is written once, before the stream, and takes no
-    loop.  Of the other lengths, the smallest one's maps are streamed.
-    Those of each larger ell are built once, with their values on its
-    points recorded, and written back for every later map of the smaller
-    streamed lengths, in the same order.  The call records at most
-    _REPLAY_CAP slots (a point in one map); a length whose first run would
-    pass that keeps no recording and is built again per outer map, so
-    memory stays O(n + _REPLAY_CAP) however long the stream runs.  A root
+    The empty permutation is its own m-th root for every m.  A length whose
+    sizes are (1,) leaves each cycle a cycle: its one map is written once,
+    before the stream.  Of the other lengths, the smallest one's maps are
+    streamed.  Each larger ell, in ascending order, takes its exact number
+    of maps from _length_factor before the stream.  If their slots (a point
+    in one map) fit what is left of _REPLAY_CAP, they are built once, with
+    their values on its points recorded, and written back in the same order
+    for every later map of the smaller lengths; if not, they are built
+    again per outer map.  So no recording is dropped, and memory stays
+    O(n + _REPLAY_CAP) however long the stream runs.  A root
     tau with tau**m == sigma is a permutation of 1..n, so it is emitted
     without a second validation: each slot of tau holds 0 (never written)
     or a value in 1..n, a 0 would leave a 0 in tau**m, and a repeated value
@@ -473,7 +462,7 @@ def enumerate_roots(sigma: Permutation, m: int):
     # image[x] is the root's image of x; image[0] is padding.  Each root
     # overwrites every other entry: the bundles cover sigma.
     image = [0] * (sigma.degree + 1)
-    free = [_REPLAY_CAP]  # the slots this call may still record
+    free = _REPLAY_CAP  # the slots this call may still record
     parts = []
     for ell in sorted(by_len):
         cycles = by_len[ell]
@@ -483,13 +472,15 @@ def enumerate_roots(sigma: Permutation, m: int):
                 _write_fusion(image, cyc, (), _closing(cyc, 1, ell, m))
             continue
         maps = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image)
-        # The smaller lengths have more than one map in all exactly when one
-        # of them is streamed, that is, has sizes other than (1,).  As a root
-        # exists, such sizes give two maps at least: two solution vectors
-        # when they hold 1 and some g <= a, else bundles of g > 1 cycles of
-        # length ell >= 2, each with (g-1)! * ell**(g-1) fusions.
+        # After a streamed length, which has two maps at least as a root
+        # exists (two solution vectors when its sizes hold 1 and some g <= a,
+        # else bundles of g > 1 cycles of length ell >= 2), this one reruns.
         if parts:
-            maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, free)
+            count = _length_factor(ell, len(cycles), m)
+            slots = count * ell * len(cycles)
+            if slots <= free:
+                free -= slots
+                maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, count)
         parts.append(maps)
     for _ in _nested(parts):
         root = tuple(image[1:])

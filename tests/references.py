@@ -256,10 +256,11 @@ def roots_under_replay_caps(sigma, m: int) -> dict[int, list]:
     """list(enumerate_roots(sigma, m)) for each of several replay caps: the
     default; 0, under which every inner cycle length's maps are regenerated
     for each map of the lengths before it, as before replay; and half, all
-    but one, and all of the slots the recorded lengths take when none passes
-    the cap, so that a first run crosses the cap partway or just fits.  A
-    length is recorded when the lengths before it have more than one map in
-    all, the product of their single-length root counts."""
+    but one, and all of the slots the recordable lengths take together, so
+    that some of them are left out for size, the last one only, or none.  A
+    length is recordable when the lengths before it have more than one map
+    in all, the product of their single-length root counts; it is recorded
+    when its own slots fit what the lengths before it left of the cap."""
     slots, outer_maps = 0, 1
     for ell, a in cycle_type(sigma).nonzero():
         maps = root_count(CycleType((0,) * (ell - 1) + (a,)), m)

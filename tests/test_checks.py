@@ -74,6 +74,17 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
     )
 
 
+# An inner cycle length whose maps lose their last one: the 3-cycles of
+# 1^6 3^2 under m = 4, recorded beneath the fixed points' maps.  The maps are
+# counted on a copy of the image, then that many less one are built.
+DROPPED_MAP = (
+    "(lambda real: lambda cycles, ell, m, sizes, image: "
+    "target.itertools.islice(real(cycles, ell, m, sizes, image), "
+    "sum(1 for _ in real(cycles, ell, m, sizes, list(image))) - (ell == 3)))"
+    "(target._ell_part_maps)"
+)
+
+
 # A replay of an inner cycle length's recorded maps that writes one wrong
 # value: the first replayed map sends its last point where its first goes, so
 # the first root built from it takes that value twice.
@@ -86,6 +97,7 @@ WRONG_REPLAY = (
 
 FAULT_PROBE = """
 import sys
+import permroots
 from permroots._checks import InternalCheckError
 import {module} as target
 if not sys.flags.optimize:
@@ -126,13 +138,13 @@ else:
             "permroots.counting",
             "bracket",
             "lambda ell, m: 1",
-            "target.root_count(target.CycleType((0, 1)), 2)",
+            "target.root_count(permroots.CycleType((0, 1)), 2)",
         ),
         (
             "permroots.counting",
             "factorial",
             "lambda k: 3",  # a! becomes 3: the eps-vector (0, 1) of 1^2 leaves 3 % 6
-            "target.root_count(target.CycleType((2,)), 2)",
+            "target.root_count(permroots.CycleType((2,)), 2)",
         ),
         (
             "permroots.egf",
@@ -159,6 +171,13 @@ else:
             "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
         ),
         (
+            "permroots.perm",
+            "_ell_part_maps",
+            DROPPED_MAP,
+            "list(target.enumerate_roots("
+            "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
+        ),
+        (
             # the 3-cycle's sizes are (1,) under m = 2: its one map is written
             # before the stream, here as sigma itself, which squares to sigma**2
             "permroots.perm",
@@ -176,6 +195,7 @@ else:
         "r_total_series_remainder",
         "oracle_table",
         "replay",
+        "dropped_inner_map",
         "one_map_part",
     ],
 )
@@ -241,6 +261,13 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             WRONG_REPLAY,
             ["roots", "--all", "-m", "4", "--type", "1^6 3^2"],
             "constructed root failed re-powering",
+        ),
+        (
+            "permroots.perm",
+            "_ell_part_maps",
+            DROPPED_MAP,
+            ["roots", "--all", "-m", "4", "--type", "1^6 3^2"],
+            "3 inner maps built where 4 were due",
         ),
         *(
             ("permroots.perm", "_write_fusion", fault, argv, "constructed root failed re-powering")

@@ -16,7 +16,7 @@ import pytest
 
 from permroots import cli, perm
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
-from permroots.counting import root_count
+from permroots.counting import _length_factor, root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
 from permroots.perm import (
     MAX_DEGREE,
@@ -387,6 +387,17 @@ def test_roots_limit_1_repowers_one_root_under_a_huge_m(capsys, monkeypatch):
     assert out.count("\n") == 1
     assert err.startswith("error: output truncated at --limit 1 of ")
     assert calls == [3000]
+
+
+def test_roots_computes_each_length_factor_once(capsys):
+    """The up-front count computes the factor of each of the two lengths, and
+    construction, which sizes the 2-cycles' replay by theirs, reads it back."""
+    _length_factor.cache_clear()
+    code, out, _ = run_cli(capsys, "roots", "-m", "720", "--type", "1^2 2^1440", "--limit", "1")
+    assert code == 4
+    assert out.count("\n") == 1
+    info = _length_factor.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def _skipping_first_root(real):

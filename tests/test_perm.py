@@ -508,15 +508,11 @@ def test_replayed_roots_equal_regenerated_roots_on_sampled_permutations(case):
         assert roots == regenerated, cap
 
 
-def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
-    """1^4 2^2 3^2 under m = 2: the fixed points have 10 maps, the 2-cycles 2
-    maps on 4 points and the 3-cycles 4 maps on 6 points.  The 2-cycles'
-    first map is recorded before the 3-cycles' first run, their second map
-    after it.  A cap of 28 slots holds 4 + 24 of them, so the 2-cycles drop
-    their recording at their second map and are built again for each
-    fixed-point map.  Under a cap of 16 the 3-cycles drop theirs at their
-    third map and give its 12 slots back, so the 2-cycles' second map fits."""
-    sigma = parse_cycle_type("1^4 2^2 3^2").canonical_permutation()
+def _builds_and_replays(monkeypatch, text, m, caps):
+    """For each cap, the roots of the canonical permutation of cycle type
+    text under m, with how often each cycle length's maps were built and
+    how often a recording on each number of points was replayed."""
+    sigma = parse_cycle_type(text).canonical_permutation()
     built, replayed = Counter(), Counter()  # by cycle length; by points written
     real_maps, real_replay = perm._ell_part_maps, perm._replay
 
@@ -531,19 +527,48 @@ def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
     monkeypatch.setattr(perm, "_ell_part_maps", counted_maps)
     monkeypatch.setattr(perm, "_replay", counted_replay)
     runs = []
-    for cap, builds, replays in [
-        (perm._REPLAY_CAP, {1: 1, 2: 1, 3: 1}, {4: 9, 6: 19}),
-        (28, {1: 1, 2: 10, 3: 1}, {6: 19}),
-        (16, {1: 1, 2: 1, 3: 20}, {4: 9}),
-        (0, {1: 1, 2: 10, 3: 20}, {}),
-    ]:
+    for cap in caps:
         built.clear()
         replayed.clear()
         monkeypatch.setattr(perm, "_REPLAY_CAP", cap)
-        runs.append(list(enumerate_roots(sigma, 2)))
-        assert (built, replayed) == (builds, replays), cap
-    assert len(runs[0]) == 80
-    assert all(roots == runs[0] for roots in runs)
+        runs.append((list(enumerate_roots(sigma, m)), dict(built), dict(replayed)))
+    return runs
+
+
+def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
+    """1^4 2^2 3^2 under m = 2: the fixed points have 10 maps, the 2-cycles 2
+    maps on 4 points (8 slots) and the 3-cycles 4 maps on 6 points (24
+    slots).  Both are recorded under the default cap.  Under a cap of 28 or
+    16 the 2-cycles' 8 slots fit, and the 3-cycles' 24 do not fit the 20 or
+    8 left, so the 3-cycles are built again for each of the 20 outer maps.
+    Under a cap of 0 nothing is recorded."""
+    expected = [
+        ({1: 1, 2: 1, 3: 1}, {4: 9, 6: 19}),
+        ({1: 1, 2: 1, 3: 20}, {4: 9}),
+        ({1: 1, 2: 1, 3: 20}, {4: 9}),
+        ({1: 1, 2: 10, 3: 20}, {}),
+    ]
+    runs = _builds_and_replays(monkeypatch, "1^4 2^2 3^2", 2, [perm._REPLAY_CAP, 28, 16, 0])
+    assert [(built, replayed) for _, built, replayed in runs] == expected
+    assert len(runs[0][0]) == 80
+    assert all(roots == runs[0][0] for roots, _, _ in runs)
+
+
+def test_a_later_smaller_length_is_recorded_after_a_skipped_one(monkeypatch):
+    """1^2 2^4 3^2 under m = 2: the fixed points have 2 maps, the 2-cycles
+    12 maps on 8 points (96 slots) and the 3-cycles 4 maps on 6 points (24
+    slots).  Under a cap of 50 the 2-cycles do not fit and are built again
+    for each fixed-point map, while the 3-cycles, later but smaller, still
+    fit and are replayed for the other 23 outer maps."""
+    expected = [
+        ({1: 1, 2: 1, 3: 1}, {8: 1, 6: 23}),
+        ({1: 1, 2: 2, 3: 1}, {6: 23}),
+        ({1: 1, 2: 2, 3: 24}, {}),
+    ]
+    runs = _builds_and_replays(monkeypatch, "1^2 2^4 3^2", 2, [perm._REPLAY_CAP, 50, 23])
+    assert [(built, replayed) for _, built, replayed in runs] == expected
+    assert len(runs[0][0]) == 96
+    assert all(roots == runs[0][0] for roots, _, _ in runs)
 
 
 def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
@@ -553,9 +578,9 @@ def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
     recorded = []
     real = perm._replayed
 
-    def counted(maps, support, image, free):
+    def counted(maps, support, image, count):
         recorded.append(len(support))
-        return real(maps, support, image, free)
+        return real(maps, support, image, count)
 
     monkeypatch.setattr(perm, "_replayed", counted)
     sigma = parse_cycle_type("1^1 2^2 3^2").canonical_permutation()
@@ -564,19 +589,17 @@ def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text,count,recorded",
-    [("1^1 2^40", 200_000, False), ("1^2 2^40", 20_000, True)],
+    "text,count",
+    [("1^1 2^40", 200_000), ("1^2 2^40", 20_000)],
     ids=["one-outer-map", "two-outer-maps"],
 )
-def test_streaming_memory_is_bounded_by_the_replay_cap(text, count, recorded):
+def test_streaming_memory_is_bounded_by_the_replay_cap(text, count):
     """Stream roots of 2-cycles under m = 2 after one or two fixed points.
     One fixed point has one map, so the 2-cycles' level runs once and is not
     recorded: the stream stays under 1 MB.  Two fixed points have two maps,
-    so the first run of the 2-cycles, which never ends within these roots,
-    records up to the cap, 2**20 // 80 = 13,107 maps of 80 points, and then
-    drops the recording.  A recorded slot costs one 8-byte pointer, and each
-    map's tuple header and list slot about 0.6 bytes more per slot; without
-    the cap the recording grew to 137.7 MB over 200,000 roots."""
+    so the 2-cycles' level runs twice, but their 39!! * 2**20 maps of 80
+    points are far past the cap, so they are built again per outer map and
+    nothing is recorded: the stream stays under 1 MB too."""
     sigma = parse_cycle_type(text).canonical_permutation()
     roots = enumerate_roots(sigma, 2)
     tracemalloc.start()
@@ -586,6 +609,5 @@ def test_streaming_memory_is_bounded_by_the_replay_cap(text, count, recorded):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * perm._REPLAY_CAP + 2**20
+    assert peak < 2**20  # no recording was ever taken
     assert current < 2**20  # the stream is still open, and holds no recording
-    assert (peak >= 2**20) == recorded  # 2**20 slots of 8 bytes, or none
