@@ -33,11 +33,11 @@ from fractions import Fraction
 from math import factorial
 
 from ._checks import InternalCheckError, require_int
-from .counting import root_count
+from .counting import _witness, root_count
 from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
 from .egf import _count_from_series, root_count_egf
 from .gsets import count_epsilons, g_set_bounded
-from .numtheory import bracket, is_prime
+from .numtheory import is_prime
 from .perm import (
     CycleType,
     DegreeCapError,
@@ -48,7 +48,6 @@ from .perm import (
     cycle_types,
     enumerate_roots,
     format_cycle_type,
-    has_mth_root,
     parse_cycle_type,
     parse_permutation,
 )
@@ -143,22 +142,12 @@ def _print_aligned(rows: list[dict], columns: list[str]) -> None:
         print("  ".join(str(row[col]).rjust(widths[col]) for col in columns))
 
 
-def _witness_rows(t: CycleType, m: int) -> list[dict]:
-    """Per-length divisibility witness: a root exists iff every row divides."""
-    return [
-        {"ell": ell, "a": count, "required": q, "divides": count % q == 0}
-        for ell, count in t.nonzero()
-        for q in [bracket(ell, m)]
-    ]
-
-
 def _cmd_exists(args) -> int:
     t = _resolve_cycle_type(args)
     m = require_int(args.m, "m")
-    rows = _witness_rows(t, m)
-    answer = has_mth_root(t, m)
-    if answer != all(row["divides"] for row in rows):
-        raise InternalCheckError(f"existence criterion and witness rows disagree for m={m}")
+    columns = ["ell", "a", "required", "divides"]
+    rows = [dict(zip(columns, row)) for row in _witness(t, m)]
+    answer = all(row["divides"] for row in rows)
     if args.format == "json":
         print(
             json.dumps(
@@ -175,8 +164,7 @@ def _cmd_exists(args) -> int:
         print("yes" if answer else "no")
         if rows:
             _print_aligned(
-                [{**row, "divides": "yes" if row["divides"] else "no"} for row in rows],
-                ["ell", "a", "required", "divides"],
+                [{**row, "divides": "yes" if row["divides"] else "no"} for row in rows], columns
             )
     return EXIT_OK
 

@@ -12,7 +12,8 @@ a_ell! relabelings, restored up front) times the (g-1)! * ell**(g-1)
 interleavings per bundle.  Arithmetic is exact integers throughout: each
 term a_ell! * ell**(...) / prod(...) is one exact division, checked to
 leave no remainder, and each per-ell factor is checked to be zero exactly
-when bracket(ell, m) does not divide a_ell.
+when bracket(ell, m) does not divide a_ell: the existence rule, which only
+_witness writes, for root_count, perm.has_mth_root and the CLI alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
 TYPE_CHECKING = False  # true for type checkers; spares importing typing at run time
-if TYPE_CHECKING:  # perm imports _length_factor, so CycleType is only an annotation here
+if TYPE_CHECKING:  # perm imports _length_factor and _witness: CycleType is only an annotation
     from .perm import CycleType
 
 
@@ -57,6 +58,15 @@ def _length_factor(ell: int, a: int, m: int) -> int:
     return total
 
 
+def _witness(t: CycleType, m: int):
+    """Yield (ell, a_ell, q = bracket(ell, m), whether q divides a_ell) per length
+    of t, ell increasing, once m is checked: a root exists iff every row divides."""
+    require_int(m, "m")
+    for ell, a in t.nonzero():
+        q = bracket(ell, m)
+        yield ell, a, q, a % q == 0
+
+
 def root_count(t: CycleType, m: int) -> int:
     """Number of m-th roots of any permutation with cycle type t.
 
@@ -65,13 +75,12 @@ def root_count(t: CycleType, m: int) -> int:
     fails; then only the first such ell's factor is computed.  m == 1
     always gives 1.
     """
-    require_int(m, "m")
-    lengths = [(ell, a, bracket(ell, m)) for ell, a in t.nonzero()]
-    blocked = [(ell, a, q) for ell, a, q in lengths if a % q]
+    rows = list(_witness(t, m))
+    blocked = [row for row in rows if not row[3]]
     total = 1
-    for ell, a, q in blocked[:1] or lengths:
+    for ell, a, q, _ in blocked[:1] or rows:
         factor = _length_factor(ell, a, m)
-        if (factor == 0) != (a % q != 0):
+        if (factor == 0) != bool(blocked):
             raise InternalCheckError(
                 f"factor {factor} for ell={ell}, a={a}, m={m} disagrees with "
                 f"divisibility by bracket {q}"

@@ -11,13 +11,15 @@ onto the first through a closing table, the anchor rotated per bundle.
 A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
 written as it is chosen, without a loop of its own.  A permutation is split
 into cycles once, on first use, and that split serves cycles(),
-cycle_type and enumerate_roots alike.  The construction factors over cycle
+cycle_type and enumerate_roots alike; enumerate_roots reads sigma's type
+through cycle_type to decide existence.  The construction factors over cycle
 lengths as the count does, since the maps of each ell write only the
 points of the ell-cycles.  A length whose admissible sizes are (1,) has
 one map, written once before the stream.  Of the others, the smallest
 ell's maps are streamed, and each larger ell's are built once and replayed
 for every map of the smaller ones if their number, the count's factor for
-ell, fits a fixed cap on what one call records, decided before the stream.
+ell, fits a fixed cap on what one call records, decided before the stream
+(from its solution vectors alone when even they pass the cap).
 Every constructed root is verified by re-powering before it is emitted.
 Powers are taken by repeated squaring, so that check costs O(n log m), and
 O(n**2) at most.  A root that passes it is a permutation of 1..n, so it is
@@ -36,9 +38,8 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from ._checks import FrozenRecord, InternalCheckError, require_int
-from .counting import _length_factor
-from .gsets import g_set_bounded, iter_epsilons
-from .numtheory import bracket
+from .counting import _length_factor, _witness
+from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 
 
 # Cycle-type text of a larger degree is refused before its vector is built.
@@ -263,11 +264,10 @@ def has_mth_root(t: CycleType, m: int) -> bool:
     """Whether permutations of cycle type t admit an m-th root.
 
     Criterion: bracket(ell, m) divides a_ell for every ell (Wilf,
-    "generatingfunctionology", 2nd ed., theorem 4.8.2).  t is a CycleType;
-    for a permutation sigma, pass cycle_type(sigma).
+    "generatingfunctionology", 2nd ed., theorem 4.8.2), as counting._witness
+    tests it.  t is a CycleType; for a permutation sigma, pass cycle_type(sigma).
     """
-    require_int(m, "m")
-    return all(count % bracket(ell, m) == 0 for ell, count in t.nonzero())
+    return all(row[3] for row in _witness(t, m))
 
 
 def _closing(anchor, g: int, ell: int, m: int):
@@ -432,16 +432,18 @@ def enumerate_roots(sigma: Permutation, m: int):
     Streams lazily.  The order is deterministic: cycle lengths ell
     ascending, solution vectors lexicographic, bundle partitions in
     anchored order, interleavings by companion order then rotation offset.
-    The empty permutation is its own m-th root for every m.  A length whose
+    The empty permutation is its own m-th root for every m, and sigma has
+    none unless has_mth_root(cycle_type(sigma), m).  A length whose
     sizes are (1,) leaves each cycle a cycle: its one map is written once,
     before the stream.  Of the other lengths, the smallest one's maps are
     streamed.  Each larger ell, in ascending order, takes its exact number
-    of maps from _length_factor before the stream.  If their slots (a point
-    in one map) fit what is left of _REPLAY_CAP, they are built once, with
-    their values on its points recorded, and written back in the same order
-    for every later map of the smaller lengths; if not, they are built
-    again per outer map.  So no recording is dropped, and memory stays
-    O(n + _REPLAY_CAP) however long the stream runs.  A root
+    of maps from _length_factor before the stream, unless its solution
+    vectors, a lower bound on that number, already need more slots (a point
+    in one map) than are left of _REPLAY_CAP.  If its slots fit, its maps
+    are built once, with their values on its points recorded, and written
+    back in the same order for every later map of the smaller lengths; if
+    not, they are built again per outer map.  So no recording is dropped,
+    and memory stays O(n + _REPLAY_CAP) however long the stream runs.  A root
     tau with tau**m == sigma is a permutation of 1..n, so it is emitted
     without a second validation: each slot of tau holds 0 (never written)
     or a value in 1..n, a 0 would leave a 0 in tau**m, and a repeated value
@@ -449,15 +451,11 @@ def enumerate_roots(sigma: Permutation, m: int):
     2n bits modulo lcm(1..n) keeps an exponent of at least 1, so this holds
     for every m.
     """
-    require_int(m, "m")
+    if not has_mth_root(cycle_type(sigma), m):
+        return
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for cyc in sigma._split():
         by_len.setdefault(len(cyc), []).append(cyc)
-    a = [0] * sigma.degree
-    for ell, cycles in by_len.items():
-        a[ell - 1] = len(cycles)
-    if not has_mth_root(CycleType._proved(tuple(a)), m):
-        return
     target = sigma.image
     # image[x] is the root's image of x; image[0] is padding.  Each root
     # overwrites every other entry: the bundles cover sigma.
@@ -475,11 +473,11 @@ def enumerate_roots(sigma: Permutation, m: int):
         # After a streamed length, which has two maps at least as a root
         # exists (two solution vectors when its sizes hold 1 and some g <= a,
         # else bundles of g > 1 cycles of length ell >= 2), this one reruns.
-        if parts:
+        points = ell * len(cycles)
+        if parts and count_epsilons(sizes, len(cycles)) * points <= free:
             count = _length_factor(ell, len(cycles), m)
-            slots = count * ell * len(cycles)
-            if slots <= free:
-                free -= slots
+            if count * points <= free:
+                free -= count * points
                 maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, count)
         parts.append(maps)
     for _ in _nested(parts):

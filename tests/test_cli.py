@@ -18,12 +18,16 @@ from permroots import cli, perm
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import _length_factor, root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
+from permroots.numtheory import bracket
 from permroots.perm import (
     MAX_DEGREE,
     Permutation,
     cycle_type,
+    cycle_types,
     enumerate_roots,
+    format_cycle_type,
     format_permutation,
+    has_mth_root,
     parse_cycle_type,
     parse_permutation,
     power,
@@ -159,6 +163,27 @@ def test_exists_json(capsys):
         "exists": True,
         "witness": [{"ell": 1, "a": 2, "required": 1, "divides": True}],
     }
+
+
+def test_exists_verdict_is_its_witness_rows_and_a_nonzero_count(capsys):
+    """Over every cycle type of S_0..S_9: the verdict says every witness row
+    divides, as has_mth_root does, and so does the eps-sum, an independent
+    route, by being nonzero; each row requires bracket(ell, m) cycles of
+    length ell."""
+    for n in range(10):
+        for t in cycle_types(n):
+            for m in [*range(1, 13), 24, 60, 360, 720]:
+                code, out, _ = run_cli(
+                    capsys, "exists", "-m", str(m), "--type", format_cycle_type(t), "--format", "json"
+                )
+                assert code == 0
+                payload = json.loads(out)
+                rows = payload["witness"]
+                assert payload["exists"] == all(row["divides"] for row in rows) == has_mth_root(t, m)
+                assert payload["exists"] == (root_count(t, m) > 0)
+                assert [(row["ell"], row["a"], row["required"]) for row in rows] == [
+                    (ell, a, bracket(ell, m)) for ell, a in t.nonzero()
+                ]
 
 
 def test_roots_streams_every_root(capsys):
@@ -390,14 +415,16 @@ def test_roots_limit_1_repowers_one_root_under_a_huge_m(capsys, monkeypatch):
 
 
 def test_roots_computes_each_length_factor_once(capsys):
-    """The up-front count computes the factor of each of the two lengths, and
-    construction, which sizes the 2-cycles' replay by theirs, reads it back."""
+    """The up-front count computes the factor of each of the two lengths once,
+    and construction asks for neither: the 2-cycles' 2,904 solution vectors
+    times their 2,880 points already pass the replay cap, so they are
+    regenerated without their factor."""
     _length_factor.cache_clear()
     code, out, _ = run_cli(capsys, "roots", "-m", "720", "--type", "1^2 2^1440", "--limit", "1")
     assert code == 4
     assert out.count("\n") == 1
     info = _length_factor.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    assert (info.misses, info.hits) == (2, 0)
 
 
 def _skipping_first_root(real):

@@ -271,6 +271,33 @@ def test_a_huge_exponent_at_degree_3000_is_powered_within_two_seconds():
     assert elapsed < 2
 
 
+_FIRST_ROOT = """\
+import json, time
+from permroots import enumerate_roots, parse_cycle_type
+sigma = parse_cycle_type("1^2 2^6000").canonical_permutation()
+start = time.perf_counter()
+tau = next(enumerate_roots(sigma, 720))
+print(json.dumps([time.perf_counter() - start, list(sigma.image), list(tau.image)]))
+"""
+
+
+def test_a_length_past_the_replay_cap_yields_a_first_root_without_its_count():
+    """The 6,000 2-cycles under m = 720 have more solution vectors than the
+    replay cap has room for at 12,000 points each, so construction streams
+    them without their eps-sum, which alone takes more than two minutes."""
+    result = subprocess.run(
+        [sys.executable, "-c", _FIRST_ROOT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    elapsed, image, root = json.loads(result.stdout)
+    assert power(Permutation(root), 720) == Permutation(image)
+    assert elapsed < 10
+
+
 def test_has_mth_root_frozen_values():
     assert has_mth_root(cycle_type(Permutation([2, 3, 4, 1])), 2) is False
     assert has_mth_root(CycleType((0, 2)), 2) is True
