@@ -12,7 +12,8 @@ a probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
 100,000 decimal digits is refused with exit 4 instead of printed, and a
 --type of degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4
 before it is built.
-Decimal columns are presentation only; all computation is exact.
+Decimal columns are presentation only, rounded half to even from the exact
+integer ratio; all computation is exact.
 
 The argument parser is built once, when this module is imported, so
 ``main(argv)`` may be called any number of times in one process and pays
@@ -29,8 +30,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from ._checks import InternalCheckError, require_int
 from .counting import _witness, root_count
@@ -125,9 +125,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _decimal_text(value: Fraction, places: int = 12) -> str:
-    """Fixed-point rendering of a nonnegative rational, presentation only."""
-    rounded = round(value * 10**places)
+def _decimal_text(num: int, den: int, places: int = 12) -> str:
+    """Fixed-point rendering of num / den >= 0, presentation only: rounded
+    half to even from the integer ratio, as round(Fraction) does."""
+    rounded, remainder = divmod(num * 10**places, den)
+    if 2 * remainder + (rounded & 1) > den:  # past the half, or at it with rounded odd
+        rounded += 1
     digits = f"{rounded:0{places + 1}d}"
     return f"{digits[:-places]}.{digits[-places:]}"
 
@@ -237,15 +240,16 @@ def _cmd_roots(args) -> int:
 def _table_rows(lo: int, hi: int, m: int) -> list[dict]:
     rows = []
     for n, count in enumerate(r_total_range(lo, hi, m), start=lo):
-        prob = Fraction(count, factorial(n))
+        n_factorial = factorial(n)
+        divisor = gcd(count, n_factorial)
         rows.append(
             {
                 "n": n,
                 "m": m,
                 "r_total": count,
-                "p_num": prob.numerator,
-                "p_den": prob.denominator,
-                "p_decimal": _decimal_text(prob),
+                "p_num": count // divisor,
+                "p_den": n_factorial // divisor,
+                "p_decimal": _decimal_text(count, n_factorial),
             }
         )
     return rows
@@ -291,6 +295,7 @@ def _cmd_prob(args) -> int:
     if is_prime(args.q) and args.r > 0:
         _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
+    all_equal = report.all_equal
     probabilities = [p for block in report.blocks for p in block.probabilities]
     with _answer_text(*(x for p in probabilities for x in (p.numerator, p.denominator))):
         if args.format == "json":
@@ -298,7 +303,7 @@ def _cmd_prob(args) -> int:
                 "q": report.q,
                 "r": report.r,
                 "m": report.m,
-                "all_equal": report.all_equal,
+                "all_equal": all_equal,
                 "blocks": [
                     {
                         "j": block.j,
@@ -318,8 +323,8 @@ def _cmd_prob(args) -> int:
                 probs = " ".join(f"{p.numerator}/{p.denominator}" for p in block.probabilities)
                 verdict = "equal" if block.equal else "UNEQUAL"
                 print(f"block j={block.j}  n={block.ns[0]}..{block.ns[-1]}  p: {probs}  [{verdict}]")
-            print(f"all blocks equal: {'yes' if report.all_equal else 'NO'}")
-    if not report.all_equal:
+            print(f"all blocks equal: {'yes' if all_equal else 'NO'}")
+    if not all_equal:
         print("error: a probability block failed its equality check", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK

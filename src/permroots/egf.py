@@ -20,18 +20,18 @@ where exp_q(y), the sum of y**(i*q) / (i*q)! over i, keeps every q-th
 term of exp (Wilf, "generatingfunctionology", 2nd ed., section 4.8).  The
 values r_total(lo..hi, m) are produced by one integer pass, a binomial
 (labelled) convolution of the factors, whose terms (k*ell)! / (ell**k * k!)
-count the permutations made of k ell-cycles.  The
-product series, expanded once to order hi, checks every value.  It is an
-ordinary (Cauchy) product of the same factors, each coefficient held as an
-integer scaled by hi!, so each product step is one exact division by hi!
-that must leave no remainder.  selftest and the tests also compare the
-values with r_total_from_types, the sum of class sizes over the cycle types
-passing the existence criterion.  For prime powers m = p**r the
-probabilities r_total(n, m) / n! are constant on blocks of p consecutive n,
-which check_prime_power_equalities verifies value by value in exact
-arithmetic.  The series proof of that constancy, r_total_series(p**r) ==
-G / (1 - x) with G supported on multiples of p, is checked by the tests
-(tests/references.py), not by any command.
+count the permutations made of k ell-cycles.  The product series, expanded
+once to order hi, checks each value by one integer division of n! times its
+coefficient, which must be exact.  It is an ordinary (Cauchy) product of
+the same factors, each coefficient held as an integer scaled by hi!, so
+each product step is one exact division by hi!.  selftest and the tests
+also compare the values with r_total_from_types, the sum of class sizes
+over the cycle types passing the existence criterion.  For prime powers
+m = p**r the probabilities r_total(n, m) / n! are constant on blocks of p
+consecutive n, which check_prime_power_equalities verifies value by value
+in exact arithmetic.  The series proof of that constancy,
+r_total_series(p**r) == G / (1 - x) with G supported on multiples of p, is
+checked by the tests (tests/references.py), not by any command.
 """
 
 from __future__ import annotations
@@ -148,10 +148,11 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
 
     Every value up to hi is checked against n! times the coefficient of
     r_total_series(m, hi), the Cauchy product scaled by hi!, expanded once
-    per call.  The two routes share their input, the moduli
-    bracket(ell, m), found once per call, but not their arithmetic: the
-    convolution does binomial sums of unscaled counts, the series divides
-    by hi! after each product step."""
+    per call, by one integer division per value with n! a running product:
+    it must be exact and give the convolution's value.  The two routes
+    share their input, the moduli bracket(ell, m), found once per call, but
+    not their arithmetic: the convolution does binomial sums of unscaled
+    counts, the series divides by hi! after each product step."""
     require_int(m, "m")
     require_int(lo, "lo", minimum=0)
     require_int(hi, "hi", minimum=0)
@@ -159,14 +160,17 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"hi must be at least lo={lo}, got {hi}")
     values = _r_total_convolution(hi, m)
     series = r_total_series(m, hi)
+    n_factorial = 1
     for n, value in enumerate(values):
-        by_series = series.coefficient(n) * factorial(n)
-        if by_series.denominator != 1:
+        n_factorial *= n or 1
+        coefficient = series.coefficient(n)
+        by_series, remainder = divmod(coefficient.numerator * n_factorial, coefficient.denominator)
+        if remainder:
             raise InternalCheckError(f"non-integer r_total at n={n}, m={m}")
-        if by_series.numerator != value:
+        if by_series != value:
             raise InternalCheckError(
                 f"convolution and series routes disagree at n={n}, m={m}: "
-                f"{value} vs {by_series.numerator}"
+                f"{value} vs {by_series}"
             )
     return tuple(values[lo:])
 
@@ -197,7 +201,9 @@ class ProbabilityBlock(FrozenRecord):
 
     @property
     def equal(self) -> bool:
-        return len(set(self.probabilities)) == 1
+        """Every probability equals the first; False for an empty block."""
+        probabilities = self.probabilities
+        return bool(probabilities) and probabilities.count(probabilities[0]) == len(probabilities)
 
 
 class EqualityReport(FrozenRecord):

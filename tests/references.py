@@ -5,7 +5,8 @@ constancy of root probabilities, the series algebra it needs, the EGF and
 brute-force root lookups for one permutation, the group operations, the
 interleaving the root construction once used, and the root construction
 run under other replay caps, down to 0, where it regenerates every map as
-it did before replay.  Each refuses arguments outside its domain, as the
+it did before replay, and the Fraction rendering of the CLI's decimal
+columns, which an integer rendering replaced.  Each refuses arguments outside its domain, as the
 package's own entry points do, so a reference never answers for an input it
 does not cover."""
 
@@ -109,6 +110,15 @@ def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
     for i in range(k):
         num *= alpha - i
     return num / factorial(k)
+
+
+def fraction_decimal_text(value: Fraction, places: int = 12) -> str:
+    """Fixed-point rendering of a nonnegative rational by Fraction rounding,
+    half to even: the rendering of table's p_decimal before it was computed
+    from the integer ratio."""
+    rounded = round(value * 10**places)
+    digits = f"{rounded:0{places + 1}d}"
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def one_minus_xp_root(p: int, order: int) -> UniSeries:

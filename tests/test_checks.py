@@ -135,6 +135,12 @@ else:
             "target.r_total_range(0, 5, 2)",
         ),
         (
+            "permroots.egf",
+            "r_total_series",
+            "lambda m, order: target.UniSeries(order, [1, target.Fraction(1, 3)])",
+            "target.r_total_range(0, 5, 2)",
+        ),
+        (
             "permroots.counting",
             "bracket",
             "lambda ell, m: 1",
@@ -190,6 +196,7 @@ else:
         "r_total",
         "enumerate_roots",
         "r_total_range",
+        "r_total_range_non_integer",
         "root_count",
         "length_factor_remainder",
         "r_total_series_remainder",
@@ -232,6 +239,13 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             "lambda m, order: target.UniSeries(order, [1])",
             ["table", "-m", "2", "--n", "0..5"],
             "convolution and series routes disagree",
+        ),
+        (
+            "permroots.egf",
+            "r_total_series",
+            "lambda m, order: target.UniSeries(order, [1, target.Fraction(1, 3)])",
+            ["table", "-m", "2", "--n", "0..5"],
+            "non-integer r_total at n=1, m=2",
         ),
         (
             "permroots.cli",

@@ -13,6 +13,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from permroots import cli, perm
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
@@ -32,7 +34,7 @@ from permroots.perm import (
     parse_permutation,
     power,
 )
-from references import identity, roots_under_replay_caps
+from references import fraction_decimal_text, identity, roots_under_replay_caps
 
 TABLE_M2_TEXT = """\
 n  m  r_total  p_num  p_den       p_decimal
@@ -647,6 +649,48 @@ def test_table_json(capsys):
             "p_decimal": "0.666666666667",
         }
     ]
+
+
+@st.composite
+def _ratios(draw):
+    """(num, den) with 0 <= num <= den, small denominators as well as long ones."""
+    den = draw(st.one_of(st.integers(1, 100), st.integers(1, 10**40)))
+    return draw(st.integers(0, den)), den
+
+
+@given(_ratios())
+@example((0, 1))
+@example((1, 1))
+@example((1, 3))
+@example((2, 3))
+@example((10**12 - 1, 10**12))
+def test_decimal_text_matches_the_fraction_rendering(ratio):
+    num, den = ratio
+    assert cli._decimal_text(num, den) == fraction_decimal_text(Fraction(num, den))
+
+
+@given(st.integers(0, 10**12 - 1), st.integers(1, 10**6))
+@example(0, 1)
+@example(1, 1)
+@example(10**12 - 1, 1)
+def test_decimal_text_rounds_exact_ties_half_to_even(k, scale):
+    # (2k+1) / (2 * 10**12) lies halfway between k and k+1 units of 10**-12
+    num, den = (2 * k + 1) * scale, 2 * 10**12 * scale
+    text = cli._decimal_text(num, den)
+    assert text == fraction_decimal_text(Fraction(num, den))
+    assert int(text.replace(".", "")) == k + k % 2  # the even neighbour
+
+
+@pytest.mark.parametrize("m", [2, 6, 720720])
+def test_table_rows_match_their_fraction_forms(capsys, m):
+    code, out, err = run_cli(capsys, "table", "-m", str(m), "--n", "0..200", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(range(201))
+    for row in rows:
+        p = Fraction(row["r_total"], factorial(row["n"]))
+        assert (row["p_num"], row["p_den"]) == (p.numerator, p.denominator)
+        assert row["p_decimal"] == fraction_decimal_text(p)
 
 
 def test_table_refuses_beyond_truncation_cap(capsys):

@@ -197,6 +197,26 @@ def test_probability_blocks_for_prime_powers():
             assert len(set(block.probabilities)) == 1
 
 
+@pytest.mark.parametrize(
+    "probabilities,equal",
+    [
+        ((), False),
+        ((Fraction(1, 2),), True),
+        ((Fraction(1, 2), Fraction(2, 4), Fraction(1, 2)), True),
+        ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)), False),
+        ((Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), False),
+    ],
+    ids=["empty", "one", "all_equal", "last_differs", "first_differs"],
+)
+def test_block_equality_and_the_report_verdict(probabilities, equal):
+    block = egf.ProbabilityBlock(0, tuple(range(len(probabilities))), probabilities)
+    assert block.equal is equal
+    good = egf.ProbabilityBlock(1, (2, 3), (Fraction(1, 2), Fraction(1, 2)))
+    assert egf.EqualityReport(2, 1, 2, (good, block)).all_equal is equal
+    assert egf.EqualityReport(2, 1, 2, (block,)).all_equal is equal
+    assert egf.EqualityReport(2, 1, 2, (good,)).all_equal is True
+
+
 def test_probability_blocks_reject_bad_arguments():
     with pytest.raises(ValueError):
         check_prime_power_equalities(4, 1, 3)
