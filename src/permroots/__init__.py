@@ -16,6 +16,7 @@ tests' references.  has_mth_root is the one solvability rule.
 """
 
 # Answers and their pieces.
+from ._checks import SizeCapError
 from .counting import root_count
 from .egf import EqualityReport, ProbabilityBlock, check_prime_power_equalities
 from .egf import r_total, r_total_range, root_probability
@@ -23,7 +24,6 @@ from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 from .numtheory import bracket, factorize, is_prime
 from .perm import (
     CycleType,
-    OracleSizeError,
     Permutation,
     cycle_type,
     cycle_types,
@@ -45,9 +45,9 @@ __all__ = [
     # answers
     "CycleType",
     "EqualityReport",
-    "OracleSizeError",
     "Permutation",
     "ProbabilityBlock",
+    "SizeCapError",
     "bracket",
     "check_prime_power_equalities",
     "count_epsilons",

@@ -1,14 +1,22 @@
-"""The integer-argument rule, the internal-check error and the base of the
+"""The integer-argument rule, the two error classes and the base of the
 immutable records, shared by every module.
 
-Cross-checks raise InternalCheckError rather than use ``assert``, so they
-also run under ``python -O``; as an AssertionError it still maps to exit 5.
+Each error the CLI reports has one class, and each class one exit code: a
+ValueError is bad input (exit 3), a SizeCapError a size-cap refusal (exit
+4), and an InternalCheckError a failed check (exit 5).  Cross-checks raise
+InternalCheckError rather than use ``assert``, so they also run under
+``python -O``; as an AssertionError it still maps to exit 5.
 """
 
 
 class InternalCheckError(AssertionError):
     """Two independent routes to an exact answer disagreed, or a computed
     value broke an invariant: a defect in the program, not in its input."""
+
+
+class SizeCapError(ValueError):
+    """A request within the rules that exceeds a size cap: it is refused
+    before the work or the output it would take."""
 
 
 def require_int(value, name: str, minimum: int = 1):

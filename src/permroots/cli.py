@@ -2,13 +2,14 @@
 
 Subcommands: exists, count, roots, table, prob (alias: verify), selftest.
 Exit codes: 0 success (a correct "no roots exist" answer is success),
-2 usage errors, 3 malformed inputs, 4 size-cap refusals, 5 internal-check
-failures, also under ``python -O``.  A reader that closes the output pipe
-early ends the command with exit 0 and no message.  Size caps (S_n scan
-bound, root stream limit, series truncation) are explicit flags with loud
-refusals, never silent clamps.  Two caps are fixed: an answer (a count, the
-total in the roots --limit message, r_total, p_num, p_den, prob's m = q**r,
-a probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
+2 usage errors, 3 malformed inputs (a ValueError), 4 size-cap refusals (a
+SizeCapError), 5 internal-check failures (an InternalCheckError), also
+under ``python -O``.  A reader that closes the output pipe early ends the
+command with exit 0 and no message.  Size caps (S_n scan bound, root
+stream limit, series truncation) are explicit flags with loud refusals,
+never silent clamps.  Two caps are fixed: an answer (a count, the total in
+the roots --limit message, r_total, p_num, p_den, prob's m = q**r, a
+probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
 100,000 decimal digits is refused with exit 4 instead of printed, and a
 --type of degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4
 before it is built.
@@ -24,7 +25,6 @@ import this module, so library users never build the parser.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -32,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from math import factorial, gcd
 
-from ._checks import InternalCheckError, require_int
+from ._checks import InternalCheckError, SizeCapError, require_int
 from .counting import _witness, root_count
 from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
 from .egf import _count_from_series, root_count_egf
@@ -40,8 +40,6 @@ from .gsets import count_epsilons, g_set_bounded
 from .numtheory import is_prime
 from .perm import (
     CycleType,
-    DegreeCapError,
-    OracleSizeError,
     Permutation,
     brute_force_root_table,
     cycle_type,
@@ -68,15 +66,11 @@ MAX_ANSWER_DIGITS = 100_000
 _ANSWER_BITS = MAX_ANSWER_DIGITS * 3_321_928 // 1_000_000
 
 
-class CapRefusal(Exception):
-    """A requested computation exceeds an explicit size cap."""
-
-
 def _refuse_long(*answers: int) -> None:
     """Refuse any answer of more than MAX_ANSWER_DIGITS decimal digits."""
     for value in answers:
         if value.bit_length() > _ANSWER_BITS and value >= 10**MAX_ANSWER_DIGITS:
-            raise CapRefusal(
+            raise SizeCapError(
                 f"the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
                 f"decimal digits; it is not printed"
             )
@@ -214,8 +208,7 @@ def _cmd_count(args) -> int:
 def _cmd_roots(args) -> int:
     sigma = _resolve_permutation(args)
     m = require_int(args.m, "m")
-    if args.limit < 1:
-        raise ValueError(f"--limit must be positive, got {args.limit}")
+    require_int(args.limit, "--limit")
     total = root_count(cycle_type(sigma), m)
     shown = total if args.all else min(total, args.limit)
     names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
@@ -258,37 +251,35 @@ def _table_rows(lo: int, hi: int, m: int) -> list[dict]:
 TABLE_COLUMNS = ["n", "m", "r_total", "p_num", "p_den", "p_decimal"]
 
 
+def _refuse_past_truncation(args, top: int, reach: str) -> None:
+    """Refuse a series expansion to degree top above --truncation-cap;
+    reach words the request for the message."""
+    cap = require_int(args.truncation_cap, "--truncation-cap", minimum=0)
+    if top > cap:
+        raise SizeCapError(f"{reach} the truncation cap {cap}; raise --truncation-cap explicitly")
+
+
 def _cmd_table(args) -> int:
     m = require_int(args.m, "m")
     lo, hi = _parse_range(args.n)
-    if hi > args.truncation_cap:
-        raise CapRefusal(
-            f"degree {hi} exceeds the truncation cap {args.truncation_cap}; "
-            f"raise --truncation-cap explicitly"
-        )
+    _refuse_past_truncation(args, hi, f"degree {hi} exceeds")
     rows = _table_rows(lo, hi, m)
     with _answer_text(*(row[col] for row in rows for col in ("r_total", "p_num", "p_den"))):
         if args.format == "json":
             print(json.dumps(rows, sort_keys=True))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(TABLE_COLUMNS)
+        elif args.format == "csv":  # no value holds a comma or a quote
+            print(",".join(TABLE_COLUMNS))
             for row in rows:
-                writer.writerow([row[col] for col in TABLE_COLUMNS])
+                print(",".join(str(row[col]) for col in TABLE_COLUMNS))
         else:
             _print_aligned(rows, TABLE_COLUMNS)
     return EXIT_OK
 
 
 def _cmd_prob(args) -> int:
-    if args.blocks < 1:
-        raise ValueError(f"--blocks must be positive, got {args.blocks}")
-    top = args.blocks * args.q - 1
-    if top > args.truncation_cap:
-        raise CapRefusal(
-            f"{args.blocks} blocks reach degree {top}, above the truncation cap "
-            f"{args.truncation_cap}; raise --truncation-cap explicitly"
-        )
+    blocks = require_int(args.blocks, "--blocks")
+    top = blocks * args.q - 1
+    _refuse_past_truncation(args, top, f"{blocks} blocks reach degree {top}, above")
     # m = q**r is printed too: for a prime q and a positive r (any other is
     # exit 3, from check_prime_power_equalities) a too-long m is refused before
     # any work, and q**r is not formed past q**(_ANSWER_BITS + 1)
@@ -331,26 +322,24 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    max_n = args.max_n
     try:
         ms = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
     except ValueError:
         ms = []
     if not ms or any(m < 1 for m in ms):
         raise ValueError(f"bad -m list {args.m_values!r}")
-    if max_n < 0:
-        raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
-    if max_n > args.oracle_bound:
-        raise CapRefusal(
-            f"--max-n {max_n} exceeds the oracle bound {args.oracle_bound}; "
-            f"raise --oracle-bound explicitly"
+    max_n = require_int(args.max_n, "--max-n", minimum=0)
+    bound = require_int(args.oracle_bound, "--oracle-bound", minimum=0)
+    if max_n > bound:
+        raise SizeCapError(
+            f"--max-n {max_n} exceeds the oracle bound {bound}; raise --oracle-bound explicitly"
         )
 
     counted: dict[tuple[tuple[int, ...], int], int] = {}  # root_count per (type vector, m)
     for m in ms:
         for n in range(max_n + 1):
             # one scan of S_n per (n, m): every permutation bucketed by its m-th power
-            table = brute_force_root_table(n, m, max_n=args.oracle_bound)
+            table = brute_force_root_table(n, m, max_n=bound)
             for image in itertools.permutations(range(1, n + 1)):
                 sigma = Permutation._proved(image)
                 expected = table.get(image, [])
@@ -403,10 +392,23 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-def _add_input_group(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
+def _add_query(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A command on one permutation: -m, and --perm or --type."""
+    query = sub.add_parser(name, help=summary)
+    query.add_argument("-m", type=int, required=True, help="root degree")
+    group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("--perm", help='permutation in one-line notation, e.g. "2 3 1"')
     group.add_argument("--type", help='cycle type, e.g. "1^2 3" for two fixed points and a 3-cycle')
+    return query
+
+
+def _add_truncation_cap(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--truncation-cap",
+        type=int,
+        default=DEFAULT_TRUNCATION_CAP,
+        help=f"largest degree the series may be expanded to (default {DEFAULT_TRUNCATION_CAP})",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,30 +421,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exists = sub.add_parser("exists", help="decide whether an m-th root exists")
-    p_exists.add_argument("-m", type=int, required=True, help="root degree")
-    _add_input_group(p_exists)
+    p_exists = _add_query(sub, "exists", "decide whether an m-th root exists")
     p_exists.add_argument("--format", choices=["text", "json"], default="text")
     p_exists.set_defaults(func=_cmd_exists)
 
-    p_count = sub.add_parser("count", help="exact number of m-th roots")
-    p_count.add_argument("-m", type=int, required=True, help="root degree")
-    _add_input_group(p_count)
+    p_count = _add_query(sub, "count", "exact number of m-th roots")
     p_count.add_argument("--format", choices=["text", "json"], default="text")
     p_count.add_argument(
         "-v",
         "--verbose",
-        action="count",
-        default=0,
+        action="store_true",
         help="also print the per-length breakdown (admissible g, solution counts)",
     )
     p_count.set_defaults(func=_cmd_count)
 
-    p_roots = sub.add_parser(
-        "roots", help="stream all m-th roots in one-line notation"
-    )
-    p_roots.add_argument("-m", type=int, required=True, help="root degree")
-    _add_input_group(p_roots)
+    p_roots = _add_query(sub, "roots", "stream all m-th roots in one-line notation")
     p_roots.add_argument(
         "--limit",
         type=int,
@@ -460,12 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("-m", type=int, required=True, help="root degree")
     p_table.add_argument("--n", required=True, help='degree range "A..B" (or one degree)')
     p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p_table.add_argument(
-        "--truncation-cap",
-        type=int,
-        default=DEFAULT_TRUNCATION_CAP,
-        help=f"largest degree the series may be expanded to (default {DEFAULT_TRUNCATION_CAP})",
-    )
+    _add_truncation_cap(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     p_prob = sub.add_parser(
@@ -479,12 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--blocks", type=int, default=8, help="number of blocks to verify (default 8)"
     )
     p_prob.add_argument("--format", choices=["text", "json"], default="text")
-    p_prob.add_argument(
-        "--truncation-cap",
-        type=int,
-        default=DEFAULT_TRUNCATION_CAP,
-        help=f"largest degree the series may be expanded to (default {DEFAULT_TRUNCATION_CAP})",
-    )
+    _add_truncation_cap(p_prob)
     p_prob.set_defaults(func=_cmd_prob)
 
     p_self = sub.add_parser(
@@ -531,7 +514,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (CapRefusal, DegreeCapError, OracleSizeError) as exc:
+    except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except ValueError as exc:

@@ -37,21 +37,13 @@ import itertools
 from math import factorial, lcm
 from operator import itemgetter
 
-from ._checks import FrozenRecord, InternalCheckError, require_int
+from ._checks import FrozenRecord, InternalCheckError, SizeCapError, require_int
 from .counting import _length_factor, _witness
 from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 
 
 # Cycle-type text of a larger degree is refused before its vector is built.
 MAX_DEGREE = 1_000_000
-
-
-class OracleSizeError(ValueError):
-    """Raised when the exhaustive S_n scan is asked to exceed its bound."""
-
-
-class DegreeCapError(ValueError):
-    """Raised when cycle-type text names a degree above MAX_DEGREE."""
 
 
 @functools.lru_cache(maxsize=16)
@@ -501,7 +493,7 @@ def brute_force_root_table(
     require_int(m, "m")
     require_int(max_n, "max_n", minimum=0)
     if n > max_n:
-        raise OracleSizeError(
+        raise SizeCapError(
             f"exhaustive scan over S_{n} refused (bound max_n={max_n}); pass a larger max_n"
         )
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -526,7 +518,7 @@ def format_permutation(sigma: Permutation) -> str:
 def parse_cycle_type(text: str) -> CycleType:
     """Cycle-type text: tokens "ell^count" (or bare "ell" for count 1),
     lengths with zero multiplicity omitted: "1^2 3" is a=(2, 0, 1).
-    A degree above MAX_DEGREE raises DegreeCapError."""
+    A degree above MAX_DEGREE raises SizeCapError."""
     counts: dict[int, int] = {}
     for token in text.split():
         ell_str, sep, count_str = token.partition("^")
@@ -542,7 +534,7 @@ def parse_cycle_type(text: str) -> CycleType:
         counts[ell] = count
     n = sum(ell * count for ell, count in counts.items())
     if n > MAX_DEGREE:
-        raise DegreeCapError(f"cycle type {text!r} has degree above MAX_DEGREE = {MAX_DEGREE}")
+        raise SizeCapError(f"cycle type {text!r} has degree above MAX_DEGREE = {MAX_DEGREE}")
     a = [0] * n
     for ell, count in counts.items():
         a[ell - 1] = count

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from permroots import cli, perm
+from permroots import SizeCapError, cli, perm
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import _length_factor, root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
@@ -551,7 +551,7 @@ def test_the_digits_cap_is_exact():
     with cli._answer_text(0, largest):
         assert len(str(largest)) == MAX_ANSWER_DIGITS
     assert sys.get_int_max_str_digits() == limit
-    with pytest.raises(cli.CapRefusal, match="MAX_ANSWER_DIGITS = 100000"):
+    with pytest.raises(SizeCapError, match="MAX_ANSWER_DIGITS = 100000"):
         with cli._answer_text(1, largest + 1):
             pass
 

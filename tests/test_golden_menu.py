@@ -1,9 +1,12 @@
-"""Golden bytes for every r(., m) command: table and prob (alias verify).
+"""Golden bytes for the whole CLI: every r(., m) command (table and prob,
+alias verify), exists, count, roots and selftest, and each size-cap refusal
+(exit 4) and bad input (exit 3) the commands report.
 
 Each entry of tests/golden/rmenu/index.json holds one argv, the file with
 its stdout, its stderr and its exit code; the test runs each argv through
-cli.main in-process and compares all three byte for byte.  The files were
-written by this module's __main__ block,
+cli.main in-process and compares all three byte for byte.  Usage errors and
+--help are left out: argparse words them differently across Python
+versions.  The files were written by this module's __main__ block,
 
     PYTHONPATH=src python tests/test_golden_menu.py
 
@@ -37,6 +40,42 @@ def _menu():
             for command in ("prob", "verify"):  # one alias, one output
                 argv = [command, "-q", str(q), "-r", str(r), "--blocks", str(blocks)]
                 yield [*argv, "--format", fmt], name
+    for fmt in ("text", "json"):
+        argv = ["exists", "-m", "4", "--perm", "2 1 4 3 5", "--format", fmt]
+        yield argv, f"exists-m4.{EXTENSIONS[fmt]}"
+    for flags, name in (
+        ([], "count-m2.txt"),
+        (["--format", "json"], "count-m2.json"),
+        (["-v"], "count-m2-v.txt"),
+        (["-vv"], "count-m2-v.txt"),  # -vv prints what -v prints
+        (["-v", "--format", "json"], "count-m2-v.json"),
+    ):
+        yield ["count", "-m", "2", "--type", "1^4", *flags], name
+    yield ["count", "-m", "12", "--type", "1^36 2^16", "-v"], "count-m12-v.txt"
+    yield ["roots", "-m", "2", "--type", "1^6", "--limit", "5"], "roots-m2-limit5.txt"
+    # no cube root: a lone 3-cycle needs two more to fuse with
+    yield ["roots", "--all", "-m", "3", "--type", "1^3 3^1"], "empty.txt"
+    yield ["selftest", "--max-n", "4", "-m", "2,3"], "selftest-n4.txt"
+    refusals = (
+        # exit 4: a size cap
+        ["count", "-m", "2", "--type", "1^1000001"],
+        ["selftest", "--max-n", "9"],
+        ["table", "-m", "2", "--n", "0..201"],
+        ["prob", "-q", "2", "--blocks", "200"],
+        ["count", "-m", "25219", "--type", "1^25219"],
+        ["prob", "-q", "2", "-r", "10000000"],
+        # exit 3: bad input
+        ["roots", "-m", "2", "--type", "1^3", "--limit", "0"],
+        ["prob", "-q", "2", "--blocks", "0"],
+        ["selftest", "--max-n", "-1"],
+        ["selftest", "-m", "2,x"],
+        ["count", "-m", "0", "--type", "1^2"],
+        ["count", "-m", "2", "--type", "1^2 1^3"],
+        ["table", "-m", "2", "--n", "0..5", "--truncation-cap", "-1"],
+        ["selftest", "--max-n", "2", "--oracle-bound", "-1"],
+    )
+    for argv in refusals:  # nothing reaches stdout
+        yield argv, "empty.txt"
 
 
 def _run(argv):

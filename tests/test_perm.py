@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from permroots import (
     CycleType,
-    OracleSizeError,
     Permutation,
+    SizeCapError,
     brute_force_root_table,
     cycle_type,
     cycle_types,
@@ -349,17 +349,17 @@ def test_brute_force_frozen_values():
 
 
 def test_brute_force_respects_its_bound():
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(SizeCapError):
         brute_force_roots(identity(9), 2)
     # the bound is an argument, not ambient state
     assert len(brute_force_roots(identity(3), 2, max_n=3)) == 4
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(SizeCapError):
         brute_force_roots(identity(4), 2, max_n=3)
     message = r"^exhaustive scan over S_9 refused \(bound max_n=8\); pass a larger max_n$"
-    with pytest.raises(OracleSizeError, match=message):
+    with pytest.raises(SizeCapError, match=message):
         brute_force_root_table(9, 2)
     assert len(brute_force_root_table(3, 2, max_n=3)) == 3  # the identity and two 3-cycles
-    with pytest.raises(OracleSizeError, match=r"S_4 refused \(bound max_n=3\)"):
+    with pytest.raises(SizeCapError, match=r"S_4 refused \(bound max_n=3\)"):
         brute_force_root_table(4, 2, max_n=3)
 
 

@@ -1,21 +1,31 @@
 """The names the package exports, pinned."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import permroots
-from permroots import CycleType, MultiSeries, Permutation, UniSeries, has_mth_root
+from permroots import (
+    CycleType,
+    MultiSeries,
+    Permutation,
+    SizeCapError,
+    UniSeries,
+    brute_force_root_table,
+    has_mth_root,
+    parse_cycle_type,
+)
 
 PACKAGE = Path(permroots.__file__).resolve().parent
 
 ANSWERS = [
     "CycleType",
     "EqualityReport",
-    "OracleSizeError",
     "Permutation",
     "ProbabilityBlock",
+    "SizeCapError",
     "bracket",
     "check_prime_power_equalities",
     "count_epsilons",
@@ -51,6 +61,7 @@ CHECK_ROUTES = [
 # private, or is spelled with another public name.
 REMOVED = [
     "GSet",
+    "OracleSizeError",
     "brute_force_roots",
     "divisors",
     "epsilon_set",
@@ -208,3 +219,24 @@ def test_has_mth_root_takes_a_cycle_type_only():
     assert has_mth_root(CycleType((0, 1)), 3) is True
     with pytest.raises(AttributeError):
         has_mth_root(Permutation([2, 1]), 3)
+
+
+def test_the_package_has_one_exception_class_per_exit_code():
+    # exit 3 is a plain ValueError; 4 and 5 have a class each
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"permroots.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)  # every class is defined at module level
+                if issubclass(cls, BaseException):
+                    found.append(node.name)
+    assert sorted(found) == ["InternalCheckError", "SizeCapError"]
+    assert issubclass(SizeCapError, ValueError)
+
+
+def test_the_size_caps_raise_size_cap_error():
+    with pytest.raises(SizeCapError, match="above MAX_DEGREE = 1000000"):
+        parse_cycle_type("1^1000001")
+    with pytest.raises(SizeCapError, match=r"S_9 refused \(bound max_n=8\)"):
+        brute_force_root_table(9, 2)
