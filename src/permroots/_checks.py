@@ -1,11 +1,13 @@
-"""The integer-argument rule, the two error classes and the base of the
-immutable records, shared by every module.
+"""The integer-argument rule, the two error classes, and the refusal to
+rebind and the record base that keep returned values immutable, for every module.
 
 Each error the CLI reports has one class, and each class one exit code: a
 ValueError is bad input (exit 3), a SizeCapError a size-cap refusal (exit
 4), and an InternalCheckError a failed check (exit 5).  Cross-checks raise
 InternalCheckError rather than use ``assert``, so they also run under
-``python -O``; as an AssertionError it still maps to exit 5.
+``python -O``; as an AssertionError it still maps to exit 5.  Every value
+the library returns, Permutation and each FrozenRecord, refuses rebinding
+through refuse_rebinding.
 """
 
 
@@ -29,20 +31,26 @@ def require_int(value, name: str, minimum: int = 1):
 
 
 def refuse_rebinding(self, name, value=None):
-    """__setattr__ and __delattr__ of an immutable __slots__ class: its
-    __init__ binds each slot once through object.__setattr__."""
+    """__setattr__ and __delattr__ of an immutable __slots__ class, which
+    binds each slot once through object.__setattr__ or the slot's __set__."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot rebind {name!r}")
 
 
 class FrozenRecord:
     """Base of the immutable records, in place of a frozen dataclass, whose
     module would import inspect and ast with it.  A subclass lists its
-    fields as __slots__ and binds each once in __init__; a record is then
-    equal to another of its class, and hashed, by the tuple of its fields,
-    and shown as Name(field=value, ...)."""
+    fields as __slots__, and __init__ binds its values to them in order; a
+    record is then equal to another of its class, and hashed, by the tuple
+    of its fields, and shown as Name(field=value, ...)."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = refuse_rebinding
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {self.__slots__}, got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

@@ -35,9 +35,8 @@ from math import factorial, gcd
 from ._checks import InternalCheckError, SizeCapError, require_int
 from .counting import _witness, root_count
 from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
-from .egf import _count_from_series, root_count_egf
+from .egf import _count_from_series, _require_prime_power, root_count_egf
 from .gsets import count_epsilons, g_set_bounded
-from .numtheory import is_prime
 from .perm import (
     CycleType,
     Permutation,
@@ -140,23 +139,14 @@ def _print_aligned(rows: list[dict], columns: list[str]) -> None:
 
 
 def _cmd_exists(args) -> int:
-    t = _resolve_cycle_type(args)
     m = require_int(args.m, "m")
+    t = _resolve_cycle_type(args)
     columns = ["ell", "a", "required", "divides"]
     rows = [dict(zip(columns, row)) for row in _witness(t, m)]
     answer = all(row["divides"] for row in rows)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "m": m,
-                    "cycle_type": format_cycle_type(t),
-                    "exists": answer,
-                    "witness": rows,
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {"m": m, "cycle_type": format_cycle_type(t), "exists": answer, "witness": rows}
+        print(json.dumps(payload, sort_keys=True))
     else:
         print("yes" if answer else "no")
         if rows:
@@ -183,8 +173,8 @@ def _count_detail(t: CycleType, m: int) -> list[dict]:
 
 
 def _cmd_count(args) -> int:
-    t = _resolve_cycle_type(args)
     m = require_int(args.m, "m")
+    t = _resolve_cycle_type(args)
     value = root_count(t, m)
     detail = _count_detail(t, m) if args.verbose else None
     with _answer_text(value, *(row["solutions"] for row in detail or ())):
@@ -206,9 +196,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    sigma = _resolve_permutation(args)
     m = require_int(args.m, "m")
     require_int(args.limit, "--limit")
+    sigma = _resolve_permutation(args)
     total = root_count(cycle_type(sigma), m)
     shown = total if args.all else min(total, args.limit)
     names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
@@ -277,14 +267,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_prob(args) -> int:
+    # q and r before the caps, but a q past the truncation cap meets it untested:
+    # deciding that q is prime takes up to sqrt(q) divisions
+    if args.q <= require_int(args.truncation_cap, "--truncation-cap", minimum=0) + 1:
+        _require_prime_power(args.q, args.r)
+    else:
+        require_int(args.r, "r")
     blocks = require_int(args.blocks, "--blocks")
     top = blocks * args.q - 1
     _refuse_past_truncation(args, top, f"{blocks} blocks reach degree {top}, above")
-    # m = q**r is printed too: for a prime q and a positive r (any other is
-    # exit 3, from check_prime_power_equalities) a too-long m is refused before
-    # any work, and q**r is not formed past q**(_ANSWER_BITS + 1)
-    if is_prime(args.q) and args.r > 0:
-        _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
+    # m = q**r is printed too; q**(_ANSWER_BITS + 1) already passes the digits cap
+    _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
     all_equal = report.all_equal
     probabilities = [p for block in report.blocks for p in block.probabilities]

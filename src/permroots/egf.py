@@ -190,14 +190,9 @@ def root_probability(n: int, m: int) -> Fraction:
 
 
 class ProbabilityBlock(FrozenRecord):
-    """One run of q consecutive degrees and their root probabilities."""
+    """Block j: the run ns of q consecutive degrees and their root probabilities."""
 
     __slots__ = ("j", "ns", "probabilities")
-
-    def __init__(self, j: int, ns: tuple[int, ...], probabilities: tuple[Fraction, ...]):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "probabilities", probabilities)
 
     @property
     def equal(self) -> bool:
@@ -209,24 +204,23 @@ class ProbabilityBlock(FrozenRecord):
 class EqualityReport(FrozenRecord):
     __slots__ = ("q", "r", "m", "blocks")
 
-    def __init__(self, q: int, r: int, m: int, blocks: tuple[ProbabilityBlock, ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-
     @property
     def all_equal(self) -> bool:
         return all(block.equal for block in self.blocks)
+
+
+def _require_prime_power(q: int, r: int) -> None:
+    """Refuse a q that is not prime or an r that is not positive, as m = q**r needs."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q!r}")
+    require_int(r, "r")
 
 
 def check_prime_power_equalities(q: int, r: int, blocks: int) -> EqualityReport:
     """For m = q**r with q prime, the root probability is the same at
     n = jq, jq+1, ..., jq+q-1.  Verify blocks j = 0..blocks-1 by exact
     arithmetic and report the probabilities found."""
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q!r}")
-    require_int(r, "r")
+    _require_prime_power(q, r)
     require_int(blocks, "blocks")
     m = q**r
     values = r_total_range(0, blocks * q - 1, m)

@@ -37,7 +37,7 @@ import itertools
 from math import factorial, lcm
 from operator import itemgetter
 
-from ._checks import FrozenRecord, InternalCheckError, SizeCapError, require_int
+from ._checks import FrozenRecord, InternalCheckError, SizeCapError, refuse_rebinding, require_int
 from .counting import _length_factor, _witness
 from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 
@@ -78,22 +78,24 @@ def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 class Permutation:
-    """A permutation of {1, ..., n} in one-line notation."""
+    """A permutation of {1, ..., n} in one-line notation.  Immutable, as it
+    is hashed and keeps its cycle split: image and the split are bound once."""
 
     __slots__ = ("image", "_cycles")
+    __setattr__ = __delattr__ = refuse_rebinding
 
     def __init__(self, image):
         image = tuple(image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a permutation of 1..{len(image)}: {image!r}")
-        self.image = image
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def _proved(cls, image: tuple[int, ...]) -> "Permutation":
         """The Permutation of an image already proved to be a permutation of
         1..n, such as a re-powered root, built without checking it again."""
         perm = object.__new__(cls)
-        perm.image = image
+        object.__setattr__(perm, "image", image)
         return perm
 
     @classmethod
@@ -118,6 +120,8 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, i: int) -> int:
+        if require_int(i, "point") > len(self.image):
+            raise ValueError(f"point {i} outside 1..{len(self.image)}")
         return self.image[i - 1]
 
     def __pow__(self, m: int) -> "Permutation":
@@ -130,6 +134,8 @@ class Permutation:
         return hash(self.image)
 
     def __lt__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.image < other.image
 
     def __repr__(self) -> str:
@@ -163,8 +169,8 @@ class Permutation:
                 cyc.append(x)
                 x = self.image[x - 1]
             out.append(tuple(cyc))
-        self._cycles = out = tuple(out)
-        return out
+        object.__setattr__(self, "_cycles", tuple(out))
+        return self._cycles
 
 
 class CycleType(FrozenRecord):
@@ -181,7 +187,7 @@ class CycleType(FrozenRecord):
         for count in a:
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ValueError(f"multiplicities must be nonnegative ints, got {a!r}")
-        object.__setattr__(self, "a", a)
+        super().__init__(a)
 
     @classmethod
     def _proved(cls, a: tuple[int, ...]) -> "CycleType":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from ._checks import refuse_rebinding, require_int
+from ._checks import FrozenRecord, require_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -27,12 +27,12 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
 
 
-class UniSeries:
+class UniSeries(FrozenRecord):
     """A polynomial truncation sum(coeffs[j] * x**j, j = 0..order).
     Immutable, so no caller can change a cached series."""
 
     __slots__ = ("order", "coeffs")
-    __setattr__ = __delattr__ = refuse_rebinding
+    __hash__ = None  # equal by value, but never a key
 
     def __init__(self, order: int, coeffs=()):
         require_int(order, "order", minimum=0)
@@ -40,8 +40,7 @@ class UniSeries:
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
         coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        super().__init__(order, tuple(coeffs))
 
     def coefficient(self, j: int) -> Fraction:
         if not 0 <= j <= self.order:
@@ -62,13 +61,6 @@ class UniSeries:
                     out[i + j] += a * b
         return UniSeries(self.order, out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, coeffs={list(self.coeffs)})"
 
@@ -84,7 +76,7 @@ def _weight(key: tuple[int, ...]) -> int:
     return sum(ell * e for ell, e in enumerate(key, start=1))
 
 
-class MultiSeries:
+class MultiSeries(FrozenRecord):
     """Sparse exact series in t_1, t_2, ... truncated by total weight.
 
     Keys are exponent tuples with trailing zeros stripped; terms whose
@@ -93,7 +85,7 @@ class MultiSeries:
     can change a cached series."""
 
     __slots__ = ("weight_bound", "terms")
-    __setattr__ = __delattr__ = refuse_rebinding
+    __hash__ = None  # equal by value, but never a key
 
     def __init__(self, weight_bound: int, terms=None):
         require_int(weight_bound, "weight_bound", minimum=0)
@@ -108,8 +100,7 @@ class MultiSeries:
                 clean[key] = clean.get(key, Fraction(0)) + coeff
                 if not clean[key]:
                     del clean[key]
-        object.__setattr__(self, "weight_bound", weight_bound)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        super().__init__(weight_bound, MappingProxyType(clean))
 
     @classmethod
     def one(cls, weight_bound: int) -> "MultiSeries":
@@ -153,13 +144,6 @@ class MultiSeries:
         scalar = _as_fraction(other)
         return MultiSeries(
             self.weight_bound, {k: scalar * c for k, c in self.terms.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiSeries)
-            and self.weight_bound == other.weight_bound
-            and self.terms == other.terms
         )
 
     def __repr__(self) -> str:

@@ -35,6 +35,7 @@ from permroots import (
     root_count_egf,
     root_probability,
 )
+from permroots._checks import FrozenRecord
 from permroots.egf import EqualityReport, ProbabilityBlock
 from references import (
     brute_force_roots,
@@ -454,3 +455,22 @@ def test_records_refuse_rebinding(record):
     with pytest.raises(AttributeError):
         record.extra = 1  # no __dict__ to hold it either
     assert getattr(record, name) == before
+
+
+class _Pair(FrozenRecord):
+    __slots__ = ("x", "y")
+
+
+def test_a_record_binds_its_values_to_its_fields_in_slot_order():
+    pair = _Pair(1, 2)
+    assert (pair.x, pair.y) == (1, 2) and pair == _Pair(1, 2) != _Pair(2, 1)
+
+
+@pytest.mark.parametrize(
+    "cls,values",
+    [(_Pair, (1,)), (_Pair, (1, 2, 3)), (ProbabilityBlock, (0, (0, 1))), (EqualityReport, ())],
+    ids=["pair-short", "pair-over", "block-short", "report-empty"],
+)
+def test_a_record_refuses_a_wrong_number_of_values(cls, values):
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} takes \("):
+        cls(*values)

@@ -536,6 +536,44 @@ def test_a_type_above_the_degree_cap_is_refused_within_a_second(command, cycle):
     assert err == f"error: cycle type {cycle!r} has degree above MAX_DEGREE = {MAX_DEGREE}\n"
 
 
+def test_a_bad_m_is_refused_before_a_million_point_type_is_built():
+    code, out, err, elapsed = run_cli_timed("roots", "-m", "0", "--type", f"1^{MAX_DEGREE}")
+    assert elapsed < 1
+    assert (code, out, err) == (3, "", "error: m must be a positive integer, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["exists", "-m", "0"], "m"),
+        (["count", "-m", "0"], "m"),
+        (["roots", "-m", "0"], "m"),
+        (["roots", "-m", "2", "--limit", "0"], "--limit"),
+    ],
+)
+def test_the_scalar_options_are_checked_before_the_permutation_text(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--perm", "1 1")
+    assert (code, out, err) == (3, "", f"error: {name} must be a positive integer, got 0\n")
+
+
+M61 = str(2**61 - 1)  # a Mersenne prime: trial division to its square root never ends
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["prob", "-q", M61, "--blocks", "1"], 4, "1 blocks reach degree"),
+        (["prob", "-q", M61, "-r", "0"], 3, "r must be a positive integer, got 0"),
+    ],
+)
+def test_a_q_past_the_truncation_cap_is_refused_within_two_seconds(argv, code, message):
+    # no block of such a q fits the cap, so its primality is never tested
+    status, out, err, elapsed = run_cli_timed(*argv)
+    assert elapsed < 2
+    assert (status, out) == (code, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_a_type_at_the_degree_cap_is_answered(capsys):
     # one cycle of even length MAX_DEGREE: no square root, yet it is admitted
     start = time.perf_counter()

@@ -73,6 +73,11 @@ def _menu():
         ["count", "-m", "2", "--type", "1^2 1^3"],
         ["table", "-m", "2", "--n", "0..5", "--truncation-cap", "-1"],
         ["selftest", "--max-n", "2", "--oracle-bound", "-1"],
+        # exit 3: bad input behind a cap or a large --type, refused before either
+        ["prob", "-q", "4", "--blocks", "100"],
+        ["prob", "-q", "2", "-r", "0", "--blocks", "300"],
+        ["count", "-m", "0", "--type", "1^1000001"],
+        ["roots", "-m", "0", "--type", "1^1000000"],
     )
     for argv in refusals:  # nothing reaches stdout
         yield argv, "empty.txt"

@@ -87,6 +87,42 @@ def test_the_kept_split_cannot_be_changed_through_cycles():
     assert list(enumerate_roots(sigma, 5)) == roots == [Permutation([3, 1, 2, 5, 4])]
 
 
+def test_a_permutation_cannot_be_rebound_under_its_kept_split():
+    sigma = Permutation((2, 1, 3))
+    kept = cycle_type(sigma)
+    key = hash(sigma)
+    table = {sigma: "kept"}
+    with pytest.raises(AttributeError, match="is immutable"):
+        sigma.image = (1, 2, 3)
+    with pytest.raises(AttributeError, match="is immutable"):
+        sigma._cycles = ((1,), (2,), (3,))
+    with pytest.raises(AttributeError, match="is immutable"):
+        del sigma.image
+    assert sigma.image == (2, 1, 3) and sigma.cycles() == [(1, 2), (3,)]
+    assert cycle_type(sigma) == kept == CycleType((1, 1, 0))
+    assert hash(sigma) == key and table[Permutation((2, 1, 3))] == "kept"
+    assert root_count(cycle_type(sigma), 2) == 0 and not list(enumerate_roots(sigma, 2))
+    assert len(list(enumerate_roots(Permutation((1, 2, 3)), 2))) == 4
+
+
+@pytest.mark.parametrize("point", [0, -1, 4, True, 1.0, "1", None])
+def test_a_permutation_refuses_a_point_outside_1_to_n(point):
+    sigma = Permutation((2, 3, 1))
+    assert [sigma(i) for i in (1, 2, 3)] == [2, 3, 1]
+    with pytest.raises(ValueError, match="point"):
+        sigma(point)
+
+
+def test_permutations_are_ordered_among_themselves_only():
+    a, b = Permutation([1, 2]), Permutation([2, 1])
+    assert a < b and b > a and not b < a and sorted([b, a]) == [a, b]
+    for other in (5, (1, 2), None):
+        with pytest.raises(TypeError):
+            a < other
+        with pytest.raises(TypeError):
+            other > a
+
+
 def test_counted_cycle_types_equal_validated_ones_on_s_0_to_s_6():
     for n in range(7):
         for image in itertools.permutations(range(1, n + 1)):

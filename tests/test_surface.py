@@ -9,11 +9,14 @@ import pytest
 import permroots
 from permroots import (
     CycleType,
+    EqualityReport,
     MultiSeries,
     Permutation,
+    ProbabilityBlock,
     SizeCapError,
     UniSeries,
     brute_force_root_table,
+    check_prime_power_equalities,
     has_mth_root,
     parse_cycle_type,
 )
@@ -158,23 +161,17 @@ def test_permutation_leaves_its_group_operations_to_the_tests():
 SERIES_METHODS = {
     UniSeries: {
         "__init__",
-        "__setattr__",
-        "__delattr__",
         "coefficient",
         "__mul__",
-        "__eq__",
         "__repr__",
     },
     MultiSeries: {
         "__init__",
-        "__setattr__",
-        "__delattr__",
         "one",
         "coefficient",
         "_check_bound",
         "__add__",
         "__mul__",
-        "__eq__",
         "__repr__",
         "exp",
     },
@@ -240,3 +237,34 @@ def test_the_size_caps_raise_size_cap_error():
         parse_cycle_type("1^1000001")
     with pytest.raises(SizeCapError, match=r"S_9 refused \(bound max_n=8\)"):
         brute_force_root_table(9, 2)
+
+
+# A value of each public class that is not an exception; the scan below
+# fails on a class left out.
+VALUES = {
+    CycleType: lambda: CycleType((1, 1)),
+    EqualityReport: lambda: check_prime_power_equalities(2, 1, 1),
+    MultiSeries: lambda: MultiSeries.one(2),
+    Permutation: lambda: Permutation((2, 1, 3)),
+    ProbabilityBlock: lambda: check_prime_power_equalities(2, 1, 1).blocks[0],
+    UniSeries: lambda: UniSeries(2, [1]),
+}
+
+
+def test_the_rebinding_scan_covers_every_public_value_class():
+    public = (getattr(permroots, name) for name in permroots.__all__)
+    classes = {obj for obj in public if isinstance(obj, type) and not issubclass(obj, BaseException)}
+    assert classes == set(VALUES)
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_every_public_value_refuses_rebinding_each_slot(cls):
+    value = VALUES[cls]()
+    assert not hasattr(value, "__dict__")
+    before = {name: getattr(value, name, None) for name in cls.__slots__}
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    assert {name: getattr(value, name, None) for name in cls.__slots__} == before
