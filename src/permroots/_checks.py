@@ -1,5 +1,5 @@
-"""The integer-argument rule, the two error classes, and the refusal to
-rebind and the record base that keep returned values immutable, for every module.
+"""The integer rules, the two error classes and the text of integers in their
+messages, and the refusal to rebind and the record base of immutable values.
 
 Each error the CLI reports has one class, and each class one exit code: a
 ValueError is bad input (exit 3), a SizeCapError a size-cap refusal (exit
@@ -21,13 +21,25 @@ class SizeCapError(ValueError):
     before the work or the output it would take."""
 
 
+def is_int(value) -> bool:
+    """The rule for every count, degree and point: an int, bool excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_int(value, name: str, minimum: int = 1):
-    """Return value if it is an int (bool excluded) of at least minimum,
-    which is 1 (positive) or 0 (nonnegative); raise ValueError otherwise."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    """Return value if it is_int and at least minimum, which is 1
+    (positive) or 0 (nonnegative); raise ValueError otherwise."""
+    if not is_int(value) or value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return value
+
+
+def int_text(value: int) -> str:
+    """value in decimal, or its size past 2,000 bits (603 digits, below 640,
+    the lowest int-to-text limit): a message formats under any limit."""
+    bits = value.bit_length()
+    return str(value) if bits <= 2_000 else f"<a {bits}-bit integer>"
 
 
 def refuse_rebinding(self, name, value=None):

@@ -7,11 +7,13 @@ SizeCapError), 5 internal-check failures (an InternalCheckError), also
 under ``python -O``.  A reader that closes the output pipe early ends the
 command with exit 0 and no message.  Size caps (S_n scan bound, root
 stream limit, series truncation) are explicit flags with loud refusals,
-never silent clamps.  Two caps are fixed: an answer (a count, the total in
-the roots --limit message, r_total, p_num, p_den, prob's m = q**r, a
-probability's numerator or denominator) of more than MAX_ANSWER_DIGITS =
-100,000 decimal digits is refused with exit 4 instead of printed, and a
---type of degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4
+never silent clamps.  One digits limit, MAX_ANSWER_DIGITS = 100,000, holds
+for the whole command, as main sets the interpreter's int-to-text limit to
+it (restoring the caller's after): an input integer of more digits is
+malformed (exit 3, or 2 from the parser), and a longer answer (a count, the
+total in the roots --limit message, r_total, p_num, p_den, prob's m = q**r,
+a probability's terms) is refused with exit 4 before any of it is printed.
+A --type of degree above perm.MAX_DEGREE = 1,000,000 is refused with exit 4
 before it is built.
 Decimal columns are presentation only, rounded half to even from the exact
 integer ratio; all computation is exact.
@@ -29,10 +31,9 @@ import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager
 from math import factorial, gcd
 
-from ._checks import InternalCheckError, SizeCapError, require_int
+from ._checks import InternalCheckError, SizeCapError, int_text, require_int
 from .counting import _witness, root_count
 from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
 from .egf import _count_from_series, _require_prime_power, root_count_egf
@@ -58,7 +59,7 @@ EXIT_INTERNAL = 5
 DEFAULT_ROOT_LIMIT = 10_000
 DEFAULT_TRUNCATION_CAP = 200
 DEFAULT_ORACLE_BOUND = 8
-# Answers longer than this are refused, not printed: writing an int as
+# The longest integer a command reads or writes: converting an int to or from
 # decimal text takes time quadratic in its length.
 MAX_ANSWER_DIGITS = 100_000
 # 2**_ANSWER_BITS < 10**MAX_ANSWER_DIGITS, as log2(10) > 3.321928
@@ -73,24 +74,6 @@ def _refuse_long(*answers: int) -> None:
                 f"the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
                 f"decimal digits; it is not printed"
             )
-
-
-@contextmanager
-def _answer_text(*answers: int):
-    """Convert the answers to decimal text only inside this block.
-
-    An answer of more than MAX_ANSWER_DIGITS digits is refused before any
-    conversion; the interpreter's own limit on int-to-text conversion
-    (4300 digits by default) is lifted inside the block only."""
-    _refuse_long(*answers)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (before 3.10.7)
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _resolve_cycle_type(args) -> CycleType:
@@ -177,21 +160,21 @@ def _cmd_count(args) -> int:
     t = _resolve_cycle_type(args)
     value = root_count(t, m)
     detail = _count_detail(t, m) if args.verbose else None
-    with _answer_text(value, *(row["solutions"] for row in detail or ())):
-        if args.format == "json":
-            payload = {"m": m, "cycle_type": format_cycle_type(t), "count": value}
-            if detail is not None:
-                payload["detail"] = detail
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(value)
-            if detail is not None:
-                for row in detail:
-                    gs = ", ".join(str(g) for g in row["admissible_g"])
-                    print(
-                        f"ell={row['ell']} a={row['a']} admissible g=[{gs}] "
-                        f"solutions={row['solutions']}"
-                    )
+    _refuse_long(value, *(row["solutions"] for row in detail or ()))
+    if args.format == "json":
+        payload = {"m": m, "cycle_type": format_cycle_type(t), "count": value}
+        if detail is not None:
+            payload["detail"] = detail
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(value)
+        if detail is not None:
+            for row in detail:
+                gs = ", ".join(str(g) for g in row["admissible_g"])
+                print(
+                    f"ell={row['ell']} a={row['a']} admissible g=[{gs}] "
+                    f"solutions={row['solutions']}"
+                )
     return EXIT_OK
 
 
@@ -210,12 +193,12 @@ def _cmd_roots(args) -> int:
     if emitted != shown:
         raise InternalCheckError(f"enumerate_roots streamed {emitted} roots where {shown} were due")
     if shown < total:
-        with _answer_text(total):
-            print(
-                f"error: output truncated at --limit {args.limit} of {total} roots; "
-                f"raise --limit or pass --all",
-                file=sys.stderr,
-            )
+        _refuse_long(total)
+        print(
+            f"error: output truncated at --limit {args.limit} of {total} roots; "
+            f"raise --limit or pass --all",
+            file=sys.stderr,
+        )
         return EXIT_SIZE
     return EXIT_OK
 
@@ -254,15 +237,15 @@ def _cmd_table(args) -> int:
     lo, hi = _parse_range(args.n)
     _refuse_past_truncation(args, hi, f"degree {hi} exceeds")
     rows = _table_rows(lo, hi, m)
-    with _answer_text(*(row[col] for row in rows for col in ("r_total", "p_num", "p_den"))):
-        if args.format == "json":
-            print(json.dumps(rows, sort_keys=True))
-        elif args.format == "csv":  # no value holds a comma or a quote
-            print(",".join(TABLE_COLUMNS))
-            for row in rows:
-                print(",".join(str(row[col]) for col in TABLE_COLUMNS))
-        else:
-            _print_aligned(rows, TABLE_COLUMNS)
+    _refuse_long(*(row[col] for row in rows for col in ("r_total", "p_num", "p_den")))
+    if args.format == "json":
+        print(json.dumps(rows, sort_keys=True))
+    elif args.format == "csv":  # no value holds a comma or a quote
+        print(",".join(TABLE_COLUMNS))
+        for row in rows:
+            print(",".join(str(row[col]) for col in TABLE_COLUMNS))
+    else:
+        _print_aligned(rows, TABLE_COLUMNS)
     return EXIT_OK
 
 
@@ -275,39 +258,39 @@ def _cmd_prob(args) -> int:
         require_int(args.r, "r")
     blocks = require_int(args.blocks, "--blocks")
     top = blocks * args.q - 1
-    _refuse_past_truncation(args, top, f"{blocks} blocks reach degree {top}, above")
+    _refuse_past_truncation(args, top, f"{blocks} blocks reach degree {int_text(top)}, above")
     # m = q**r is printed too; q**(_ANSWER_BITS + 1) already passes the digits cap
     _refuse_long(args.q ** min(args.r, _ANSWER_BITS + 1))
     report = check_prime_power_equalities(args.q, args.r, args.blocks)
     all_equal = report.all_equal
     probabilities = [p for block in report.blocks for p in block.probabilities]
-    with _answer_text(*(x for p in probabilities for x in (p.numerator, p.denominator))):
-        if args.format == "json":
-            payload = {
-                "q": report.q,
-                "r": report.r,
-                "m": report.m,
-                "all_equal": all_equal,
-                "blocks": [
-                    {
-                        "j": block.j,
-                        "ns": list(block.ns),
-                        "probabilities": [
-                            f"{p.numerator}/{p.denominator}" for p in block.probabilities
-                        ],
-                        "equal": block.equal,
-                    }
-                    for block in report.blocks
-                ],
-            }
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"m = {report.q}^{report.r} = {report.m}")
-            for block in report.blocks:
-                probs = " ".join(f"{p.numerator}/{p.denominator}" for p in block.probabilities)
-                verdict = "equal" if block.equal else "UNEQUAL"
-                print(f"block j={block.j}  n={block.ns[0]}..{block.ns[-1]}  p: {probs}  [{verdict}]")
-            print(f"all blocks equal: {'yes' if all_equal else 'NO'}")
+    _refuse_long(*(x for p in probabilities for x in (p.numerator, p.denominator)))
+    if args.format == "json":
+        payload = {
+            "q": report.q,
+            "r": report.r,
+            "m": report.m,
+            "all_equal": all_equal,
+            "blocks": [
+                {
+                    "j": block.j,
+                    "ns": list(block.ns),
+                    "probabilities": [
+                        f"{p.numerator}/{p.denominator}" for p in block.probabilities
+                    ],
+                    "equal": block.equal,
+                }
+                for block in report.blocks
+            ],
+        }
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"m = {report.q}^{report.r} = {report.m}")
+        for block in report.blocks:
+            probs = " ".join(f"{p.numerator}/{p.denominator}" for p in block.probabilities)
+            verdict = "equal" if block.equal else "UNEQUAL"
+            print(f"block j={block.j}  n={block.ns[0]}..{block.ns[-1]}  p: {probs}  [{verdict}]")
+        print(f"all blocks equal: {'yes' if all_equal else 'NO'}")
     if not all_equal:
         print("error: a probability block failed its equality check", file=sys.stderr)
         return EXIT_INTERNAL
@@ -492,14 +475,16 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
+    if limit is not None:  # one digits limit for the whole command, parsing included
+        sys.set_int_max_str_digits(MAX_ANSWER_DIGITS)
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
+    except SystemExit as exc:  # from the parser: usage errors, --help
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:
         # The reader stopped early (``| head -1``); that ends the command, quietly.
         # stdout goes to devnull so the flush at exit cannot fail again.
@@ -507,15 +492,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except SizeCapError as exc:
+    except ValueError as exc:  # a SizeCapError is a refusal, any other bad input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_SIZE if isinstance(exc, SizeCapError) else EXIT_INPUT
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from math import factorial
 
-from ._checks import InternalCheckError, require_int
+from ._checks import InternalCheckError, int_text, require_int
 from .gsets import g_set_bounded, iter_epsilons
 from .numtheory import bracket
 
@@ -53,7 +53,7 @@ def _length_factor(ell: int, a: int, m: int) -> int:
                 spent += (g - 1) * e
         term, rest = divmod(top, den)
         if rest:
-            raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={m}")
+            raise InternalCheckError(f"non-integer factor for ell={ell}, a={a}, m={int_text(m)}")
         total += term * ell**spent
     return total
 
@@ -82,8 +82,8 @@ def root_count(t: CycleType, m: int) -> int:
         factor = _length_factor(ell, a, m)
         if (factor == 0) != bool(blocked):
             raise InternalCheckError(
-                f"factor {factor} for ell={ell}, a={a}, m={m} disagrees with "
-                f"divisibility by bracket {q}"
+                f"factor {int_text(factor)} for ell={ell}, a={a}, m={int_text(m)} "
+                f"disagrees with divisibility by bracket {int_text(q)}"
             )
         total *= factor
     return total

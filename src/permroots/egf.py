@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
-from ._checks import FrozenRecord, InternalCheckError, require_int
+from ._checks import FrozenRecord, InternalCheckError, int_text, require_int
 from .gsets import g_set_bounded
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
@@ -75,7 +75,7 @@ def _count_from_series(series: MultiSeries, t: CycleType, m: int) -> int:
     for count in t.a:
         value *= factorial(count)
     if value.denominator != 1:
-        raise InternalCheckError(f"non-integer EGF root count for {t}, m={m}")
+        raise InternalCheckError(f"non-integer EGF root count for {t}, m={int_text(m)}")
     return value.numerator
 
 
@@ -113,7 +113,7 @@ def r_total_series(m: int, order: int) -> UniSeries:
             quotient, remainder = divmod(sum(map(mul, scaled[n - step :: -step], terms)), scale)
             if remainder:
                 raise InternalCheckError(
-                    f"non-integer scaled series coefficient at n={n}, ell={ell}, m={m}"
+                    f"non-integer scaled series coefficient at n={n}, ell={ell}, m={int_text(m)}"
                 )
             scaled[n] += quotient
     return UniSeries(order, [Fraction(value, scale) for value in scaled])
@@ -166,11 +166,11 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
         coefficient = series.coefficient(n)
         by_series, remainder = divmod(coefficient.numerator * n_factorial, coefficient.denominator)
         if remainder:
-            raise InternalCheckError(f"non-integer r_total at n={n}, m={m}")
+            raise InternalCheckError(f"non-integer r_total at n={n}, m={int_text(m)}")
         if by_series != value:
             raise InternalCheckError(
-                f"convolution and series routes disagree at n={n}, m={m}: "
-                f"{value} vs {by_series}"
+                f"convolution and series routes disagree at n={n}, m={int_text(m)}: "
+                f"{int_text(value)} vs {int_text(by_series)}"
             )
     return tuple(values[lo:])
 

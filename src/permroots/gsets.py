@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from math import gcd, isqrt
 
-from ._checks import InternalCheckError, require_int
+from ._checks import InternalCheckError, int_text, require_int
 
 
 # typed: True or 2.0 must not read the entry for 1 or 2
@@ -42,7 +42,7 @@ def g_set_bounded(m: int, ell: int, a: int) -> tuple[int, ...]:
     for g in elements:
         if gcd(g * ell, m) != g:
             raise InternalCheckError(
-                f"divisor construction produced g={g} failing gcd({g}*{ell}, {m}) == {g}"
+                f"divisor construction produced g={g} failing gcd({g}*{ell}, {int_text(m)}) == {g}"
             )
     return elements
 

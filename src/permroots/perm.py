@@ -37,7 +37,8 @@ import itertools
 from math import factorial, lcm
 from operator import itemgetter
 
-from ._checks import FrozenRecord, InternalCheckError, SizeCapError, refuse_rebinding, require_int
+from ._checks import FrozenRecord, InternalCheckError, SizeCapError, is_int
+from ._checks import refuse_rebinding, require_int
 from .counting import _length_factor, _witness
 from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 
@@ -86,7 +87,7 @@ class Permutation:
 
     def __init__(self, image):
         image = tuple(image)
-        if sorted(image) != list(range(1, len(image) + 1)):
+        if not all(map(is_int, image)) or sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a permutation of 1..{len(image)}: {image!r}")
         object.__setattr__(self, "image", image)
 
@@ -106,14 +107,14 @@ class Permutation:
         for cyc in cycles:
             cyc = tuple(cyc)
             for x in cyc:
-                if not 1 <= x <= n:
-                    raise ValueError(f"cycle entry {x} outside 1..{n}")
+                if not (is_int(x) and 1 <= x <= n):
+                    raise ValueError(f"cycle entry {x!r} is not an int in 1..{n}")
                 if x in touched:
                     raise ValueError(f"cycles are not disjoint at {x}")
                 touched.add(x)
             for i, x in enumerate(cyc):
                 image[x - 1] = cyc[(i + 1) % len(cyc)]
-        return cls(image)
+        return cls._proved(tuple(image))  # disjoint cycles on 1..n: a permutation
 
     @property
     def degree(self) -> int:
@@ -185,7 +186,7 @@ class CycleType(FrozenRecord):
     def __init__(self, a):
         a = tuple(a)
         for count in a:
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            if not is_int(count) or count < 0:
                 raise ValueError(f"multiplicities must be nonnegative ints, got {a!r}")
         super().__init__(a)
 
@@ -255,7 +256,7 @@ def cycle_types(n: int):
 def power(sigma: Permutation, m: int) -> Permutation:
     """sigma**m, computed by repeated squaring of the image."""
     require_int(m, "m")
-    return Permutation(_image_power(sigma.image, m))
+    return Permutation._proved(_image_power(sigma.image, m))  # a power of a permutation is one
 
 
 def has_mth_root(t: CycleType, m: int) -> bool:

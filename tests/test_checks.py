@@ -96,6 +96,20 @@ WRONG_REPLAY = (
 )
 
 
+# Checks whose messages carry an integer past the interpreter's default limit
+# of 4,300 digits on int-to-text conversion: a failed check must still raise
+# InternalCheckError there, not the conversion's ValueError.  Every length of
+# 1^3000 reported blocked leaves root_count a factor of 4,588 digits; a
+# convolution value of 10**5000 disagrees with the series.
+ALL_BLOCKED = (
+    "(lambda real: lambda t, m: ((ell, a, q, False) for ell, a, q, _ in real(t, m)))"
+    "(target._witness)"
+)
+LONG_CONVOLUTION = (
+    "(lambda real: lambda hi, m: [10**5000, *real(hi, m)[1:]])(target._r_total_convolution)"
+)
+
+
 FAULT_PROBE = """
 import sys
 import permroots
@@ -192,6 +206,20 @@ else:
             "lambda anchor, g, ell, m: anchor",
             "list(target.enumerate_roots(target.Permutation((2, 3, 1)), 2))",
         ),
+        (
+            "permroots.counting",
+            "_witness",
+            ALL_BLOCKED,
+            "target.root_count(permroots.CycleType((3000,)), 2)",
+        ),
+        ("permroots.egf", "_r_total_convolution", LONG_CONVOLUTION, "target.r_total_range(0, 3, 2)"),
+        (
+            # the factor 0 disagrees with bracket 1 under an m of 5,001 digits
+            "permroots.counting",
+            "_length_factor",
+            "lambda ell, a, m: 0",
+            "target.root_count(permroots.CycleType((2,)), 10**5000 + 1)",
+        ),
     ],
     ids=[
         "r_total",
@@ -205,6 +233,9 @@ else:
         "replay",
         "dropped_inner_map",
         "one_map_part",
+        "long_factor",
+        "long_convolution_value",
+        "long_m",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
@@ -261,6 +292,20 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             "lambda k: 3",
             ["count", "-m", "2", "--type", "1^2"],
             "non-integer factor for ell=1, a=2, m=2",
+        ),
+        (
+            "permroots.counting",
+            "_witness",
+            ALL_BLOCKED,
+            ["count", "-m", "2", "--type", "1^3000"],
+            "factor <a 15241-bit integer> for ell=1, a=3000, m=2 disagrees",
+        ),
+        (
+            "permroots.egf",
+            "_r_total_convolution",
+            LONG_CONVOLUTION,
+            ["table", "-m", "2", "--n", "0..3"],
+            "convolution and series routes disagree at n=0, m=2: <a 16610-bit integer> vs 1",
         ),
         (
             "permroots.cli",

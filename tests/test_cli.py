@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permroots import SizeCapError, cli, perm
+from permroots._checks import InternalCheckError
 from permroots.cli import MAX_ANSWER_DIGITS, TABLE_COLUMNS, main
 from permroots.counting import _length_factor, root_count
 from permroots.egf import EqualityReport, ProbabilityBlock
@@ -583,15 +584,92 @@ def test_a_type_at_the_degree_cap_is_answered(capsys):
     assert out.splitlines()[0] == "no"
 
 
-def test_the_digits_cap_is_exact():
+def test_the_digits_cap_is_exact(capsys, monkeypatch):
     largest = 10**MAX_ANSWER_DIGITS - 1
-    limit = sys.get_int_max_str_digits()
-    with cli._answer_text(0, largest):
-        assert len(str(largest)) == MAX_ANSWER_DIGITS
-    assert sys.get_int_max_str_digits() == limit
+    cli._refuse_long(0, largest)
     with pytest.raises(SizeCapError, match="MAX_ANSWER_DIGITS = 100000"):
-        with cli._answer_text(1, largest + 1):
-            pass
+        cli._refuse_long(1, largest + 1)
+
+    def broken(t, m):
+        raise InternalCheckError("broken route")
+
+    # main reads and writes MAX_ANSWER_DIGITS digits, then gives the caller's limit back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        for count, code in ((lambda t, m: largest, 0), (lambda t, m: largest + 1, 4), (broken, 5)):
+            monkeypatch.setattr(cli, "root_count", count)
+            status, out, err = run_cli(capsys, "count", "-m", "2", "--type", "1")
+            assert status == code
+            assert sys.get_int_max_str_digits() == 4321
+            if code == 0:
+                assert out == "9" * MAX_ANSWER_DIGITS + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _nines(k):
+    return "9" * k
+
+
+def _power_of_ten(k):
+    return "1" + "0" * k
+
+
+# Commands whose integers pass the interpreter's default limit of 4,300 digits,
+# each with its exit code, the end of its stdout ("" for none) and the start
+# of its stderr ("" for none): integers of up to MAX_ANSWER_DIGITS digits are
+# read and written, a longer answer is refused (4), a longer input malformed (3).
+OVERSIZED_INTEGER_COMMANDS = {
+    "count-type": (
+        ["count", "-m", "2", "--type", f"1^{_nines(5000)}"],
+        4,
+        "",
+        f"error: cycle type '1^{_nines(5000)}' has degree above MAX_DEGREE = {MAX_DEGREE}\n",
+    ),
+    "table-range": (
+        ["table", "-m", "2", "--n", f"0..{_nines(4400)}"],
+        4,
+        "",
+        f"error: degree {_nines(4400)} exceeds the truncation cap 200",
+    ),
+    "table-range-past-the-cap": (
+        ["table", "-m", "2", "--n", f"0..{_nines(100_001)}"],
+        3,
+        "",
+        f"error: bad range '0..{_nines(100_001)}'",
+    ),
+    "prob-blocks": (
+        ["prob", "-q", _power_of_ten(2500), "--blocks", _power_of_ten(2500)],
+        4,
+        "",
+        f"error: {_power_of_ten(2500)} blocks reach degree <a 16610-bit integer>, above",
+    ),
+    "prob-blocks-past-the-cap": (
+        ["prob", "-q", _power_of_ten(60_000), "--blocks", _power_of_ten(60_000)],
+        4,
+        "",
+        f"error: {_power_of_ten(60_000)} blocks reach degree <a 398632-bit integer>, above",
+    ),
+    # the m-th roots of the identity of S_4 under m = 10**4999: all but the eight 3-cycles
+    "count-m": (["count", "-m", _power_of_ten(4999), "--type", "1^4"], 0, "16\n", ""),
+    "selftest-m": (["selftest", "--max-n", "3", "-m", f"2,{_nines(5000)}"], 0, "passed\n", ""),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_end,err_start",
+    OVERSIZED_INTEGER_COMMANDS.values(),
+    ids=OVERSIZED_INTEGER_COMMANDS.keys(),
+)
+def test_oversized_integers_end_with_their_documented_exit_within_two_seconds(
+    argv, code, out_end, err_start
+):
+    status, out, err, elapsed = run_cli_timed(*argv)
+    assert elapsed < 2
+    assert status == code
+    assert out.endswith(out_end) and bool(out) == bool(out_end)
+    assert err.startswith(err_start) and bool(err) == bool(err_start)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

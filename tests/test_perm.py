@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from math import factorial, gcd, lcm
 from pathlib import Path
 
@@ -121,6 +122,58 @@ def test_permutations_are_ordered_among_themselves_only():
             a < other
         with pytest.raises(TypeError):
             other > a
+
+
+@pytest.mark.parametrize("point", [1.0, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+def test_a_permutation_is_built_from_int_points_only(point):
+    # each point equals 1, so sorting the image alone would admit it
+    for image in ([2, point], [point + 1, point]):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            Permutation(image)
+    with pytest.raises(ValueError, match="is not an int in 1..2"):
+        Permutation.from_cycles(2, [(point, 2)])
+    assert Permutation([2, 1]) == Permutation.from_cycles(2, [(1, 2)])
+
+
+def test_power_and_from_cycles_do_not_validate_their_result_again(monkeypatch):
+    sigma = Permutation((2, 3, 1, 5, 4))
+    validated = []
+    real = Permutation.__init__
+    monkeypatch.setattr(
+        Permutation, "__init__", lambda self, image: validated.append(image) or real(self, image)
+    )
+    assert power(sigma, 2) == Permutation._proved((3, 1, 2, 4, 5))
+    assert Permutation.from_cycles(5, [(1, 2, 3), (4, 5)]) == sigma
+    assert parse_cycle_type("1^2 3").canonical_permutation().image == (1, 2, 4, 5, 3)
+    assert validated == []
+
+
+def _assert_validated(sigma):
+    assert type(sigma.image) is tuple
+    assert sigma == Permutation(sigma.image) and hash(sigma) == hash(Permutation(sigma.image))
+
+
+def test_powers_and_cycle_builds_equal_validated_ones_on_s_0_to_s_6():
+    for n in range(7):
+        for image in itertools.permutations(range(1, n + 1)):
+            sigma = Permutation(image)
+            for m in (1, 2, 3, 4, 6, 60):
+                _assert_validated(power(sigma, m))
+            built = Permutation.from_cycles(n, sigma.cycles())
+            _assert_validated(built)
+            assert built == sigma
+        for t in cycle_types(n):
+            _assert_validated(t.canonical_permutation())
+
+
+@given(_permutations(max_n=40), st.integers(min_value=1, max_value=10**30))
+def test_powers_and_cycle_builds_equal_validated_ones_on_sampled_permutations(sigma, m):
+    powered = power(sigma, m)
+    _assert_validated(powered)
+    assert powered.image == _image_power_by_rotation(sigma.image, m)
+    built = Permutation.from_cycles(sigma.degree, sigma.cycles())
+    _assert_validated(built)
+    assert built == sigma
 
 
 def test_counted_cycle_types_equal_validated_ones_on_s_0_to_s_6():
