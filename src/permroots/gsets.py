@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from math import gcd, isqrt
 
-from ._checks import InternalCheckError, int_text, require_int
+from ._checks import InternalCheckError, int_text, is_int, require_int
 
 
 # typed: True or 2.0 must not read the entry for 1 or 2
@@ -71,7 +71,7 @@ def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:
 
 def _validate_sizes(g: tuple[int, ...]) -> None:
     for prev, cur in zip((0,) + g, g):
-        if not isinstance(cur, int) or cur <= prev:
+        if not is_int(cur) or cur <= prev:
             raise ValueError(f"sizes must be strictly increasing positive ints, got {g!r}")
 
 

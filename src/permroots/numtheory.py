@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._checks import require_int
+from ._checks import is_int, require_int
 
 Factorization = list[tuple[int, int]]
 
@@ -44,7 +44,7 @@ def factorize(n: int) -> Factorization:
 def is_prime(p: int) -> bool:
     """Whether p is prime, by factorize: up to sqrt(p) trial divisions.
     The CLI asks only about prob's q, which --truncation-cap bounds."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+    if not is_int(p) or p < 2:
         return False
     return factorize(p) == [(p, 1)]
 

@@ -242,7 +242,7 @@ def cycle_types(n: int):
 
     def rec(remaining: int, max_part: int):
         if remaining == 0:
-            yield CycleType(tuple(a))
+            yield CycleType._proved(tuple(a))  # every count is an int this loop set
             return
         for part in range(min(remaining, max_part), 0, -1):
             for count in range(remaining // part, 0, -1):
@@ -545,7 +545,7 @@ def parse_cycle_type(text: str) -> CycleType:
     a = [0] * n
     for ell, count in counts.items():
         a[ell - 1] = count
-    return CycleType(tuple(a))
+    return CycleType._proved(tuple(a))  # counts proved positive ints above
 
 
 def format_cycle_type(t: CycleType) -> str:

@@ -6,23 +6,23 @@ truncation order: the type r_total_series returns, with a series product
 for the Fraction references in the tests.  MultiSeries is sparse in
 countably many variables t_1, t_2, ... truncated by total weight
 sum(ell * e_ell), the natural grading when t_ell marks cycles of length
-ell, with a sum, a product and exp.  All coefficients are Fractions, so
-every identity checked against these classes is exact, not
-floating-point.
+ell, with a product and exp.  All coefficients are Fractions, so every
+identity checked against these classes is exact, not floating-point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from types import MappingProxyType
 
-from ._checks import FrozenRecord, require_int
+from ._checks import FrozenRecord, is_int, require_int
 
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_int(value):
         return Fraction(value)
     raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
 
@@ -43,7 +43,8 @@ class UniSeries(FrozenRecord):
         super().__init__(order, tuple(coeffs))
 
     def coefficient(self, j: int) -> Fraction:
-        if not 0 <= j <= self.order:
+        require_int(j, "j", minimum=0)
+        if j > self.order:
             raise ValueError(f"coefficient {j} outside truncation order {self.order}")
         return self.coeffs[j]
 
@@ -65,11 +66,17 @@ class UniSeries(FrozenRecord):
         return f"UniSeries(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
+def _strip(key) -> tuple[int, ...]:
+    """The series key of an exponent sequence: each exponent a nonnegative
+    int, trailing zeros stripped; ValueError otherwise."""
+    key = tuple(key)
+    for e in key:
+        if not is_int(e) or e < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {key!r}")
     end = len(key)
     while end and not key[end - 1]:
         end -= 1
-    return tuple(key[:end])
+    return key[:end]
 
 
 def _weight(key: tuple[int, ...]) -> int:
@@ -91,10 +98,7 @@ class MultiSeries(FrozenRecord):
         require_int(weight_bound, "weight_bound", minimum=0)
         clean: dict[tuple[int, ...], Fraction] = {}
         for key, coeff in (terms or {}).items():
-            key = _strip(tuple(key))
-            for e in key:
-                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise ValueError(f"exponents must be nonnegative ints, got {key!r}")
+            key = _strip(key)
             coeff = _as_fraction(coeff)
             if coeff and _weight(key) <= weight_bound:
                 clean[key] = clean.get(key, Fraction(0)) + coeff
@@ -102,64 +106,46 @@ class MultiSeries(FrozenRecord):
                     del clean[key]
         super().__init__(weight_bound, MappingProxyType(clean))
 
-    @classmethod
-    def one(cls, weight_bound: int) -> "MultiSeries":
-        return cls(weight_bound, {(): Fraction(1)})
-
     def coefficient(self, exponents) -> Fraction:
-        key = _strip(tuple(exponents))
+        key = _strip(exponents)
         if _weight(key) > self.weight_bound:
             raise ValueError(f"weight of {key!r} exceeds truncation bound {self.weight_bound}")
         return self.terms.get(key, Fraction(0))
 
-    def _check_bound(self, other: "MultiSeries") -> None:
+    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+        """The truncated product with another MultiSeries of the same bound."""
+        if not isinstance(other, MultiSeries):
+            return NotImplemented
         if self.weight_bound != other.weight_bound:
             raise ValueError(f"weight bound mismatch: {self.weight_bound} vs {other.weight_bound}")
-
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_bound(other)
-        out = self.terms.copy()
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+        out: dict[tuple[int, ...], Fraction] = {}
+        for k1, c1 in self.terms.items():
+            w1 = _weight(k1)
+            for k2, c2 in other.terms.items():
+                if w1 + _weight(k2) > self.weight_bound:
+                    continue
+                longer, shorter = (k1, k2) if len(k1) >= len(k2) else (k2, k1)
+                key = tuple(
+                    a + (shorter[i] if i < len(shorter) else 0)
+                    for i, a in enumerate(longer)
+                )
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
         return MultiSeries(self.weight_bound, out)
-
-    def __mul__(self, other):
-        """The truncated product with another MultiSeries, or every
-        coefficient times a Fraction or int on the right."""
-        if isinstance(other, MultiSeries):
-            self._check_bound(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for k1, c1 in self.terms.items():
-                w1 = _weight(k1)
-                for k2, c2 in other.terms.items():
-                    if w1 + _weight(k2) > self.weight_bound:
-                        continue
-                    longer, shorter = (k1, k2) if len(k1) >= len(k2) else (k2, k1)
-                    key = tuple(
-                        a + (shorter[i] if i < len(shorter) else 0)
-                        for i, a in enumerate(longer)
-                    )
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return MultiSeries(self.weight_bound, out)
-        scalar = _as_fraction(other)
-        return MultiSeries(
-            self.weight_bound, {k: scalar * c for k, c in self.terms.items()}
-        )
 
     def __repr__(self) -> str:
         return f"MultiSeries(weight_bound={self.weight_bound}, {len(self.terms)} terms)"
 
     def exp(self) -> "MultiSeries":
-        """exp(self) for zero constant term, as sum(self**k / k!); each
-        power raises the minimum weight, so the loop exits early once
-        self**k is empty under the bound."""
-        if self.terms.get((), Fraction(0)):
+        """exp(self) for zero constant term, as sum(self**k / k!), one
+        product per power; each power raises the minimum weight, so the
+        loop ends once self**k is empty under the bound."""
+        if self.terms.get(()):
             raise ValueError("exp needs a zero constant term")
-        result = MultiSeries.one(self.weight_bound)
-        term = MultiSeries.one(self.weight_bound)
-        for k in range(1, self.weight_bound + 1):
-            term = term * self * Fraction(1, k)
-            if not term.terms:
-                break
-            result = result + term
-        return result
+        total = {(): Fraction(1)}
+        power, k = self, 1
+        while power.terms:
+            scale = factorial(k)
+            for key, coeff in power.terms.items():
+                total[key] = total.get(key, 0) + coeff / scale
+            power, k = power * self, k + 1
+        return MultiSeries(self.weight_bound, total)

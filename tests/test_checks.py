@@ -375,10 +375,10 @@ S0 = identity(0)
 # a count, degree, order or bound, and the test references whose arguments
 # are checked the same way (the binomial one_minus_xp_root expands with
 # included).  Left out:
-# is_prime, a predicate that answers False rather than raising; coefficient
-# indices, which are positions checked against the order; and per-element
+# is_prime, a predicate that answers False rather than raising; and per-element
 # integers (CycleType multiplicities, Permutation images, MultiSeries
-# exponents, iter_epsilons sizes), which have their own inline checks.
+# exponents, the epsilon sizes, coefficient indices), which read the same
+# is_int in their own checks; ELEMENT_INTEGERS below covers the last two.
 INTEGER_ARGUMENTS = [
     ("factorize", "n", 1, factorize),
     ("nu_p", "n", 1, lambda v: nu_p(v, 2)),
@@ -441,7 +441,6 @@ INTEGER_ARGUMENTS = [
     ("one_minus_xp_root", "p", 1, lambda v: one_minus_xp_root(v, 4)),
     ("one_minus_xp_root", "order", 0, lambda v: one_minus_xp_root(2, v)),
     ("MultiSeries", "weight_bound", 0, MultiSeries),
-    ("MultiSeries.one", "weight_bound", 0, MultiSeries.one),
 ]
 
 
@@ -454,6 +453,44 @@ def test_integer_arguments_refuse_bools_floats_and_small_values(entry, name, min
     bad = {"bool": True, "float": 2.0, "below_minimum": minimum - 1}[kind]
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call(bad)
+
+
+# (entry point, the start of its message, a call passing v as one element).
+# A bool counts as 1 in arithmetic and a float 1.0 equals 1, so each would
+# pass a value check and be read as the int it equals.
+ELEMENT_INTEGERS = [
+    ("iter_epsilons", "sizes", lambda v: list(iter_epsilons((v,), 2))),
+    ("iter_epsilons", "sizes", lambda v: list(iter_epsilons((v, 2), 2))),
+    ("count_epsilons", "sizes", lambda v: count_epsilons((v, 2), 2)),
+    ("UniSeries.coefficient", "j", UNIT.coefficient),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "entry,name,call", ELEMENT_INTEGERS, ids=[f"{e[0]}-{i}" for i, e in enumerate(ELEMENT_INTEGERS)]
+)
+def test_element_integers_refuse_bools_and_floats(entry, name, call, bad):
+    call(1)  # the int the bad value equals is valid
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(bad)
+
+
+def test_only_is_int_names_bool_in_an_isinstance_test():
+    """Every integer rule reads _checks.is_int: it is the one place that
+    excludes bool, so no hand-written isinstance pair can drift from it."""
+    found, home = [], None
+    for path in sorted((SRC / "permroots").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("_checks", "is_int"):
+                home = range(node.lineno, node.end_lineno + 1)
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and any(getattr(arg, "id", None) == "bool" for arg in ast.walk(node))
+            ):
+                found.append((path.stem, node.lineno))
+    assert found and all(stem == "_checks" and line in home for stem, line in found), found
 
 
 BLOCK = ProbabilityBlock(0, (0, 1), (Fraction(1), Fraction(1)))

@@ -256,6 +256,42 @@ def test_cycle_types_enumerates_partitions():
         assert sum(t.class_size() for t in types) == factorial(n)
 
 
+# p(n), the number of partitions of n, for n = 0..20
+PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
+
+
+def test_enumerated_types_equal_validated_ones():
+    for n, expected in enumerate(PARTITION_COUNTS):
+        types = list(cycle_types(n))
+        assert len(types) == len(set(types)) == expected
+        if n <= 12:
+            for t in types:
+                validated = CycleType(t.a)
+                assert type(t) is CycleType
+                assert t == validated and hash(t) == hash(validated)
+
+
+@given(st.dictionaries(st.integers(1, 30), st.integers(1, 5), max_size=6))
+def test_parsed_types_equal_validated_ones(counts):
+    # lengths in the dictionary's drawn order, a count of 1 written bare
+    text = " ".join(f"{ell}^{count}" if count > 1 else str(ell) for ell, count in counts.items())
+    a = [0] * sum(ell * count for ell, count in counts.items())
+    for ell, count in counts.items():
+        a[ell - 1] = count
+    parsed = parse_cycle_type(text)
+    assert type(parsed) is CycleType
+    assert parsed == CycleType(a) and hash(parsed) == hash(CycleType(a))
+
+
+def test_enumerated_and_parsed_types_are_built_without_the_validating_constructor(monkeypatch):
+    built = []
+    real = CycleType.__init__
+    monkeypatch.setattr(CycleType, "__init__", lambda self, a: built.append(a) or real(self, a))
+    assert len(list(cycle_types(8))) == 22
+    assert parse_cycle_type("1^3 2^2 5 7^4").a == (3, 2, 0, 0, 1, 0, 4) + (0,) * 33
+    assert built == []
+
+
 def test_power_splits_an_eight_cycle():
     sigma = Permutation([2, 3, 4, 5, 6, 7, 8, 1])
     squared = power(sigma, 2)
