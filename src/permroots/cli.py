@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from math import factorial, gcd
+from operator import itemgetter
 
 from ._checks import InternalCheckError, SizeCapError, int_text, require_int
 from .counting import _witness, root_count
@@ -46,6 +47,7 @@ from .perm import (
     cycle_types,
     enumerate_roots,
     format_cycle_type,
+    format_permutation,
     parse_cycle_type,
     parse_permutation,
 )
@@ -178,18 +180,36 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_roots(args) -> int:
-    m = require_int(args.m, "m")
-    require_int(args.limit, "--limit")
-    sigma = _resolve_permutation(args)
-    total = root_count(cycle_type(sigma), m)
-    shown = total if args.all else min(total, args.limit)
-    names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
+def _write_roots(roots, names: list[str]) -> int:
+    """Write each root as one line, the texts of its labels (names[i] is
+    the text of i) gathered in one itemgetter pass; return how many."""
     emitted = 0
-    # A stream that fits is read to its end; a longer one stops at the limit.
-    for tau in itertools.islice(enumerate_roots(sigma, m), None if shown == total else shown):
-        print(" ".join(map(names.__getitem__, tau.image)))
-        emitted += 1
+    if len(names) <= 2:  # S_0 and S_1: itemgetter() raises, itemgetter(i) is no tuple
+        for emitted, tau in enumerate(roots, 1):
+            sys.stdout.write(format_permutation(tau) + "\n")
+        return emitted
+    for emitted, tau in enumerate(roots, 1):
+        sys.stdout.write(" ".join(itemgetter(*tau.image)(names)) + "\n")
+    return emitted
+
+
+def _cmd_roots(args) -> int:
+    """Write each root as enumerate_roots builds it, then count: the count
+    checks the stream and decides truncation, so no root waits for it.
+    Under --all, or when the count fits --limit, the stream is read to its
+    end; otherwise it stops at the limit, and a --limit run waits for the
+    count before its truncation message, which names the total."""
+    m = require_int(args.m, "m")
+    limit = require_int(args.limit, "--limit")  # checked under --all too
+    sigma = _resolve_permutation(args)
+    names = list(map(str, range(sigma.degree + 1)))  # each label's text, built once per command
+    roots = enumerate_roots(sigma, m)
+    emitted = _write_roots(roots if args.all else itertools.islice(roots, limit), names)
+    sys.stdout.flush()  # on a pipe too, the roots reach the reader before the count runs
+    total = root_count(cycle_type(sigma), m)
+    shown = total if args.all else min(total, limit)
+    if shown == total:  # a stream that fits is read to its end
+        emitted += _write_roots(roots, names)
     if emitted != shown:
         raise InternalCheckError(f"enumerate_roots streamed {emitted} roots where {shown} were due")
     if shown < total:

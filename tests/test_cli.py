@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -418,7 +419,7 @@ def test_roots_limit_1_repowers_one_root_under_a_huge_m(capsys, monkeypatch):
 
 
 def test_roots_computes_each_length_factor_once(capsys):
-    """The up-front count computes the factor of each of the two lengths once,
+    """The count after the stream computes the factor of each of the two lengths once,
     and construction asks for neither: the 2-cycles' 2,904 solution vectors
     times their 2,880 points already pass the replay cap, so they are
     regenerated without their factor."""
@@ -428,6 +429,36 @@ def test_roots_computes_each_length_factor_once(capsys):
     assert out.count("\n") == 1
     info = _length_factor.cache_info()
     assert (info.misses, info.hits) == (2, 0)
+
+
+class _FlushedText(io.StringIO):
+    """stdout that keeps, on each flush, the text flushed so far."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+@pytest.mark.parametrize("argv", [("--all",), ("--limit", "3")])
+def test_roots_are_written_before_the_count(monkeypatch, argv):
+    """roots streams first and counts afterwards: when the count starts,
+    every root the command writes (all ten, or the first three) is out and
+    flushed, so a reader on a pipe has them while the count runs."""
+    out = _FlushedText()
+    flushed = []  # stdout flushed as each count began
+    real = cli.root_count
+
+    def recording(t, m):
+        flushed.append(out.flushed)
+        return real(t, m)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(cli, "root_count", recording)
+    code = main(["roots", "-m", "2", "--type", "1^4", *argv])
+    assert code == (0 if argv == ("--all",) else 4)
+    assert out.getvalue().startswith("2 1 4 3\n")
+    assert flushed == [out.getvalue()]
 
 
 def _skipping_first_root(real):
@@ -550,6 +581,7 @@ def test_a_bad_m_is_refused_before_a_million_point_type_is_built():
         (["count", "-m", "0"], "m"),
         (["roots", "-m", "0"], "m"),
         (["roots", "-m", "2", "--limit", "0"], "--limit"),
+        (["roots", "-m", "2", "--all", "--limit", "0"], "--limit"),  # --all checks it too
     ],
 )
 def test_the_scalar_options_are_checked_before_the_permutation_text(capsys, argv, name):
@@ -1016,14 +1048,25 @@ def test_console_script_is_installed():
     assert result.stdout == "10\n"
 
 
-def test_closed_pipe_ends_quietly_with_exit_0():
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (("-m", "2", "--type", "1^12"), "2 1 4 3 6 5 8 7 10 9 12 11\n"),
+        # the count of 1^80 under m = 720 takes seconds; the first line must not wait for it
+        (("-m", "720", "--type", "1^80"), " ".join(map(str, [*range(2, 81), 1])) + "\n"),
+    ],
+    ids=["1^12", "1^80"],
+)
+def test_closed_pipe_ends_quietly_with_exit_0(argv, first):
+    start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "permroots.cli", "roots", "-m", "2", "--type", "1^12", "--all"],
+        [sys.executable, "-m", "permroots.cli", "roots", *argv, "--all"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
-    assert proc.stdout.readline() == "2 1 4 3 6 5 8 7 10 9 12 11\n"
+    assert proc.stdout.readline() == first
+    assert time.perf_counter() - start < 5
     proc.stdout.close()  # the reader stops early, as `| head -1` does
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == ""
