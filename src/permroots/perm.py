@@ -479,15 +479,11 @@ def enumerate_roots(sigma: Permutation, m: int):
                 free -= count * points
                 maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, count)
         parts.append(maps)
-    # each root is a new record with its one slot bound, as Permutation._proved does
-    new, bind = object.__new__, Permutation.image.__set__
-    for _ in parts[0]() if len(parts) == 1 else _nested(parts):
+    for _ in _nested(parts):
         root = tuple(image[1:])
         if _image_power(root, m) != target:
             raise InternalCheckError("constructed root failed re-powering")
-        tau = new(Permutation)
-        bind(tau, root)
-        yield tau
+        yield Permutation._proved(root)
 
 
 def brute_force_root_table(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import add
 from types import MappingProxyType
 
 from ._checks import FrozenRecord, is_int, require_int
@@ -119,47 +118,35 @@ class MultiSeries(FrozenRecord):
             return NotImplemented
         if self.weight_bound != other.weight_bound:
             raise ValueError(f"weight bound mismatch: {self.weight_bound} vs {other.weight_bound}")
-        bound = self.weight_bound
         right = [(k2, _weight(k2), c2) for k2, c2 in other.terms.items()]
         out: dict[tuple[int, ...], Fraction] = {}
         for k1, c1 in self.terms.items():
-            room = bound - _weight(k1)
+            room = self.weight_bound - _weight(k1)
             for k2, w2, c2 in right:
                 if w2 > room:
                     continue
                 longer, shorter = (k1, k2) if len(k1) >= len(k2) else (k2, k1)
-                key = (*map(add, longer, shorter), *longer[len(shorter) :])  # stripped, as longer is
-                out[key] = out.get(key, 0) + c1 * c2
-        return _proved_series(bound, out)
+                key = tuple(
+                    a + (shorter[i] if i < len(shorter) else 0)
+                    for i, a in enumerate(longer)
+                )
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return MultiSeries(self.weight_bound, out)
 
     def __repr__(self) -> str:
         return f"MultiSeries(weight_bound={self.weight_bound}, {len(self.terms)} terms)"
 
     def exp(self) -> "MultiSeries":
         """exp(self) for zero constant term, as sum(self**k / k!), one
-        product per power; self**k has no term lighter than k times self's
-        lightest, so the loop ends before the first power past the bound."""
+        product per power; each power raises the minimum weight, so the
+        loop ends once self**k is empty under the bound."""
         if self.terms.get(()):
             raise ValueError("exp needs a zero constant term")
-        bound = self.weight_bound
-        lightest = min(map(_weight, self.terms), default=bound + 1)
         total = {(): Fraction(1)}
         power, k = self, 1
-        while True:
+        while power.terms:
             scale = factorial(k)
             for key, coeff in power.terms.items():
                 total[key] = total.get(key, 0) + coeff / scale
-            if (k + 1) * lightest > bound:
-                return _proved_series(bound, total)
             power, k = power * self, k + 1
-
-
-def _proved_series(weight_bound: int, terms: dict) -> MultiSeries:
-    """The MultiSeries of terms already keyed by stripped exponents of
-    weight at most weight_bound, with Fraction coefficients, such as a
-    product's or exp's sums of checked terms, built without checking them
-    again; a coefficient that summed to zero is dropped."""
-    series = object.__new__(MultiSeries)
-    kept = MappingProxyType({key: coeff for key, coeff in terms.items() if coeff})
-    FrozenRecord.__init__(series, weight_bound, kept)
-    return series
+        return MultiSeries(self.weight_bound, total)
