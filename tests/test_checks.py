@@ -110,6 +110,18 @@ LONG_CONVOLUTION = (
 )
 
 
+# The recurrence without its largest fusion size: one term of every step
+# dropped, so it undercounts wherever that size is reached.
+DROPPED_TERM = (
+    "(lambda real: lambda ell, a, sizes, scaled: real(ell, a, sizes[:-1], scaled))"
+    "(target._recurrence)"
+)
+# a! off by one: the scaled form starts from it, and a! + 1 is coprime to
+# every step n <= a, so the first step whose true value has n in its
+# denominator leaves a remainder.
+FACTORIAL_PLUS_ONE = "(lambda real: lambda k: real(k) + 1)(target.factorial)"
+
+
 FAULT_PROBE = """
 import sys
 import permroots
@@ -220,6 +232,27 @@ else:
             "lambda ell, a, m: 0",
             "target.root_count(permroots.CycleType((2,)), 10**5000 + 1)",
         ),
+        (
+            # form A on 1^4 under m = 2, against its three eps-vectors
+            "permroots.counting",
+            "_recurrence",
+            DROPPED_TERM,
+            "target.root_count(permroots.CycleType((4,)), 2)",
+        ),
+        (
+            # form B on 1^12 under m = 720720, against its 77 eps-vectors
+            "permroots.counting",
+            "_recurrence",
+            DROPPED_TERM,
+            "target.root_count(permroots.CycleType((12,)), 720720)",
+        ),
+        (
+            # form B on 1^200 under m = 720720, with no eps-sum check
+            "permroots.counting",
+            "factorial",
+            FACTORIAL_PLUS_ONE,
+            "target.root_count(permroots.CycleType((200,)), 720720)",
+        ),
     ],
     ids=[
         "r_total",
@@ -236,6 +269,9 @@ else:
         "long_factor",
         "long_convolution_value",
         "long_m",
+        "unscaled_dropped_term",
+        "scaled_dropped_term",
+        "scaled_remainder",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
@@ -292,6 +328,29 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             "lambda k: 3",
             ["count", "-m", "2", "--type", "1^2"],
             "non-integer factor for ell=1, a=2, m=2",
+        ),
+        (
+            "permroots.counting",
+            "_recurrence",
+            DROPPED_TERM,
+            ["count", "-m", "2", "--type", "1^4"],
+            "eps-sum 10 and recurrence 1 disagree for ell=1, a=4, m=2",
+        ),
+        (
+            # 12! permutations of S_12 have an order dividing 720720, 11! of them a 12-cycle
+            "permroots.counting",
+            "_recurrence",
+            DROPPED_TERM,
+            ["count", "-m", "720720", "--type", "1^12"],
+            "eps-sum 479001600 and recurrence 439084800 disagree for ell=1, a=12, m=720720",
+        ),
+        (
+            # the first 16 steps divide exactly, as every size up to 16 divides 720720
+            "permroots.counting",
+            "factorial",
+            FACTORIAL_PLUS_ONE,
+            ["count", "-m", "720720", "--type", "1^200"],
+            "scaled recurrence not integral at n=17 for ell=1, a=200",
         ),
         (
             "permroots.counting",

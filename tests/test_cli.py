@@ -543,6 +543,66 @@ def test_roots_limit_message_carries_a_total_beyond_4300_digits(capsys):
     assert elapsed < 30
 
 
+def _orders_dividing(n, m):
+    """The permutations of S_n whose order divides m, each cycle length a
+    divisor g of m: t_0 = 1, t_k = sum over g <= k of (k-1)!/(k-g)! t_{k-g},
+    as the cycle through the point k takes g - 1 of the other k - 1 in order."""
+    divisors = [g for g in range(1, n + 1) if m % g == 0]
+    t = [1]
+    for k in range(1, n + 1):
+        t.append(sum(factorial(k - 1) // factorial(k - g) * t[k - g] for g in divisors if g <= k))
+    return t[n]
+
+
+def _orders_dividing_mod(n, m, p):
+    """_orders_dividing(n, m) modulo a prime p > n, where (k-1)!/(k-g)! is
+    (k-1)! times the inverse of (k-g)!, so every number stays below p**2."""
+    divisors = [g for g in range(1, n + 1) if m % g == 0]
+    factorials = list(itertools.accumulate(range(1, n + 1), lambda f, k: f * k % p, initial=1))
+    inverses = [pow(f, -1, p) for f in factorials]
+    t = [1]
+    for k in range(1, n + 1):
+        t.append(sum(factorials[k - 1] * inverses[k - g] * t[k - g] for g in divisors if g <= k) % p)
+    return t[n]
+
+
+def test_count_answers_the_identity_of_s_20000_under_m_2_within_ten_seconds():
+    code, out, err, elapsed = run_cli_timed("count", "-m", "2", "--type", "1^20000")
+    assert elapsed < 10
+    with _any_int_digits():
+        expected = str(_involution_number(20000))
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("verbose", [[], ["-v"]], ids=["plain", "verbose"])
+def test_count_answers_the_identity_of_s_2000_under_m_720720_within_ten_seconds(verbose):
+    # 720720 has 151 divisors up to 2000; the answer has 5,733 digits
+    code, out, err, elapsed = run_cli_timed("count", "-m", "720720", "--type", "1^2000", *verbose)
+    assert elapsed < 10
+    assert (code, err) == (0, "")
+    first, *detail = out.splitlines()
+    with _any_int_digits():
+        value = int(first)
+    prime = 2**61 - 1
+    assert value % prime == _orders_dividing_mod(2000, 720720, prime)
+    if verbose:
+        [row] = detail
+        gs = ", ".join(str(g) for g in range(1, 2001) if 720720 % g == 0)
+        assert row.startswith(f"ell=1 a=2000 admissible g=[{gs}] solutions=")
+    else:
+        assert detail == []
+
+
+def test_roots_limit_1_under_m_720_exits_with_its_total_within_two_seconds():
+    code, out, err, elapsed = run_cli_timed("roots", "-m", "720", "--type", "1^60", "--limit", "1")
+    assert elapsed < 2
+    assert code == 4
+    [line] = out.splitlines()
+    assert power(Permutation(map(int, line.split())), 720) == identity(60)
+    total = _orders_dividing(60, 720)
+    assert err == f"error: output truncated at --limit 1 of {total} roots; raise --limit or pass --all\n"
+
+
 CAP_MESSAGE = (
     f"error: the answer has more than MAX_ANSWER_DIGITS = {MAX_ANSWER_DIGITS} "
     f"decimal digits; it is not printed\n"

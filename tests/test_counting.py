@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from permroots import (
     CycleType,
+    count_epsilons,
     cycle_types,
     g_set_bounded,
     has_mth_root,
     iter_epsilons,
     root_count,
 )
+import permroots.counting as counting
 from permroots.counting import _length_factor
 from references import homogeneous_count
 
@@ -191,6 +193,91 @@ def test_integer_length_factor_equals_the_fraction_sum_and_the_recurrence(t, m):
 
 
 def test_length_factor_on_large_multiplicities():
-    # 1^24 under m = 720 sums 1,072 eps-vectors; 2^30 and 3^20 under m = 12
+    # 1^24 under m = 720 has 1,072 eps-vectors, past the check's budget;
+    # 2^30 and 3^20 under m = 12
     for ell, a, m in ((1, 24, 720), (2, 30, 12), (3, 20, 12), (1, 60, 2)):
         assert _length_factor(ell, a, m) == _derivative_recurrence(ell, a, m), (ell, a, m)
+
+
+@pytest.mark.parametrize("m", [60, 720, 720720])
+def test_both_recurrence_forms_agree_with_each_other_and_the_eps_sum(monkeypatch, m):
+    """Both forms on every (ell, a <= 80), on both sides of the form rule,
+    which picks each of them somewhere in this range for every m."""
+    real = counting._recurrence
+    picked = set()
+
+    def spy(ell, a, sizes, scaled):
+        picked.add(scaled)
+        return real(ell, a, sizes, scaled)
+
+    monkeypatch.setattr(counting, "_recurrence", spy)
+    for ell in (1, 2, 3):
+        for a in range(81):
+            sizes = g_set_bounded(m, ell, a)
+            unscaled = real(ell, a, sizes, False)
+            assert unscaled == real(ell, a, sizes, True) == _length_factor.__wrapped__(ell, a, m)
+            if count_epsilons(sizes, a) <= 500:
+                assert unscaled == counting._eps_sum(ell, a, m, sizes), (ell, a, m)
+    assert picked == {False, True}
+
+
+@pytest.mark.parametrize(
+    "ell,a,m,scaled",
+    [
+        (1, 20000, 2, False),  # sizes (1, 2): no falling factorial is longer than one factor
+        (1, 25219, 25219, False),  # sizes (1, 25219): the long one only at the last step
+        (1, 36, 12, True),
+        (1, 2000, 720720, True),
+        (2, 6000, 720, True),  # sizes 16, 48, ..., 720: every step reaches long factorials
+    ],
+)
+def test_the_form_rule(monkeypatch, ell, a, m, scaled):
+    picked = []
+    monkeypatch.setattr(counting, "_recurrence", lambda ell, a, sizes, scaled: picked.append(scaled))
+    _length_factor.__wrapped__(ell, a, m)
+    assert picked == [scaled]
+
+
+@pytest.mark.parametrize(
+    "ell,a,m,counted,walked",
+    [
+        (1, 4, 2, False, 3),  # a <= WALK_A: walked without a count
+        (1, 12, 720720, False, 77),  # every partition of 12
+        (2, 16, 12, True, 2),  # sizes (4, 12): 2 vectors times 16 fit CHECK_BUDGET
+        (1, 24, 720, True, 0),  # 1,072 vectors times 24 do not
+        (1, 2000, 720720, False, 0),  # 151 sizes times 2000: not even counted
+        (1, 20000, 2, False, 0),
+    ],
+)
+def test_the_eps_sum_checks_only_where_it_is_cheap(monkeypatch, ell, a, m, counted, walked):
+    calls = {"count": 0, "walk": 0}
+    factorials = []
+    real_walk, real_count, real_factorial = counting.iter_epsilons, counting.count_epsilons, factorial
+
+    def walk(sizes, total):
+        for eps in real_walk(sizes, total):
+            calls["walk"] += 1
+            yield eps
+
+    def count(sizes, total):
+        calls["count"] += 1
+        return real_count(sizes, total)
+
+    def spy_factorial(k):
+        factorials.append(k)
+        return real_factorial(k)
+
+    monkeypatch.setattr(counting, "iter_epsilons", walk)
+    monkeypatch.setattr(counting, "count_epsilons", count)
+    monkeypatch.setattr(counting, "factorial", spy_factorial)
+    factor = _length_factor.__wrapped__(ell, a, m)
+    assert (calls["count"] > 0, calls["walk"]) == (counted, walked)
+    if a > counting.CHECK_BUDGET:
+        assert a not in factorials  # the recurrence's form A and no walk: a! is never formed
+    elif walked:
+        assert factor == counting._eps_sum(ell, a, m, g_set_bounded(m, ell, a))
+
+
+def test_a_prime_length_fuses_all_or_nothing():
+    # under m = p prime, p fixed points stay fixed or form one p-cycle of the root
+    assert _length_factor(1, 25219, 25219) == 1 + factorial(25218)
