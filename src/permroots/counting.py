@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # perm imports _length_factor and _witness: CycleType is only
 # size of a! at every step, which form A never does, but form A's factorials
 # grow with g.  Fitted to in-process timings of both forms on ell in {1, 2, 3},
 # a from 8 to 3000 and m in {2, 6, 12, 60, 720, 1024, 2018, 2187, 720720}: the
-# rule's pick is within 1.9x of the faster form on every case, and 1% slower
-# than always picking it over all of them.  For example (A / B seconds):
+# rule's pick is within 1.9x of the faster form on every case, and all its
+# picks together take 1% longer than the faster forms would.  For example (A / B seconds):
 # 1^20000 under m = 2 0.21 / 1.9; 1^25219 under m = 25219 0.024 / 2.2;
 # 1^2000 under m = 720720 8.6 / 0.17; 2^6000 under m = 720 0.29 / 0.072.
 UNSCALED_WORK = 16
@@ -60,7 +60,8 @@ CHECK_BUDGET = 2048
 
 
 def _recurrence(ell: int, a: int, sizes: tuple[int, ...], scaled: bool) -> int:
-    """a! [x**a] exp(sum over g in sizes of ell**(g-1) x**g / g), in one of two forms:
+    """a! [x**a] exp(sum over g in sizes of ell**(g-1) x**g / g), sizes increasing,
+    in one of two forms:
 
     A (unscaled): b_0 = 1, b_n = sum over g <= n of perm(n-1, g-1) * ell**(g-1) * b_{n-g},
     with perm(n-1, g-1) = (n-1)!/(n-g)!; no division, but each term costs a
