@@ -10,8 +10,9 @@ scan of small symmetric groups is included as an independent oracle.
 The public names are answers with their pieces and check routes (the same
 quantities a second way).  Every check route runs in some command:
 brute_force_root_table, root_count_egf and r_total_from_types in selftest,
-r_total_series inside r_total_range.  Routes that only the tests need,
-such as the block series behind the prime-power constancy, live in the
+r_total_series, the integers r_total(0..order, m), inside r_total_range.
+Routes that only the tests need, such as the block series behind the
+prime-power constancy and the Fraction series it is built on, live in the
 tests' references.  has_mth_root is the one solvability rule.
 """
 
@@ -39,7 +40,7 @@ from .perm import (
 # Check routes: the oracle, the generating functions and the classification sum.
 from .egf import r_total_from_types, r_total_series, root_count_egf
 from .perm import brute_force_root_table
-from .series import MultiSeries, UniSeries
+from .series import MultiSeries
 
 __all__ = [
     # answers
@@ -70,7 +71,6 @@ __all__ = [
     "root_probability",
     # check routes
     "MultiSeries",
-    "UniSeries",
     "brute_force_root_table",
     "r_total_from_types",
     "r_total_series",

@@ -11,7 +11,8 @@ ell**(g-1) interleavings per bundle (Flajolet & Sedgewick, Analytic
 Combinatorics, ch. II; Wilf, generatingfunctionology, sec. 4.8).  The
 coefficient comes from the derivative recurrence in exact integers, in
 one of two forms chosen by an estimate of their work; either takes
-O(|G| * a) big-integer steps and keeps only the last max(G) + 1 values.
+O(|G| * a) big-integer steps and keeps only the last max(G)/d values, with
+d the gcd of G.
 
 The paper's explicit sum over solution vectors eps,
 
@@ -28,6 +29,7 @@ perm.has_mth_root and the CLI alike.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from math import factorial, gcd, perm
 
 from ._checks import InternalCheckError, int_text, require_int
@@ -73,8 +75,8 @@ def _recurrence(ell: int, a: int, sizes: tuple[int, ...], scaled: bool) -> int:
 
     Both end at the value for n = a.  Every g is a multiple of d = gcd(sizes),
     and so is every n with a nonzero value: n steps by d, and the factor is 0
-    when d does not divide a.  A step reads the last max(sizes)/d + 1 values,
-    and no older ones are kept past twice that many.
+    when d does not divide a.  A step reads only the last max(sizes)/d values,
+    and only those are kept.
     """
     d = gcd(*sizes)
     if not d or a % d:
@@ -82,19 +84,16 @@ def _recurrence(ell: int, a: int, sizes: tuple[int, ...], scaled: bool) -> int:
     if sizes == (1,):
         return 1  # b_n = b_{n-1}: every cycle stays a cycle (the commonest small case)
     terms = [(g // d, g - 1, ell ** (g - 1)) for g in sizes]
-    keep = terms[-1][0] + 1
-    values = [factorial(a) if scaled else 1]  # values[i] is the one at n = (base + i) * d
-    base = 0
+    values = deque([factorial(a) if scaled else 1], maxlen=terms[-1][0])  # values[-j]: n - j*d
     for k in range(1, a // d + 1):
         n = k * d
-        top = k - base
         total = 0
         for j, shift, weight in terms:
             if j > k:
                 break
             c = weight if scaled else perm(n - 1, shift) * weight
             # form B with ell = 1 adds each value as it is: a product by 1 would copy it
-            total += values[top - j] if c == 1 else c * values[top - j]
+            total += values[-j] if c == 1 else c * values[-j]
         if scaled:
             total, rest = divmod(total, n)
             if rest:
@@ -102,9 +101,6 @@ def _recurrence(ell: int, a: int, sizes: tuple[int, ...], scaled: bool) -> int:
                     f"scaled recurrence not integral at n={n} for ell={ell}, a={a}"
                 )
         values.append(total)
-        if len(values) > 2 * keep:  # drop all but the last keep, once per keep steps
-            del values[:-keep]
-            base = k + 1 - keep
     return values[-1]
 
 

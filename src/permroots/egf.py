@@ -21,16 +21,17 @@ term of exp (Wilf, "generatingfunctionology", 2nd ed., section 4.8).  The
 values r_total(lo..hi, m) are produced by one integer pass, a binomial
 (labelled) convolution of the factors, whose terms (k*ell)! / (ell**k * k!)
 count the permutations made of k ell-cycles.  The product series, expanded
-once to order hi, checks each value by one integer division of n! times its
-coefficient, which must be exact.  It is an ordinary (Cauchy) product of
-the same factors, each coefficient held as an integer scaled by hi!, so
-each product step is one exact division by hi!.  selftest and the tests
+once to order hi, gives each value again: it is an ordinary (Cauchy)
+product of the same factors, each coefficient held as an integer scaled by
+hi!, so each product step is one exact division by hi!, and n! times
+coefficient n is one more exact division, by hi!/n!.  The two tuples of
+integers must agree value by value.  selftest and the tests
 also compare the values with r_total_from_types, the sum of class sizes
 over the cycle types passing the existence criterion.  For prime powers
 m = p**r the probabilities r_total(n, m) / n! are constant on blocks of p
 consecutive n, which check_prime_power_equalities verifies value by value
-in exact arithmetic.  The series proof of that constancy,
-r_total_series(p**r) == G / (1 - x) with G supported on multiples of p, is
+in exact arithmetic.  The series proof of that constancy, that the EGF of
+r_total(n, p**r) is G / (1 - x) with G supported on multiples of p, is
 checked by the tests (tests/references.py), not by any command.
 """
 
@@ -38,14 +39,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 
 from ._checks import FrozenRecord, InternalCheckError, int_text, require_int
 from .gsets import g_set_bounded
 from .numtheory import bracket, is_prime
 from .perm import CycleType, cycle_types, has_mth_root
-from .series import MultiSeries, UniSeries
+from .series import MultiSeries
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not read the entry for 1 or 2
@@ -88,10 +89,11 @@ def _moduli(m: int, order: int) -> tuple[int, ...]:
     return tuple(bracket(ell, m) for ell in range(1, order + 1))
 
 
-def r_total_series(m: int, order: int) -> UniSeries:
-    """EGF of r_total: prod over ell of exp_q(x**ell / ell) with
-    q = bracket(ell, m).  Factors with ell > order are 1 up to the
-    truncation, so the product runs ell = 1..order only.
+def r_total_series(m: int, order: int) -> tuple[int, ...]:
+    """r_total(n, m) for n = 0..order from the EGF prod over ell of
+    exp_q(x**ell / ell) with q = bracket(ell, m): n! times coefficient n.
+    Factors with ell > order are 1 up to the truncation, so the product runs
+    ell = 1..order only.
 
     Exact in integers: every coefficient is held times order!.  The factor
     for ell has 1 / (ell**k * k!) at x**(k*ell) when q divides k, and
@@ -99,7 +101,8 @@ def r_total_series(m: int, order: int) -> UniSeries:
     (k*ell)!.  Each partial product is the EGF of a labelled class, so
     order! times each of its coefficients is an integer too: a remainder
     after dividing a Cauchy product sum by order! raises
-    InternalCheckError."""
+    InternalCheckError.  n! times coefficient n is the held value divided
+    by order!/n!, and a remainder there raises InternalCheckError too."""
     require_int(m, "m")
     require_int(order, "order", minimum=0)
     scale = factorial(order)
@@ -116,7 +119,13 @@ def r_total_series(m: int, order: int) -> UniSeries:
                     f"non-integer scaled series coefficient at n={n}, ell={ell}, m={int_text(m)}"
                 )
             scaled[n] += quotient
-    return UniSeries(order, [Fraction(value, scale) for value in scaled])
+    values = []
+    for n, value in enumerate(scaled):
+        count, remainder = divmod(value, perm(order, order - n))  # order! / n!
+        if remainder:
+            raise InternalCheckError(f"non-integer r_total at n={n}, m={int_text(m)}")
+        values.append(count)
+    return tuple(values)
 
 
 def r_total_from_types(n: int, m: int) -> int:
@@ -146,10 +155,8 @@ def _r_total_convolution(hi: int, m: int) -> list[int]:
 def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
     """r_total(n, m) for n = lo..hi, from one integer convolution.
 
-    Every value up to hi is checked against n! times the coefficient of
-    r_total_series(m, hi), the Cauchy product scaled by hi!, expanded once
-    per call, by one integer division per value with n! a running product:
-    it must be exact and give the convolution's value.  The two routes
+    Every value up to hi must equal the one r_total_series(m, hi) gives, the
+    Cauchy product scaled by hi!, expanded once per call.  The two routes
     share their input, the moduli bracket(ell, m), found once per call, but
     not their arithmetic: the convolution does binomial sums of unscaled
     counts, the series divides by hi! after each product step."""
@@ -159,14 +166,7 @@ def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
     if hi < lo:
         raise ValueError(f"hi must be at least lo={lo}, got {hi}")
     values = _r_total_convolution(hi, m)
-    series = r_total_series(m, hi)
-    n_factorial = 1
-    for n, value in enumerate(values):
-        n_factorial *= n or 1
-        coefficient = series.coefficient(n)
-        by_series, remainder = divmod(coefficient.numerator * n_factorial, coefficient.denominator)
-        if remainder:
-            raise InternalCheckError(f"non-integer r_total at n={n}, m={int_text(m)}")
+    for n, (value, by_series) in enumerate(zip(values, r_total_series(m, hi))):
         if by_series != value:
             raise InternalCheckError(
                 f"convolution and series routes disagree at n={n}, m={int_text(m)}: "

@@ -1,9 +1,11 @@
 """Exact truncated power series over Fraction, in one variable or many.
 
-They serve only the checking routes in egf and keep only the algebra
-those call.  UniSeries is dense in a single variable x up to a fixed
-truncation order: the type r_total_series returns, with a series product
-for the Fraction references in the tests.  MultiSeries is sparse in
+They serve only the checking routes and keep only the algebra those
+call.  UniSeries is dense in a single variable x up to a fixed truncation
+order, with a series product.  No package code uses it: the tests build
+their Fraction references on it, among them the block series behind the
+prime-power constancy, and bench/tracing.py wraps its product by name, so
+it stays here, outside the package's exports.  MultiSeries is sparse in
 countably many variables t_1, t_2, ... truncated by total weight
 sum(ell * e_ell), the natural grading when t_ell marks cycles of length
 ell, with a product and exp.  All coefficients are Fractions, so every

@@ -19,7 +19,6 @@ from permroots import (
     CycleType,
     MultiSeries,
     Permutation,
-    UniSeries,
     brute_force_root_table,
     cycle_type,
     enumerate_roots,
@@ -32,7 +31,7 @@ from permroots import (
 )
 from permroots._checks import InternalCheckError, require_int
 from permroots.egf import _count_from_series
-from permroots.series import _as_fraction
+from permroots.series import UniSeries, _as_fraction
 
 
 def identity(n: int) -> Permutation:
@@ -101,6 +100,12 @@ def partial_sums(series: UniSeries) -> UniSeries:
     return UniSeries(series.order, itertools.accumulate(series.coeffs))
 
 
+def egf_values(series: UniSeries) -> tuple:
+    """n! times coefficient n, for n = 0..order: the counts an exponential
+    generating function holds, in the form r_total_series returns them."""
+    return tuple(c * factorial(n) for n, c in enumerate(series.coeffs))
+
+
 def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
     """Binomial coefficient alpha over k for rational alpha:
     alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
@@ -134,7 +139,7 @@ def one_minus_xp_root(p: int, order: int) -> UniSeries:
 
 
 def prime_power_block_series(p: int, r: int, order: int) -> UniSeries:
-    """The series G with r_total_series(p**r) == G / (1 - x).
+    """The series G with egf_values(G / (1 - x)) == r_total_series(p**r, order).
 
     Splitting the product over ell by divisibility by p: the coprime part
     prod(exp(x**ell / ell), p not dividing ell) telescopes to

@@ -15,7 +15,6 @@ from permroots import (
     CycleType,
     MultiSeries,
     Permutation,
-    UniSeries,
     bracket,
     brute_force_root_table,
     check_prime_power_equalities,
@@ -37,6 +36,7 @@ from permroots import (
 )
 from permroots._checks import FrozenRecord
 from permroots.egf import EqualityReport, ProbabilityBlock
+from permroots.series import UniSeries
 from references import (
     brute_force_roots,
     divisors,
@@ -108,6 +108,12 @@ ALL_BLOCKED = (
 LONG_CONVOLUTION = (
     "(lambda real: lambda hi, m: [10**5000, *real(hi, m)[1:]])(target._r_total_convolution)"
 )
+# A series route that counts only the empty permutation: r_total 1 at n = 0
+# and 0 above, where the convolution counts r_total(1, m) = 1.
+SERIES_OF_ONE = "lambda m, order: (1,) + (0,) * order"
+# The series' last division off by one at degree 1: the value held there,
+# order! times r_total(1, m) = 1, is divided by order!/1! + 1.
+DEGREE_1_SCALE_PLUS_ONE = "(lambda real: lambda n, k: real(n, k) + (k == n - 1))(target.perm)"
 
 
 # The recurrence without its largest fusion size: one term of every step
@@ -155,18 +161,8 @@ else:
             "lambda image, m: ()",
             "list(target.enumerate_roots(target.Permutation((1, 2)), 2))",
         ),
-        (
-            "permroots.egf",
-            "r_total_series",
-            "lambda m, order: target.UniSeries(order, [1])",
-            "target.r_total_range(0, 5, 2)",
-        ),
-        (
-            "permroots.egf",
-            "r_total_series",
-            "lambda m, order: target.UniSeries(order, [1, target.Fraction(1, 3)])",
-            "target.r_total_range(0, 5, 2)",
-        ),
+        ("permroots.egf", "r_total_series", SERIES_OF_ONE, "target.r_total_range(0, 5, 2)"),
+        ("permroots.egf", "perm", DEGREE_1_SCALE_PLUS_ONE, "target.r_total_range(0, 5, 2)"),
         (
             "permroots.counting",
             "bracket",
@@ -304,14 +300,14 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
         (
             "permroots.egf",
             "r_total_series",
-            "lambda m, order: target.UniSeries(order, [1])",
+            SERIES_OF_ONE,
             ["table", "-m", "2", "--n", "0..5"],
             "convolution and series routes disagree",
         ),
         (
             "permroots.egf",
-            "r_total_series",
-            "lambda m, order: target.UniSeries(order, [1, target.Fraction(1, 3)])",
+            "perm",
+            DEGREE_1_SCALE_PLUS_ONE,
             ["table", "-m", "2", "--n", "0..5"],
             "non-integer r_total at n=1, m=2",
         ),

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permroots import MultiSeries, UniSeries, egf
+from permroots import MultiSeries, egf
+from permroots.series import UniSeries
 from references import (
+    egf_values,
     generalized_binomial,
     one_minus_xp_root,
     partial_sums,
@@ -309,7 +311,7 @@ def test_uniseries_golden_file():
 
     data = json.loads((GOLDEN / "r_total_series_m2_order8.json").read_text())
     expected = UniSeries(len(data) - 1, [Fraction(text) for text in data])
-    assert r_total_series(2, 8) == expected
+    assert r_total_series(2, 8) == egf_values(expected)
 
 
 def test_multiseries_golden_file():
