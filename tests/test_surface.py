@@ -130,6 +130,18 @@ def test_every_check_route_runs_in_the_package(name):
     assert uses, f"no package code runs {name}: move it to tests/references.py"
 
 
+def test_unexported_uniseries_runs_in_no_package_code():
+    # The converse of the check above: a command that runs UniSeries again
+    # makes it a check route, to be exported and listed in CHECK_ROUTES.
+    uses = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _uses("UniSeries", path.read_text(encoding="utf-8"))
+    ]
+    assert uses == []
+    assert "UniSeries" not in permroots.__all__
+
+
 USE_PROBE = """
 from .egf import route
 __all__ = ["route"]
