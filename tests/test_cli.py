@@ -1029,6 +1029,11 @@ REUSE_SEQUENCE = [
     ["prob", "-q", "2", "--blocks", "3"],
     ["verify", "-q", "3", "-r", "2", "--blocks", "2", "--format", "json"],
     ["selftest", "-m", "2,x"],
+    # spellings the table parse leaves to argparse
+    ["count", "-m", "2", "--type", "1^4", "--format=json"],
+    ["roots", "-m", "2", "--type", "1^6", "--lim", "5"],
+    ["count", "-m", "-2", "--type", "1^2"],  # bad input
+    ["count", "-m", "2", "-m", "3", "--type", "1^2"],  # the last -m holds
 ]
 
 
@@ -1046,7 +1051,7 @@ def test_one_parser_serves_many_commands_as_fresh_processes_do(capsys, monkeypat
         )
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     codes = [code for code, _, _ in in_process]
-    assert codes == [2, 0, 0, 3, 4, 0, 0, 0, 0, 4, 4, 0, 0, 0, 3]
+    assert codes == [2, 0, 0, 3, 4, 0, 0, 0, 0, 4, 4, 0, 0, 0, 3, 0, 4, 3, 0]
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
@@ -1059,9 +1064,13 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
 
 def test_each_parse_starts_from_a_fresh_namespace():
     argv = ["count", "-m", "2", "--type", "1^4", "-v"]
-    first, second = cli._PARSER.parse_args(argv), cli._PARSER.parse_args(argv)
-    assert first is not second
-    assert (first.verbose, second.verbose) == (1, 1)
+    for parse in (cli._PARSER.parse_args, cli._parse_plain):  # argparse, and the table parse
+        first, second = parse(argv), parse(argv)
+        assert first is not second
+        assert (first.verbose, second.verbose) == (1, 1)
+        first.format, first.perm = "json", "2 1"  # no defaults are shared with the next parse
+        third = parse(argv)
+        assert (third.format, third.perm, third.verbose) == ("text", None, 1)
 
 
 def test_importing_the_library_builds_no_parser():
