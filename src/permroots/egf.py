@@ -18,21 +18,21 @@ The univariate route counts permutations having at least one m-th root:
 
 where exp_q(y), the sum of y**(i*q) / (i*q)! over i, keeps every q-th
 term of exp (Wilf, "generatingfunctionology", 2nd ed., section 4.8).  The
-values r_total(lo..hi, m) are produced by one integer pass, a binomial
-(labelled) convolution of the factors, whose terms (k*ell)! / (ell**k * k!)
-count the permutations made of k ell-cycles.  The product series, expanded
-once to order hi, gives each value again: it is an ordinary (Cauchy)
-product of the same factors, each coefficient held as an integer scaled by
-hi!, so each product step is one exact division by hi!, and n! times
-coefficient n is one more exact division, by hi!/n!.  The two tuples of
-integers must agree value by value.  selftest and the tests
-also compare the values with r_total_from_types, the sum of class sizes
-over the cycle types passing the existence criterion.  For prime powers
-m = p**r the probabilities r_total(n, m) / n! are constant on blocks of p
-consecutive n, which check_prime_power_equalities verifies value by value
-in exact arithmetic.  The series proof of that constancy, that the EGF of
-r_total(n, p**r) is G / (1 - x) with G supported on multiples of p, is
-checked by the tests (tests/references.py), not by any command.
+free lengths, with q = 1, have the joint factor E = exp(sum of x**k / k
+over them), and E' = E * (sum of x**(k-1)) gives its coefficients (Flajolet
+and Sedgewick, "Analytic Combinatorics", chapter II).  r_total(lo..hi, m)
+comes from one integer pass: E unscaled, then a binomial (labelled)
+convolution with each factor of q > 1, whose terms (k*ell)! / (ell**k * k!)
+count the permutations made of k ell-cycles.  The product series gives each
+value again, expanded once to order hi in integers scaled by hi!, every
+division checked to be exact.  The two tuples must agree value by value.
+selftest and the tests also compare the values with r_total_from_types, the
+sum of class sizes over the cycle types passing the existence criterion.
+For prime powers m = p**r the probabilities r_total(n, m) / n! are constant
+on blocks of p consecutive n, which check_prime_power_equalities verifies
+value by value in exact arithmetic.  The series proof of that constancy,
+that the EGF of r_total(n, p**r) is G / (1 - x) with G supported on
+multiples of p, is checked by tests/references.py, not by any command.
 """
 
 from __future__ import annotations
@@ -95,19 +95,29 @@ def r_total_series(m: int, order: int) -> tuple[int, ...]:
     Factors with ell > order are 1 up to the truncation, so the product runs
     ell = 1..order only.
 
-    Exact in integers: every coefficient is held times order!.  The factor
-    for ell has 1 / (ell**k * k!) at x**(k*ell) when q divides k, and
-    order! / (ell**k * k!) is an integer because ell**k * k! divides
-    (k*ell)!.  Each partial product is the EGF of a labelled class, so
-    order! times each of its coefficients is an integer too: a remainder
-    after dividing a Cauchy product sum by order! raises
+    Exact in integers: every coefficient is held times order!.  The free
+    lengths' factor has n * h_n = sum of h_(n-k) over the free k <= n, from
+    h_0 = order!.  A factor of q > 1 has 1 / (ell**k * k!) at x**(k*ell)
+    when q divides k, and order! / (ell**k * k!) is an integer because
+    ell**k * k! divides (k*ell)!.  Each partial product is the EGF of a
+    labelled class, so order! times each of its coefficients is an integer:
+    a remainder after a division by n or by order! raises
     InternalCheckError.  n! times coefficient n is the held value divided
     by order!/n!, and a remainder there raises InternalCheckError too."""
     require_int(m, "m")
     require_int(order, "order", minimum=0)
     scale = factorial(order)
-    scaled = [scale] + [0] * order  # scale * [x**n] of the partial product
-    for ell, q in enumerate(_moduli(m, order), start=1):
+    moduli = _moduli(m, order)
+    free = []  # the free lengths up to n
+    scaled = [scale]  # scale * [x**n] of the partial product, first the free lengths'
+    for n, q in enumerate(moduli, start=1):
+        if q == 1:
+            free.append(n)
+        quotient, remainder = divmod(sum(scaled[n - k] for k in free), n)
+        if remainder:
+            raise InternalCheckError(f"non-integer scaled coefficient at n={n}, m={int_text(m)}")
+        scaled.append(quotient)
+    for ell, q in [(ell, q) for ell, q in enumerate(moduli, start=1) if q > 1]:
         step = q * ell
         terms = [
             scale // (ell ** (j // ell) * factorial(j // ell)) for j in range(step, order + 1, step)
@@ -137,11 +147,18 @@ def r_total_from_types(n: int, m: int) -> int:
 
 
 def _r_total_convolution(hi: int, m: int) -> list[int]:
-    """r_total(0..hi, m) as integers: the binomial convolution of the
-    factors exp_q(x**ell / ell), whose n! * [x**n] term is
-    (k*ell)! / (ell**k * k!) at n = k*ell with q dividing k."""
-    values = [1] + [0] * hi
-    for ell, q in enumerate(_moduli(m, hi), start=1):
+    """r_total(0..hi, m) as integers.  E_n counts the permutations of n
+    points with free cycle lengths only: (n-1)!/(n-k)! * E_(n-k) of them have
+    a k-cycle through point n.  Each factor of q > 1 then joins by binomial
+    convolution, its terms (k*ell)! / (ell**k * k!) at n = k*ell, q | k."""
+    moduli = _moduli(m, hi)
+    values = [1]  # E_0..E_(n-1), then each factor of q > 1 joins in place
+    for n in range(1, hi + 1):
+        total = 0  # Horner's rule over j = n - k: (n-1)!/(n-k)! = (n-1)(n-2)...(n-k+1)
+        for j, q in enumerate(moduli[n - 1 :: -1]):
+            total = total * j + values[j] if q == 1 else total * j
+        values.append(total)
+    for ell, q in [(ell, q) for ell, q in enumerate(moduli, start=1) if q > 1]:
         step = q * ell
         terms = [
             (j, factorial(j) // (ell ** (j // ell) * factorial(j // ell)))
@@ -153,13 +170,11 @@ def _r_total_convolution(hi: int, m: int) -> list[int]:
 
 
 def r_total_range(lo: int, hi: int, m: int) -> tuple[int, ...]:
-    """r_total(n, m) for n = lo..hi, from one integer convolution.
-
-    Every value up to hi must equal the one r_total_series(m, hi) gives, the
-    Cauchy product scaled by hi!, expanded once per call.  The two routes
-    share their input, the moduli bracket(ell, m), found once per call, but
-    not their arithmetic: the convolution does binomial sums of unscaled
-    counts, the series divides by hi! after each product step."""
+    """r_total(n, m) for n = lo..hi, from _r_total_convolution.  Every value
+    up to hi must equal the one r_total_series(m, hi) gives, expanded once
+    per call.  The two routes share only their input, the moduli
+    bracket(ell, m), found once per call: the convolution works in unscaled
+    counts, the series in coefficients scaled by hi!."""
     require_int(m, "m")
     require_int(lo, "lo", minimum=0)
     require_int(hi, "hi", minimum=0)

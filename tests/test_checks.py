@@ -114,6 +114,20 @@ SERIES_OF_ONE = "lambda m, order: (1,) + (0,) * order"
 # The series' last division off by one at degree 1: the value held there,
 # order! times r_total(1, m) = 1, is divided by order!/1! + 1.
 DEGREE_1_SCALE_PLUS_ONE = "(lambda real: lambda n, k: real(n, k) + (k == n - 1))(target.perm)"
+# 2! becomes 4, which no free length's recurrence reads: under m = 2 the factor
+# for ell = 2 (q = 2) holds 6!/16 = 45 at x**4 in place of 6!/8, and the
+# product step at n = 6 leaves 360 * 45 % 6!.
+TWO_FACTORIAL_FOUR = "(lambda real: lambda k: 4 if k == 2 else real(k))(target.factorial)"
+# The free length 3 (q = 1 under m = 2) read as a factor beyond the order, so
+# one route leaves it out: the convolution asks for the moduli first, then the
+# series.  Without 3-cycles r(3, 2) is 1, not 3.
+DROP_LENGTH_3 = (
+    "(lambda real, calls: lambda m, order: (lambda moduli: "
+    "moduli[:2] + (order + 1,) + moduli[3:] if next(calls, False) else moduli)(real(m, order)))"
+    "(target._moduli, iter({calls}))"
+)
+DROP_LENGTH_3_IN_CONVOLUTION = DROP_LENGTH_3.format(calls=[True])
+DROP_LENGTH_3_IN_SERIES = DROP_LENGTH_3.format(calls=[False, True])
 
 
 # The recurrence without its largest fusion size: one term of every step
@@ -175,14 +189,7 @@ else:
             "lambda k: 3",  # a! becomes 3: the eps-vector (0, 1) of 1^2 leaves 3 % 6
             "target.root_count(permroots.CycleType((2,)), 2)",
         ),
-        (
-            "permroots.egf",
-            "factorial",
-            # 2! becomes 3, so the factor for ell=1 holds 5!/3 at x**2 and the
-            # product step for ell=3 leaves 40 * 40 % 5!
-            "(lambda real: lambda k: real(k) + (k == 2))(target.factorial)",
-            "target.r_total_series(2, 5)",
-        ),
+        ("permroots.egf", "factorial", TWO_FACTORIAL_FOUR, "target.r_total_series(2, 6)"),
         (
             "permroots.cli",
             "brute_force_root_table",
@@ -249,6 +256,11 @@ else:
             FACTORIAL_PLUS_ONE,
             "target.root_count(permroots.CycleType((200,)), 720720)",
         ),
+        # the series' free-length recurrence starts from h_0 = 5! + 1, and under m = 2
+        # 2 * h_2 = h_1 = h_0 is odd
+        ("permroots.egf", "factorial", FACTORIAL_PLUS_ONE, "target.r_total_range(0, 5, 2)"),
+        ("permroots.egf", "_moduli", DROP_LENGTH_3_IN_CONVOLUTION, "target.r_total_range(0, 5, 2)"),
+        ("permroots.egf", "_moduli", DROP_LENGTH_3_IN_SERIES, "target.r_total_range(0, 5, 2)"),
     ],
     ids=[
         "r_total",
@@ -268,6 +280,9 @@ else:
         "unscaled_dropped_term",
         "scaled_dropped_term",
         "scaled_remainder",
+        "free_lengths_series_remainder",
+        "free_length_dropped_in_convolution",
+        "free_length_dropped_in_series",
     ],
 )
 def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
@@ -310,6 +325,34 @@ def test_cli_exits_5_under_optimize_when_a_route_is_broken():
             DEGREE_1_SCALE_PLUS_ONE,
             ["table", "-m", "2", "--n", "0..5"],
             "non-integer r_total at n=1, m=2",
+        ),
+        (
+            "permroots.egf",
+            "factorial",
+            TWO_FACTORIAL_FOUR,
+            ["table", "-m", "2", "--n", "0..6"],
+            "non-integer scaled series coefficient at n=6, ell=2, m=2",
+        ),
+        (
+            "permroots.egf",
+            "factorial",
+            FACTORIAL_PLUS_ONE,
+            ["table", "-m", "2", "--n", "0..5"],
+            "non-integer scaled coefficient at n=2, m=2",
+        ),
+        (
+            "permroots.egf",
+            "_moduli",
+            DROP_LENGTH_3_IN_CONVOLUTION,
+            ["table", "-m", "2", "--n", "0..5"],
+            "convolution and series routes disagree at n=3, m=2: 1 vs 3",
+        ),
+        (
+            "permroots.egf",
+            "_moduli",
+            DROP_LENGTH_3_IN_SERIES,
+            ["table", "-m", "2", "--n", "0..5"],
+            "convolution and series routes disagree at n=3, m=2: 3 vs 1",
         ),
         (
             "permroots.cli",

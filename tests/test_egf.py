@@ -160,6 +160,17 @@ def test_r_total_series_equals_the_fraction_product_at_order_100():
     assert {type(value) for value in series} == {int}
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 12, 60, 720720, 61])
+def test_both_routes_equal_the_fraction_product_to_order_60(m):
+    # every length is free (q = 1) under m = 1 and under the prime 61, which
+    # is above the order; under m = 720720 = lcm(1..16), ell = 1 is the only
+    # free length below 17
+    reference = egf_values(fraction_product_series(m, 60))
+    for order in range(61):
+        assert r_total_series(m, order) == reference[: order + 1], order
+        assert egf._r_total_convolution(order, m) == list(reference[: order + 1]), order
+
+
 def test_r_total_series_ignores_factors_beyond_the_order():
     # factors for ell > order contribute nothing below the truncation
     from permroots.numtheory import bracket
