@@ -57,12 +57,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_no_assert_statements_in_the_package():
-    """Bare asserts vanish under -O; every check must raise explicitly."""
+    """Bare asserts vanish under -O and __debug__ reads False there; with
+    neither, -O cannot change what the package does, so every check must
+    raise explicitly."""
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "permroots").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or getattr(node, "id", None) == "__debug__"
     ]
     assert found == []
 
@@ -84,8 +86,6 @@ DROPPED_MAP = (
     "sum(1 for _ in real(cycles, ell, m, sizes, list(image))) - (ell == 3)))"
     "(target._ell_part_maps)"
 )
-
-
 # A replay of an inner cycle length's recorded maps that writes one wrong
 # value: the first replayed map sends its last point where its first goes, so
 # the first root built from it takes that value twice.
@@ -94,8 +94,28 @@ WRONG_REPLAY = (
     "real(image, support, [recording[0][:-1] + recording[0][:1], *recording[1:]]))"
     "(target._replay)"
 )
-
-
+# Faults in root construction that the re-powering check alone must catch,
+# since a root that passes it is not validated again.  Each hits the first
+# fusion written into a root of degree >= 2, so the first such root is not a
+# permutation: it keeps a 0 where the fusion was not written, or it takes one
+# value twice when the fusion's first slot gets another slot's value.
+UNWRITTEN_SLOT = (
+    "(lambda real, fault: lambda image, anchor, chain, closing: "
+    "None if len(image) > 2 and next(fault, False) else real(image, anchor, chain, closing))"
+    "(target._write_fusion, iter([True]))"
+)
+REPEATED_VALUE = (
+    "(lambda real, fault: lambda image, anchor, chain, closing: "
+    "(real(image, anchor, chain, closing), len(image) > 2 and next(fault, False) "
+    "and image.__setitem__(anchor[0], image[anchor[0]] % (len(image) - 1) + 1)))"
+    "(target._write_fusion, iter([True]))"
+)
+# The oracle's bucket of each permutation without its first root.
+DROPPED_ORACLE_ROOT = (
+    "(lambda real: lambda n, m, max_n: "
+    "{key: bucket[1:] for key, bucket in real(n, m, max_n).items()})"
+    "(target.brute_force_root_table)"
+)
 # Checks whose messages carry an integer past the interpreter's default limit
 # of 4,300 digits on int-to-text conversion: a failed check must still raise
 # InternalCheckError there, not the conversion's ValueError.  Every length of
@@ -126,326 +146,325 @@ DROP_LENGTH_3 = (
     "moduli[:2] + (order + 1,) + moduli[3:] if next(calls, False) else moduli)(real(m, order)))"
     "(target._moduli, iter({calls}))"
 )
-DROP_LENGTH_3_IN_CONVOLUTION = DROP_LENGTH_3.format(calls=[True])
-DROP_LENGTH_3_IN_SERIES = DROP_LENGTH_3.format(calls=[False, True])
-
-
 # The recurrence without its largest fusion size: one term of every step
 # dropped, so it undercounts wherever that size is reached.
 DROPPED_TERM = (
     "(lambda real: lambda ell, a, sizes, scaled: real(ell, a, sizes[:-1], scaled))"
     "(target._recurrence)"
 )
-# a! off by one: the scaled form starts from it, and a! + 1 is coprime to
-# every step n <= a, so the first step whose true value has n in its
-# denominator leaves a remainder.
+# k! off by one.  The root count's scaled recurrence starts from a! + 1, which
+# is coprime to every step n <= a, so the first step whose true value has n in
+# its denominator leaves a remainder.  The series' free-length recurrence
+# starts from h_0 = 5! + 1, and under m = 2, 2 * h_2 = h_1 = h_0 is odd.
 FACTORIAL_PLUS_ONE = "(lambda real: lambda k: real(k) + 1)(target.factorial)"
+# r(1, m) one too many in egf, where the probability blocks read it (cli
+# keeps its own binding): block 0 under q = 2 holds p(0) = 1 and p(1) = 2.
+R_1_PLUS_ONE = (
+    "(lambda real: lambda lo, hi, m: [v + (n == 1) for n, v in enumerate(real(lo, hi, m))])"
+    "(target.r_total_range)"
+)
 
 
+# Each row breaks the input of one check in a fresh python -O interpreter, then
+# runs a command through main, or a library call whose InternalCheckError the
+# probe reports as main does.  Either way the run must exit 5 and write only
+# that check's message to stderr, so a row fails when another check, or none,
+# catches the fault.  The library rows keep the interpreter's own limit on
+# int-to-text conversion, which main raises for a command.
 FAULT_PROBE = """
 import sys
 import permroots
+import permroots.{module} as target
 from permroots._checks import InternalCheckError
-import {module} as target
+from permroots.cli import main
 if not sys.flags.optimize:
     sys.exit("interpreter is not running with -O")
 target.{attr} = {replacement}
 try:
-    {call}
+    status = {call}
 except InternalCheckError as exc:
-    print("InternalCheckError:", exc)
-else:
-    sys.exit("the broken route went unnoticed")
+    print(f"internal check failed: {{exc}}", file=sys.stderr)
+    status = 5
+sys.exit(status)
 """
 
 
-@pytest.mark.parametrize(
-    "module,attr,replacement,call",
-    [
-        (
-            "permroots.cli",
-            "r_total_from_types",
-            "lambda n, m: -1",
-            "target._cmd_selftest("
-            "target._build_parser().parse_args(['selftest', '--max-n', '5', '-m', '2']))",
-        ),
-        (
-            "permroots.perm",
-            "_image_power",
-            "lambda image, m: ()",
-            "list(target.enumerate_roots(target.Permutation((1, 2)), 2))",
-        ),
-        ("permroots.egf", "r_total_series", SERIES_OF_ONE, "target.r_total_range(0, 5, 2)"),
-        ("permroots.egf", "perm", DEGREE_1_SCALE_PLUS_ONE, "target.r_total_range(0, 5, 2)"),
-        (
-            "permroots.counting",
-            "bracket",
-            "lambda ell, m: 1",
-            "target.root_count(permroots.CycleType((0, 1)), 2)",
-        ),
-        (
-            "permroots.counting",
-            "factorial",
-            "lambda k: 3",  # a! becomes 3: the eps-vector (0, 1) of 1^2 leaves 3 % 6
-            "target.root_count(permroots.CycleType((2,)), 2)",
-        ),
-        ("permroots.egf", "factorial", TWO_FACTORIAL_FOUR, "target.r_total_series(2, 6)"),
-        (
-            "permroots.cli",
-            "brute_force_root_table",
-            "(lambda real: lambda n, m, max_n: "
-            "{key: bucket[1:] for key, bucket in real(n, m, max_n).items()})"
-            "(target.brute_force_root_table)",
-            "target._cmd_selftest("
-            "target._build_parser().parse_args(['selftest', '--max-n', '3', '-m', '2']))",
-        ),
-        (
-            "permroots.perm",
-            "_replay",
-            WRONG_REPLAY,
-            "list(target.enumerate_roots("
-            "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
-        ),
-        (
-            "permroots.perm",
-            "_ell_part_maps",
-            DROPPED_MAP,
-            "list(target.enumerate_roots("
-            "target.parse_cycle_type('1^6 3^2').canonical_permutation(), 4))",
-        ),
-        (
-            # the 3-cycle's sizes are (1,) under m = 2: its one map is written
-            # before the stream, here as sigma itself, which squares to sigma**2
-            "permroots.perm",
-            "_closing",
-            "lambda anchor, g, ell, m: anchor",
-            "list(target.enumerate_roots(target.Permutation((2, 3, 1)), 2))",
-        ),
-        (
-            "permroots.counting",
-            "_witness",
-            ALL_BLOCKED,
-            "target.root_count(permroots.CycleType((3000,)), 2)",
-        ),
-        ("permroots.egf", "_r_total_convolution", LONG_CONVOLUTION, "target.r_total_range(0, 3, 2)"),
-        (
-            # the factor 0 disagrees with bracket 1 under an m of 5,001 digits
-            "permroots.counting",
-            "_length_factor",
-            "lambda ell, a, m: 0",
-            "target.root_count(permroots.CycleType((2,)), 10**5000 + 1)",
-        ),
-        (
-            # form A on 1^4 under m = 2, against its three eps-vectors
-            "permroots.counting",
-            "_recurrence",
-            DROPPED_TERM,
-            "target.root_count(permroots.CycleType((4,)), 2)",
-        ),
-        (
-            # form B on 1^12 under m = 720720, against its 77 eps-vectors
-            "permroots.counting",
-            "_recurrence",
-            DROPPED_TERM,
-            "target.root_count(permroots.CycleType((12,)), 720720)",
-        ),
-        (
-            # form B on 1^200 under m = 720720, with no eps-sum check
-            "permroots.counting",
-            "factorial",
-            FACTORIAL_PLUS_ONE,
-            "target.root_count(permroots.CycleType((200,)), 720720)",
-        ),
-        # the series' free-length recurrence starts from h_0 = 5! + 1, and under m = 2
-        # 2 * h_2 = h_1 = h_0 is odd
-        ("permroots.egf", "factorial", FACTORIAL_PLUS_ONE, "target.r_total_range(0, 5, 2)"),
-        ("permroots.egf", "_moduli", DROP_LENGTH_3_IN_CONVOLUTION, "target.r_total_range(0, 5, 2)"),
-        ("permroots.egf", "_moduli", DROP_LENGTH_3_IN_SERIES, "target.r_total_range(0, 5, 2)"),
-    ],
-    ids=[
-        "r_total",
-        "enumerate_roots",
-        "r_total_range",
-        "r_total_range_non_integer",
-        "root_count",
-        "length_factor_remainder",
-        "r_total_series_remainder",
-        "oracle_table",
-        "replay",
-        "dropped_inner_map",
-        "one_map_part",
-        "long_factor",
-        "long_convolution_value",
-        "long_m",
-        "unscaled_dropped_term",
-        "scaled_dropped_term",
-        "scaled_remainder",
-        "free_lengths_series_remainder",
-        "free_length_dropped_in_convolution",
-        "free_length_dropped_in_series",
-    ],
-)
-def test_cross_checks_fire_under_optimize(module, attr, replacement, call):
-    probe = FAULT_PROBE.format(module=module, attr=attr, replacement=replacement, call=call)
-    result = run_optimized(probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].startswith("InternalCheckError:")  # after selftest's ok lines
+def fault(name, where, replacement, call, message):
+    """A row: where is the replaced attribute as "module.name" in permroots,
+    call a command's argv or a library expression, message all that the
+    check writes to stderr."""
+    return pytest.param(*where.split("."), replacement, call, message, id=name)
 
 
-# Faults in root construction that the re-powering check alone must catch,
-# since a root that passes it is not validated again.  Each hits the first
-# fusion written into a root of degree >= 2, so the first such root is not a
-# permutation: it keeps a 0 where the fusion was not written, or it takes one
-# value twice when the fusion's first slot gets another slot's value.
-UNWRITTEN_SLOT = (
-    "(lambda real, fault: lambda image, anchor, chain, closing: "
-    "None if len(image) > 2 and next(fault, False) else real(image, anchor, chain, closing))"
-    "(target._write_fusion, iter([True]))"
-)
-REPEATED_VALUE = (
-    "(lambda real, fault: lambda image, anchor, chain, closing: "
-    "(real(image, anchor, chain, closing), len(image) > 2 and next(fault, False) "
-    "and image.__setitem__(anchor[0], image[anchor[0]] % (len(image) - 1) + 1)))"
-    "(target._write_fusion, iter([True]))"
-)
+TABLE_0_5 = ["table", "-m", "2", "--n", "0..5"]
+ROOTS_1_6_3_2 = ["roots", "--all", "-m", "4", "--type", "1^6 3^2"]
 
-
-def test_cli_exits_5_under_optimize_when_a_route_is_broken():
-    for module, attr, replacement, argv, message in [
-        (
-            "permroots.egf",
-            "r_total_series",
-            SERIES_OF_ONE,
-            ["table", "-m", "2", "--n", "0..5"],
-            "convolution and series routes disagree",
-        ),
-        (
-            "permroots.egf",
-            "perm",
-            DEGREE_1_SCALE_PLUS_ONE,
-            ["table", "-m", "2", "--n", "0..5"],
-            "non-integer r_total at n=1, m=2",
-        ),
-        (
-            "permroots.egf",
-            "factorial",
-            TWO_FACTORIAL_FOUR,
-            ["table", "-m", "2", "--n", "0..6"],
-            "non-integer scaled series coefficient at n=6, ell=2, m=2",
-        ),
-        (
-            "permroots.egf",
-            "factorial",
-            FACTORIAL_PLUS_ONE,
-            ["table", "-m", "2", "--n", "0..5"],
-            "non-integer scaled coefficient at n=2, m=2",
-        ),
-        (
-            "permroots.egf",
-            "_moduli",
-            DROP_LENGTH_3_IN_CONVOLUTION,
-            ["table", "-m", "2", "--n", "0..5"],
-            "convolution and series routes disagree at n=3, m=2: 1 vs 3",
-        ),
-        (
-            "permroots.egf",
-            "_moduli",
-            DROP_LENGTH_3_IN_SERIES,
-            ["table", "-m", "2", "--n", "0..5"],
-            "convolution and series routes disagree at n=3, m=2: 3 vs 1",
-        ),
-        (
-            "permroots.cli",
-            "r_total_from_types",
-            "lambda n, m: -1",
-            ["selftest", "--max-n", "5", "-m", "2"],
-            "series and classification routes disagree",
-        ),
-        (
-            "permroots.counting",
-            "factorial",
-            "lambda k: 3",
-            ["count", "-m", "2", "--type", "1^2"],
-            "non-integer factor for ell=1, a=2, m=2",
-        ),
-        (
-            "permroots.counting",
-            "_recurrence",
-            DROPPED_TERM,
-            ["count", "-m", "2", "--type", "1^4"],
-            "eps-sum 10 and recurrence 1 disagree for ell=1, a=4, m=2",
-        ),
-        (
-            # 12! permutations of S_12 have an order dividing 720720, 11! of them a 12-cycle
-            "permroots.counting",
-            "_recurrence",
-            DROPPED_TERM,
-            ["count", "-m", "720720", "--type", "1^12"],
-            "eps-sum 479001600 and recurrence 439084800 disagree for ell=1, a=12, m=720720",
-        ),
-        (
-            # the first 16 steps divide exactly, as every size up to 16 divides 720720
-            "permroots.counting",
-            "factorial",
-            FACTORIAL_PLUS_ONE,
-            ["count", "-m", "720720", "--type", "1^200"],
-            "scaled recurrence not integral at n=17 for ell=1, a=200",
-        ),
-        (
-            "permroots.counting",
-            "_witness",
-            ALL_BLOCKED,
-            ["count", "-m", "2", "--type", "1^3000"],
-            "factor <a 15241-bit integer> for ell=1, a=3000, m=2 disagrees",
-        ),
-        (
-            "permroots.egf",
-            "_r_total_convolution",
-            LONG_CONVOLUTION,
-            ["table", "-m", "2", "--n", "0..3"],
-            "convolution and series routes disagree at n=0, m=2: <a 16610-bit integer> vs 1",
-        ),
-        (
-            "permroots.cli",
-            "enumerate_roots",
-            "(lambda real: lambda sigma, m: (tau for i, tau in enumerate(real(sigma, m)) if i))"
-            "(target.enumerate_roots)",  # drops the first root
-            ["roots", "--all", "-m", "2", "--type", "1^4"],
-            "enumerate_roots streamed 9 roots where 10 were due",
-        ),
-        (
-            "permroots.perm",
-            "_replay",
-            WRONG_REPLAY,
-            ["roots", "--all", "-m", "4", "--type", "1^6 3^2"],
+FAULTS = [
+    # r_total: the convolution against the integer series, the series' divisions
+    fault(
+        "series-of-one",
+        "egf.r_total_series",
+        SERIES_OF_ONE,
+        TABLE_0_5,
+        "convolution and series routes disagree at n=1, m=2: 1 vs 0",
+    ),
+    fault(
+        "series-free-length-dropped",
+        "egf._moduli",
+        DROP_LENGTH_3.format(calls=[False, True]),
+        TABLE_0_5,
+        "convolution and series routes disagree at n=3, m=2: 3 vs 1",
+    ),
+    fault(
+        "convolution-free-length-dropped",
+        "egf._moduli",
+        DROP_LENGTH_3.format(calls=[True]),
+        TABLE_0_5,
+        "convolution and series routes disagree at n=3, m=2: 1 vs 3",
+    ),
+    fault(
+        "series-free-length-remainder",
+        "egf.factorial",
+        FACTORIAL_PLUS_ONE,
+        TABLE_0_5,
+        "non-integer scaled coefficient at n=2, m=2",
+    ),
+    fault(
+        "series-factor-remainder",
+        "egf.factorial",
+        TWO_FACTORIAL_FOUR,
+        ["table", "-m", "2", "--n", "0..6"],
+        "non-integer scaled series coefficient at n=6, ell=2, m=2",
+    ),
+    fault(
+        "series-value-remainder",
+        "egf.perm",
+        DEGREE_1_SCALE_PLUS_ONE,
+        TABLE_0_5,
+        "non-integer r_total at n=1, m=2",
+    ),
+    fault(
+        "long-convolution-value",
+        "egf._r_total_convolution",
+        LONG_CONVOLUTION,
+        ["table", "-m", "2", "--n", "0..3"],
+        "convolution and series routes disagree at n=0, m=2: <a 16610-bit integer> vs 1",
+    ),
+    fault(
+        "long-convolution-value-library",
+        "egf._r_total_convolution",
+        LONG_CONVOLUTION,
+        "target.r_total_range(0, 3, 2)",
+        "convolution and series routes disagree at n=0, m=2: <a 16610-bit integer> vs 1",
+    ),
+    # root_count: the eps-sum against the recurrence, the recurrence's
+    # divisions, the factor against divisibility by the bracket, the sizes
+    fault(
+        "eps-sum-term-remainder",
+        "counting.factorial",
+        "lambda k: 3",  # a! becomes 3: the eps-vector (0, 1) of 1^2 leaves 3 % 6
+        ["count", "-m", "2", "--type", "1^2"],
+        "non-integer factor for ell=1, a=2, m=2",
+    ),
+    fault(
+        "unscaled-dropped-term",
+        "counting._recurrence",
+        DROPPED_TERM,
+        ["count", "-m", "2", "--type", "1^4"],
+        "eps-sum 10 and recurrence 1 disagree for ell=1, a=4, m=2",
+    ),
+    fault(
+        # 12! permutations of S_12 have an order dividing 720720, 11! of them a 12-cycle
+        "scaled-dropped-term",
+        "counting._recurrence",
+        DROPPED_TERM,
+        ["count", "-m", "720720", "--type", "1^12"],
+        "eps-sum 479001600 and recurrence 439084800 disagree for ell=1, a=12, m=720720",
+    ),
+    fault(
+        # past the eps-sum's budget; the first 16 steps divide exactly, as every
+        # size up to 16 divides 720720
+        "scaled-remainder",
+        "counting.factorial",
+        FACTORIAL_PLUS_ONE,
+        ["count", "-m", "720720", "--type", "1^200"],
+        "scaled recurrence not integral at n=17 for ell=1, a=200",
+    ),
+    fault(
+        "bracket-one",
+        "counting.bracket",
+        "lambda ell, m: 1",
+        ["count", "-m", "2", "--type", "2"],
+        "factor 0 for ell=2, a=1, m=2 disagrees with divisibility by bracket 1",
+    ),
+    fault(
+        # the filter's first gcd answers 1, so the size 1 passes for the
+        # 2-cycle under m = 2, where gcd(1*2, 2) is 2
+        "g-set-filter",
+        "gsets.gcd",
+        "(lambda real, lies: lambda x, y: 1 if next(lies, False) else real(x, y))"
+        "(target.gcd, iter([True]))",
+        ["count", "-m", "2", "--type", "2"],
+        "divisor construction produced g=1 failing gcd(1*2, 2) == 1",
+    ),
+    fault(
+        "long-factor",
+        "counting._witness",
+        ALL_BLOCKED,
+        ["count", "-m", "2", "--type", "1^3000"],
+        "factor <a 15241-bit integer> for ell=1, a=3000, m=2 "
+        "disagrees with divisibility by bracket 1",
+    ),
+    fault(
+        "long-factor-library",
+        "counting._witness",
+        ALL_BLOCKED,
+        "target.root_count(permroots.CycleType((3000,)), 2)",
+        "factor <a 15241-bit integer> for ell=1, a=3000, m=2 "
+        "disagrees with divisibility by bracket 1",
+    ),
+    fault(
+        # the factor 0 disagrees with bracket 1 under an m of 5,001 digits
+        "long-m-library",
+        "counting._length_factor",
+        "lambda ell, a, m: 0",
+        "target.root_count(permroots.CycleType((2,)), 10**5000 + 1)",
+        "factor 0 for ell=1, a=2, m=<a 16610-bit integer> "
+        "disagrees with divisibility by bracket 1",
+    ),
+    # root construction: the stream's length, the replay's count, re-powering
+    fault(
+        "first-root-dropped",
+        "cli.enumerate_roots",
+        "(lambda real: lambda sigma, m: (tau for i, tau in enumerate(real(sigma, m)) if i))"
+        "(target.enumerate_roots)",
+        ["roots", "--all", "-m", "2", "--type", "1^4"],
+        "enumerate_roots streamed 9 roots where 10 were due",
+    ),
+    fault(
+        "dropped-inner-map",
+        "perm._ell_part_maps",
+        DROPPED_MAP,
+        ROOTS_1_6_3_2,
+        "3 inner maps built where 4 were due",
+    ),
+    fault(
+        "wrong-replay",
+        "perm._replay",
+        WRONG_REPLAY,
+        ROOTS_1_6_3_2,
+        "constructed root failed re-powering",
+    ),
+    fault(
+        "empty-power",
+        "perm._image_power",
+        "lambda image, m: ()",
+        ["roots", "-m", "2", "--perm", "1 2"],
+        "constructed root failed re-powering",
+    ),
+    fault(
+        # the 3-cycle's sizes are (1,) under m = 2: its one map is written
+        # before the stream, here as sigma itself, which squares to sigma**2
+        "one-map-part",
+        "perm._closing",
+        "lambda anchor, g, ell, m: anchor",
+        ["roots", "-m", "2", "--perm", "2 3 1"],
+        "constructed root failed re-powering",
+    ),
+    *(
+        fault(
+            f"{name}-{argv[0]}",
+            "perm._write_fusion",
+            replacement,
+            argv,
             "constructed root failed re-powering",
-        ),
-        (
-            "permroots.perm",
-            "_ell_part_maps",
-            DROPPED_MAP,
-            ["roots", "--all", "-m", "4", "--type", "1^6 3^2"],
-            "3 inner maps built where 4 were due",
-        ),
-        *(
-            ("permroots.perm", "_write_fusion", fault, argv, "constructed root failed re-powering")
-            for fault in (UNWRITTEN_SLOT, REPEATED_VALUE)
-            for argv in (
-                ["roots", "--all", "-m", "2", "--type", "1^4"],
-                ["selftest", "--max-n", "4", "-m", "2"],
-            )
-        ),
-    ]:
-        result = run_optimized(
-            f"import sys, {module} as target\n"
-            "from permroots.cli import main\n"
-            f"target.{attr} = {replacement}\n"
-            f"sys.exit(main({argv!r}))\n"
         )
-        assert result.returncode == 5, (argv, result.stderr)
-        assert result.stderr.startswith(f"internal check failed: {message}"), result.stderr
-        if argv[0] in ("table", "count"):
-            assert result.stdout == ""
+        for name, replacement in (
+            ("unwritten-slot", UNWRITTEN_SLOT),
+            ("repeated-value", REPEATED_VALUE),
+        )
+        for argv in (
+            ["roots", "--all", "-m", "2", "--type", "1^4"],
+            ["selftest", "--max-n", "4", "-m", "2"],
+        )
+    ),
+    # selftest's routes against each other
+    fault(
+        "oracle-root-dropped",
+        "cli.brute_force_root_table",
+        DROPPED_ORACLE_ROOT,
+        ["selftest", "--max-n", "3", "-m", "2"],
+        "root sets differ for , m=2",
+    ),
+    fault(
+        "selftest-root-count",
+        "cli.root_count",
+        "(lambda real: lambda t, m: real(t, m) + 1)(target.root_count)",
+        ["selftest", "--max-n", "0", "-m", "2"],
+        "root count differs for , m=2",
+    ),
+    fault(
+        "selftest-global-identity",
+        "cli.cycle_types",
+        "(lambda real: lambda n: list(real(n))[1:])(target.cycle_types)",  # S_0 without ()
+        ["selftest", "--max-n", "1", "-m", "2"],
+        "global root identity fails at n=0, m=2",
+    ),
+    fault(
+        # the series of m = 3: a transposition has a cube root, itself, and no square root
+        "selftest-series-product",
+        "cli.root_count_egf",
+        "(lambda real: lambda m, w: real(m + 1, w))(target.root_count_egf)",
+        ["selftest", "--max-n", "2", "-m", "2"],
+        "series and product formulas differ at CycleType(a=(0, 1)), m=2",
+    ),
+    fault(
+        # every term of the series' exponent halved: t_1 has the coefficient 1/2
+        "series-count-non-integer",
+        "egf.Fraction",
+        "(lambda real: lambda num, den: real(num, 2 * den))(target.Fraction)",
+        ["selftest", "--max-n", "1", "-m", "2"],
+        "non-integer EGF root count for CycleType(a=(1,)), m=2",
+    ),
+    fault(
+        "classification-route",
+        "cli.r_total_from_types",
+        "lambda n, m: -1",
+        ["selftest", "--max-n", "5", "-m", "2"],
+        "series and classification routes disagree at n=0, m=2: 1 vs -1",
+    ),
+    # the probability blocks, which selftest checks and prob reports
+    fault(
+        "selftest-probability-blocks",
+        "egf.r_total_range",
+        R_1_PLUS_ONE,
+        ["selftest", "--max-n", "1", "-m", "2"],
+        "probability blocks unequal for m=2^1",
+    ),
+    fault(
+        "prob-probability-blocks",
+        "egf.r_total_range",
+        R_1_PLUS_ONE,
+        ["prob", "-q", "2", "--blocks", "2"],
+        "error: a probability block failed its equality check",
+    ),
+]
+
+
+@pytest.mark.parametrize("module,attr,replacement,call,message", FAULTS)
+def test_each_check_exits_5_with_its_message_under_optimize(
+    module, attr, replacement, call, message
+):
+    command = call if isinstance(call, str) else f"main({call!r})"
+    result = run_optimized(
+        FAULT_PROBE.format(module=module, attr=attr, replacement=replacement, call=command)
+    )
+    # prob reports an unequal block as an error of its own, after the blocks
+    expected = message if message.startswith("error: ") else f"internal check failed: {message}"
+    assert result.returncode == 5, result.stderr
+    assert result.stderr == f"{expected}\n"
+    if isinstance(call, list) and call[0] in ("table", "count"):
+        assert result.stdout == ""
 
 
 def test_selftest_exits_5_when_the_oracle_table_drops_a_root(monkeypatch, capsys):

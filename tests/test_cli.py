@@ -824,6 +824,7 @@ def test_prob_refuses_an_m_above_the_digits_cap_within_two_seconds(q, r, printed
         (2, -1, "r must be a positive integer, got -1"),
         (0, -1, "q must be prime, got 0"),
         (4, 10_000_000, "q must be prime, got 4"),
+        (211, 0, "r must be a positive integer, got 0"),  # q past the truncation cap, untested
     ],
 )
 def test_prob_checks_q_and_r_before_the_digits_cap(capsys, q, r, message):
@@ -983,6 +984,9 @@ def test_bad_inputs_exit_3(capsys):
     assert run_cli(capsys, "count", "-m", "0", "--type", "1^2")[0] == 3
     assert run_cli(capsys, "exists", "-m", "2", "--type", "1^0")[0] == 3
     assert run_cli(capsys, "table", "-m", "2", "--n", "5..1")[0] == 3
+    assert run_cli(capsys, "table", "-m", "2", "--n", "abc") == (
+        3, "", "error: bad range 'abc': use A..B or a single integer\n"
+    )
 
 
 @pytest.mark.parametrize("text", ["2,x", "2,-3", "x", "0", ",", "2.5"])

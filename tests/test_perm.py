@@ -57,6 +57,8 @@ def test_permutation_validation():
         Permutation([0, 1])
     with pytest.raises(ValueError):
         Permutation([2, 3])
+    with pytest.raises(ValueError, match="^cycles are not disjoint at 2$"):
+        Permutation.from_cycles(3, [(1, 2), (2, 3)])
     assert Permutation([]).degree == 0
 
 
@@ -64,6 +66,7 @@ def test_one_line_text_round_trip():
     sigma = parse_permutation("2 3 1")
     assert sigma(1) == 2 and sigma(2) == 3 and sigma(3) == 1
     assert format_permutation(sigma) == "2 3 1"
+    assert repr(Permutation([2, 1, 3])) == "Permutation([2, 1, 3])"
     assert parse_permutation("") == Permutation([])
     with pytest.raises(ValueError):
         parse_permutation("2 3 x")
@@ -408,8 +411,9 @@ print(json.dumps([time.perf_counter() - start, list(sigma.image), list(tau.image
 
 def test_a_length_past_the_replay_cap_yields_a_first_root_without_its_count():
     """The 6,000 2-cycles under m = 720 have more solution vectors than the
-    replay cap has room for at 12,000 points each, so construction streams
-    them without their eps-sum, which alone takes more than two minutes."""
+    replay cap has room for at 12,000 points each, so their maps are not
+    counted and are rebuilt for each map of the two fixed points.  The first
+    root still comes quickly."""
     result = subprocess.run(
         [sys.executable, "-c", _FIRST_ROOT],
         capture_output=True,
