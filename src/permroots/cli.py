@@ -48,6 +48,7 @@ from .egf import check_prime_power_equalities, r_total_from_types, r_total_range
 from .egf import _count_from_series, _require_prime_power, root_count_egf
 from .gsets import count_epsilons, g_set_bounded
 from .perm import (
+    DEFAULT_ORACLE_BOUND,
     CycleType,
     Permutation,
     brute_force_root_table,
@@ -68,7 +69,6 @@ EXIT_INTERNAL = 5
 
 DEFAULT_ROOT_LIMIT = 10_000
 DEFAULT_TRUNCATION_CAP = 200
-DEFAULT_ORACLE_BOUND = 8
 # The longest integer a command reads or writes: converting an int to or from
 # decimal text takes time quadratic in its length.
 MAX_ANSWER_DIGITS = 100_000
@@ -628,9 +628,9 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
-    if limit is not None:  # one digits limit for the whole command, parsing included
-        sys.set_int_max_str_digits(MAX_ANSWER_DIGITS)
+    # one digits limit for the whole command, parsing included
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_ANSWER_DIGITS)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _parse_plain(argv)
@@ -655,8 +655,7 @@ def main(argv=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

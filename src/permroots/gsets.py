@@ -3,19 +3,20 @@
 An m-th root tau of a permutation sigma acts on the ell-cycles of sigma by
 fusing g of them into a single (g*ell)-cycle of tau, and the fusion size g
 is admissible exactly when gcd(g*ell, m) == g.  The admissible sizes form
-the finite set G_m(ell); capping by the number a of available ell-cycles
-gives the bounded set.  A solution vector eps assigns a multiplicity to
-each admissible size so that sum(g_i * eps_i) == a, i.e. it spends all a
-cycles on fusions.  Roots exist for the ell-part iff a solution vector
+the finite set G_m(ell), each a divisor of m; capping by the number a of
+available ell-cycles gives the bounded set, which g_set_bounded reads
+straight from that definition.  A solution vector eps assigns a
+multiplicity to each admissible size so that sum(g_i * eps_i) == a, i.e.
+it spends all a cycles on fusions.  Roots exist for the ell-part iff a solution vector
 exists, which happens iff bracket(ell, m) divides a.
 """
 
 from __future__ import annotations
 
 import functools
-from math import gcd, isqrt
+from math import gcd
 
-from ._checks import InternalCheckError, int_text, is_int, require_int
+from ._checks import is_int, require_int
 
 
 # typed: True or 2.0 must not read the entry for 1 or 2
@@ -24,27 +25,18 @@ def g_set_bounded(m: int, ell: int, a: int) -> tuple[int, ...]:
     """The admissible fusion sizes g <= a, {g : gcd(g*ell, m) == g, g <= a},
     increasing; empty when a == 0.
 
-    Built as {m/d : d | m, gcd(d, ell) == 1}, and the gcd form is checked
-    for every element produced.  Every element divides m, and the minimum
-    of the unbounded set is bracket(ell, m).  Finds only the divisors of m
-    up to a: each d <= min(a, isqrt(m)) that divides m gives d and m // d,
-    which covers every divisor <= a.  So it takes min(a, sqrt(m)) steps
-    however large m is.  Memoized in a bounded cache, so one command finds
-    the sizes of each (m, ell, a) once; the result is a tuple, which no
-    caller can change.
+    Read straight from the definition over g <= min(a, m): gcd(., m)
+    divides m, so every admissible g divides m and none exceeds it.  One
+    gcd per candidate, so at most one per ell-cycle: the order of building
+    the cycle-type vector, and of the recurrence that follows, which does
+    one big-integer step per cycle.  Memoized in a bounded cache, so one
+    command finds the sizes of each (m, ell, a) once; the result is a
+    tuple, which no caller can change.
     """
     require_int(m, "m")
     require_int(ell, "ell")
     require_int(a, "a", minimum=0)
-    small = [d for d in range(1, min(a, isqrt(m)) + 1) if m % d == 0]
-    large = [m // d for d in reversed(small) if d < m // d <= a]
-    elements = tuple(g for g in small + large if gcd(m // g, ell) == 1)
-    for g in elements:
-        if gcd(g * ell, m) != g:
-            raise InternalCheckError(
-                f"divisor construction produced g={g} failing gcd({g}*{ell}, {int_text(m)}) == {g}"
-            )
-    return elements
+    return tuple(g for g in range(1, min(a, m) + 1) if gcd(g * ell, m) == g)
 
 
 def _reachable_masks(g: tuple[int, ...], a: int) -> list[int]:

@@ -45,6 +45,8 @@ from .gsets import count_epsilons, g_set_bounded, iter_epsilons
 
 # Cycle-type text of a larger degree is refused before its vector is built.
 MAX_DEGREE = 1_000_000
+# The largest n brute_force_root_table scans by default: S_8 has 40,320 members.
+DEFAULT_ORACLE_BOUND = 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -487,7 +489,7 @@ def enumerate_roots(sigma: Permutation, m: int):
 
 
 def brute_force_root_table(
-    n: int, m: int, max_n: int = 8
+    n: int, m: int, max_n: int = DEFAULT_ORACLE_BOUND
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Every m-th root in S_n, bucketed by its m-th power, from one scan of S_n.
 

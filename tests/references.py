@@ -189,9 +189,9 @@ def nu_p(n: int, p: int) -> int:
 def g_set(m: int, ell: int) -> tuple[int, ...]:
     """The whole admissible set {g : gcd(g*ell, m) == g}, increasing, built
     as {m/d : d | m, gcd(d, ell) == 1} from every divisor of m, with the gcd
-    form checked for every element.  g_set_bounded finds the elements up to
-    a bound from the divisors of m up to it; this lists all of them, by one
-    factorize(m)."""
+    form checked for every element.  g_set_bounded tests each g up to a
+    bound against the gcd form itself; this builds all of them another way,
+    from one factorize(m)."""
     require_int(m, "m")
     require_int(ell, "ell")
     elements = tuple(m // d for d in reversed(divisors(m)) if gcd(d, ell) == 1)

@@ -21,6 +21,7 @@ from permroots import (
     cycle_type,
     cycle_types,
     enumerate_roots,
+    g_set_bounded,
     has_mth_root,
     iter_epsilons,
     power,
@@ -191,8 +192,9 @@ def test_criterion_6_root_counts_cover_the_group():
 
 
 def test_criterion_7_g_set_laws_exhaustive():
-    """For all m, ell <= 60: divisor construction == definition scan; every
-    element divides m; min == gcd of the set == bracket(ell, m); coprime
+    """For all m, ell <= 60: the reference's divisor construction == the
+    package's definition scan g_set_bounded(m, ell, m); every element
+    divides m; min == gcd of the set == bracket(ell, m); coprime
     case == divisors(m); and for a <= 60 ell-cycles, has_mth_root is exactly
     divisibility by bracket(ell, m) and exactly the existence of a solution
     vector over the admissible sizes."""
@@ -203,8 +205,7 @@ def test_criterion_7_g_set_laws_exhaustive():
     for m in range(1, 61):
         for ell in range(1, 61):
             elements = g_set(m, ell)
-            scanned = tuple(g for g in range(1, m + 1) if gcd(g * ell, m) == g)
-            assert elements == scanned, (m, ell)
+            assert elements == g_set_bounded(m, ell, m), (m, ell)
             assert all(m % g == 0 for g in elements)
             b = bracket(ell, m)
             assert min(elements) == b

@@ -298,14 +298,15 @@ FAULTS = [
         "factor 0 for ell=2, a=1, m=2 disagrees with divisibility by bracket 1",
     ),
     fault(
-        # the filter's first gcd answers 1, so the size 1 passes for the
-        # 2-cycle under m = 2, where gcd(1*2, 2) is 2
-        "g-set-filter",
+        # the definition's first gcd answers 1, so the size 1 is admitted for
+        # the 2-cycle under m = 2, where gcd(1*2, 2) is 2: its factor is then
+        # 1 where bracket 2 does not divide a = 1
+        "g-set-definition",
         "gsets.gcd",
         "(lambda real, lies: lambda x, y: 1 if next(lies, False) else real(x, y))"
         "(target.gcd, iter([True]))",
         ["count", "-m", "2", "--type", "2"],
-        "divisor construction produced g=1 failing gcd(1*2, 2) == 1",
+        "factor 1 for ell=2, a=1, m=2 disagrees with divisibility by bracket 2",
     ),
     fault(
         "long-factor",

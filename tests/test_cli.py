@@ -574,21 +574,26 @@ def test_count_answers_the_identity_of_s_20000_under_m_2_within_ten_seconds():
     assert (code, out, err) == (0, expected + "\n", "")
 
 
-@pytest.mark.parametrize("verbose", [[], ["-v"]], ids=["plain", "verbose"])
-def test_count_answers_the_identity_of_s_2000_under_m_720720_within_ten_seconds(verbose):
-    # 720720 has 151 divisors up to 2000; the answer has 5,733 digits
-    code, out, err, elapsed = run_cli_timed("count", "-m", "720720", "--type", "1^2000", *verbose)
+@pytest.mark.parametrize(
+    "m, n, verbose",
+    [(720720, 2000, []), (720720, 2000, ["-v"]), (10**30, 3000, [])],
+    ids=["m720720-plain", "m720720-verbose", "m10e30-plain"],
+)
+def test_count_answers_the_identity_of_a_large_s_n_within_ten_seconds(m, n, verbose):
+    # 720720 has 151 divisors up to 2000; the answer has 5,733 digits.  Past
+    # 64 bits, 10**30 bounds the admissible sizes by a = 3000, not by m.
+    code, out, err, elapsed = run_cli_timed("count", "-m", str(m), "--type", f"1^{n}", *verbose)
     assert elapsed < 10
     assert (code, err) == (0, "")
     first, *detail = out.splitlines()
     with _any_int_digits():
         value = int(first)
     prime = 2**61 - 1
-    assert value % prime == _orders_dividing_mod(2000, 720720, prime)
+    assert value % prime == _orders_dividing_mod(n, m, prime)
     if verbose:
         [row] = detail
-        gs = ", ".join(str(g) for g in range(1, 2001) if 720720 % g == 0)
-        assert row.startswith(f"ell=1 a=2000 admissible g=[{gs}] solutions=")
+        gs = ", ".join(str(g) for g in range(1, n + 1) if m % g == 0)
+        assert row.startswith(f"ell=1 a={n} admissible g=[{gs}] solutions=")
     else:
         assert detail == []
 

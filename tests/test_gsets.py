@@ -85,17 +85,29 @@ def test_g_set_prime_valuation_characterization():
 
 
 def test_g_set_bounded_equals_the_filtered_full_set():
-    # g_set_bounded scans only the divisors of m up to a; g_set lists all of
-    # them.  Every pair (m, a) with m <= 2000 and a <= 60 is checked, with ell
-    # running through 1..30 as a does, so every pair (m, ell) is checked at two
-    # or three bounds.  ell enters only through each function's coprimality
-    # filter, which the two write in their own terms.
+    # g_set_bounded tests each g <= min(a, m) against the definition
+    # gcd(g*ell, m) == g; g_set builds every size as m/d from the divisors d
+    # of m coprime to ell.  Every pair (m, a) with m <= 2000 and a <= 60 is
+    # checked, with ell running through 1..30 as a does, so every pair
+    # (m, ell) is checked at two or three bounds.
     for m in range(1, 2001):
         full = [None] + [g_set(m, ell) for ell in range(1, 31)]
         for a in range(61):
             ell = 1 + (m + a) % 30
             expected = full[ell][: bisect_right(full[ell], a)]
             assert g_set_bounded(m, ell, a) == expected, (m, ell, a)
+
+
+@pytest.mark.parametrize(
+    "m, ells, a",
+    [(2, (1,), 20000), (720720, (1, 2, 3, 7), 2000), (10**20 - 1, (1, 2, 3, 11), 3000)],
+    ids=["a-past-m", "a-between-sqrt-m-and-m", "m-past-64-bits"],
+)
+def test_g_set_bounded_equals_the_filtered_full_set_past_the_grid(m, ells, a):
+    # the scan stops at min(a, m): at m when a >> m, at a otherwise
+    for ell in ells:
+        full = g_set(m, ell)
+        assert g_set_bounded(m, ell, a) == full[: bisect_right(full, a)], (m, ell, a)
 
 
 def test_the_full_set_of_a_huge_m_is_built_within_a_second():
