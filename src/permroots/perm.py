@@ -80,6 +80,15 @@ def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
         square = itemgetter(*square)(square)
 
 
+def _one_to_n(image: tuple, ints: bool = True) -> tuple:
+    """image, if it lists 1..n in some order and ints is true, saying that
+    every entry is an int and not a bool (1.0 and True sort as 1 does);
+    ValueError otherwise, with one message for both."""
+    if not ints or sorted(image) != list(range(1, len(image) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(image)}: {image!r}")
+    return image
+
+
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation.  Immutable, as it
     is hashed and keeps its cycle split: image and the split are bound once."""
@@ -89,9 +98,7 @@ class Permutation:
 
     def __init__(self, image):
         image = tuple(image)
-        if not all(map(is_int, image)) or sorted(image) != list(range(1, len(image) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(image)}: {image!r}")
-        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "image", _one_to_n(image, all(map(is_int, image))))
 
     @classmethod
     def _proved(cls, image: tuple[int, ...]) -> "Permutation":
@@ -517,7 +524,7 @@ def parse_permutation(text: str) -> Permutation:
         image = tuple(int(tok) for tok in text.split())
     except ValueError as exc:
         raise ValueError(f"permutation text must be whitespace-separated integers: {text!r}") from exc
-    return Permutation(image)
+    return Permutation._proved(_one_to_n(image))  # int() gives ints, never bools
 
 
 def format_permutation(sigma: Permutation) -> str:

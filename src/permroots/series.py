@@ -10,23 +10,32 @@ countably many variables t_1, t_2, ... truncated by total weight
 sum(ell * e_ell), the natural grading when t_ell marks cycles of length
 ell, with a product and exp.  All coefficients are Fractions, so every
 identity checked against these classes is exact, not floating-point.
+fractions, which brings decimal with it, is imported where a Fraction is
+made, not with this module, which every CLI command imports: a plain text
+exists, count, roots or table makes no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
 from ._checks import FrozenRecord, is_int, require_int
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if is_int(value):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
+def _fractions(values) -> list:
+    """Each of values as a Fraction: a Fraction as it is, an int converted;
+    TypeError for anything else, a bool too."""
+    from fractions import Fraction
+
+    out = []
+    for value in values:
+        if not isinstance(value, Fraction):
+            if not is_int(value):
+                raise TypeError(f"coefficients must be Fraction or int, got {value!r}")
+            value = Fraction(value)
+        out.append(value)
+    return out
 
 
 class UniSeries(FrozenRecord):
@@ -38,13 +47,14 @@ class UniSeries(FrozenRecord):
 
     def __init__(self, order: int, coeffs=()):
         require_int(order, "order", minimum=0)
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = _fractions(coeffs)
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
-        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
+        coeffs += _fractions([0] * (order + 1 - len(coeffs)))
         super().__init__(order, tuple(coeffs))
 
-    def coefficient(self, j: int) -> Fraction:
+    def coefficient(self, j: int):
+        """The Fraction coefficient of x**j."""
         require_int(j, "j", minimum=0)
         if j > self.order:
             raise ValueError(f"coefficient {j} outside truncation order {self.order}")
@@ -55,7 +65,7 @@ class UniSeries(FrozenRecord):
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        out = [Fraction(0)] * (self.order + 1)
+        out = [0] * (self.order + 1)  # each sum a Fraction, the rest Fractions in __init__
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -66,6 +76,11 @@ class UniSeries(FrozenRecord):
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, coeffs={list(self.coeffs)})"
+
+
+def _nonzero(terms: dict) -> MappingProxyType:
+    """A read-only copy of terms without their zero coefficients."""
+    return MappingProxyType({key: coeff for key, coeff in terms.items() if coeff})
 
 
 def _strip(key) -> tuple[int, ...]:
@@ -98,17 +113,28 @@ class MultiSeries(FrozenRecord):
 
     def __init__(self, weight_bound: int, terms=None):
         require_int(weight_bound, "weight_bound", minimum=0)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            key = _strip(key)
-            coeff = _as_fraction(coeff)
-            if coeff and _weight(key) <= weight_bound:
-                clean[key] = clean.get(key, Fraction(0)) + coeff
-                if not clean[key]:
-                    del clean[key]
-        super().__init__(weight_bound, MappingProxyType(clean))
+        items = (terms or {}).items()
+        keys = [_strip(key) for key, _ in items]
+        clean = {}
+        for key, coeff in zip(keys, _fractions(coeff for _, coeff in items)):
+            if _weight(key) <= weight_bound:
+                clean[key] = clean[key] + coeff if key in clean else coeff
+        super().__init__(weight_bound, _nonzero(clean))
 
-    def coefficient(self, exponents) -> Fraction:
+    @classmethod
+    def _proved(cls, weight_bound: int, terms: dict) -> "MultiSeries":
+        """The series of terms already proved, as the sums of products of
+        proved series are: stripped exponent tuples of weight at most
+        weight_bound, each with a Fraction.  They are not checked again;
+        only the zero coefficients are dropped."""
+        series = object.__new__(cls)
+        FrozenRecord.__init__(series, weight_bound, _nonzero(terms))
+        return series
+
+    def coefficient(self, exponents):
+        """The Fraction coefficient of t_1**e_1 * t_2**e_2 * ..."""
+        from fractions import Fraction
+
         key = _strip(exponents)
         if _weight(key) > self.weight_bound:
             raise ValueError(f"weight of {key!r} exceeds truncation bound {self.weight_bound}")
@@ -121,7 +147,7 @@ class MultiSeries(FrozenRecord):
         if self.weight_bound != other.weight_bound:
             raise ValueError(f"weight bound mismatch: {self.weight_bound} vs {other.weight_bound}")
         right = [(k2, _weight(k2), c2) for k2, c2 in other.terms.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for k1, c1 in self.terms.items():
             room = self.weight_bound - _weight(k1)
             for k2, w2, c2 in right:
@@ -132,23 +158,30 @@ class MultiSeries(FrozenRecord):
                     a + (shorter[i] if i < len(shorter) else 0)
                     for i, a in enumerate(longer)
                 )
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiSeries(self.weight_bound, out)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return MultiSeries._proved(self.weight_bound, out)
 
     def __repr__(self) -> str:
         return f"MultiSeries(weight_bound={self.weight_bound}, {len(self.terms)} terms)"
 
     def exp(self) -> "MultiSeries":
         """exp(self) for zero constant term, as sum(self**k / k!), one
-        product per power; each power raises the minimum weight, so the
-        loop ends once self**k is empty under the bound."""
+        product per power.  Each term of self**k has weight at least k
+        times the least weight low of self's terms, so the loop ends at the
+        first empty power or at the first k with (k + 1) * low above the
+        bound, without forming self**(k + 1), which has no term within it."""
+        from fractions import Fraction
+
         if self.terms.get(()):
             raise ValueError("exp needs a zero constant term")
+        low = min(map(_weight, self.terms), default=0)
         total = {(): Fraction(1)}
         power, k = self, 1
         while power.terms:
             scale = factorial(k)
             for key, coeff in power.terms.items():
-                total[key] = total.get(key, 0) + coeff / scale
+                total[key] = total[key] + coeff / scale if key in total else coeff / scale
+            if (k + 1) * low > self.weight_bound:
+                break
             power, k = power * self, k + 1
-        return MultiSeries(self.weight_bound, total)
+        return MultiSeries._proved(self.weight_bound, total)

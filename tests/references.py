@@ -31,7 +31,7 @@ from permroots import (
 )
 from permroots._checks import InternalCheckError, require_int
 from permroots.egf import _count_from_series
-from permroots.series import UniSeries, _as_fraction
+from permroots.series import UniSeries, _fractions
 
 
 def identity(n: int) -> Permutation:
@@ -81,7 +81,7 @@ def substitute_scaled_power(series: UniSeries, c, k: int, order: int) -> UniSeri
     coefficients: series.order * k >= order."""
     require_int(order, "order", minimum=0)
     require_int(k, "k")
-    c = _as_fraction(c)
+    (c,) = _fractions([c])
     if series.order < order // k:
         raise ValueError(
             f"source order {series.order} too small to reach order {order} with k={k}"
@@ -110,7 +110,7 @@ def generalized_binomial(alpha: Fraction, k: int) -> Fraction:
     """Binomial coefficient alpha over k for rational alpha:
     alpha * (alpha-1) * ... * (alpha-k+1) / k!."""
     require_int(k, "k", minimum=0)
-    alpha = _as_fraction(alpha)
+    (alpha,) = _fractions([alpha])
     num = Fraction(1)
     for i in range(k):
         num *= alpha - i

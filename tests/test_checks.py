@@ -422,8 +422,9 @@ FAULTS = [
     fault(
         # every term of the series' exponent halved: t_1 has the coefficient 1/2
         "series-count-non-integer",
-        "egf.Fraction",
-        "(lambda real: lambda num, den: real(num, 2 * den))(target.Fraction)",
+        "egf.MultiSeries",
+        "(lambda real: lambda w, terms: real(w, {k: c / 2 for k, c in terms.items()}))"
+        "(target.MultiSeries)",
         ["selftest", "--max-n", "1", "-m", "2"],
         "non-integer EGF root count for CycleType(a=(1,)), m=2",
     ),

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and the exit-code contract."""
 
+import functools
 import hashlib
 import io
 import itertools
@@ -751,6 +752,20 @@ OVERSIZED_INTEGER_COMMANDS = {
     # the m-th roots of the identity of S_4 under m = 10**4999: all but the eight 3-cycles
     "count-m": (["count", "-m", _power_of_ten(4999), "--type", "1^4"], 0, "16\n", ""),
     "selftest-m": (["selftest", "--max-n", "3", "-m", f"2,{_nines(5000)}"], 0, "passed\n", ""),
+    # two quick answers pinned to stay quick: a lone cycle of the largest degree has
+    # no square root, and r(0..200, 10**30) ends at n = 200 with p = 0.0312...
+    "exists-max-degree": (
+        ["exists", "-m", "2", "--type", "1000000"],
+        0,
+        "1000000  1         2       no\n",
+        "",
+    ),
+    "table-huge-m": (
+        ["table", "-m", _power_of_ten(30), "--n", "0..200"],
+        0,
+        "  0.031233957435\n",
+        "",
+    ),
 }
 
 
@@ -1064,16 +1079,24 @@ def test_one_parser_serves_many_commands_as_fresh_processes_do(capsys, monkeypat
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("main built a parser")
+    builds, build = [], cli._parser.__wrapped__
 
-    monkeypatch.setattr(cli, "_build_parser", refuse)
+    @functools.cache
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", counted)
     assert run_cli(capsys, "count", "-m", "2", "--type", "1^4") == (0, "10\n", "")
+    assert builds == []  # the table parse needs no parser
+    for _ in range(3):  # -vv is left to argparse, whose parser is built once
+        assert run_cli(capsys, "count", "-m", "2", "--type", "1^4", "-vv")[0] == 0
+    assert builds == [1]
 
 
 def test_each_parse_starts_from_a_fresh_namespace():
     argv = ["count", "-m", "2", "--type", "1^4", "-v"]
-    for parse in (cli._PARSER.parse_args, cli._parse_plain):  # argparse, and the table parse
+    for parse in (cli._parser().parse_args, cli._parse_plain):  # argparse, and the table parse
         first, second = parse(argv), parse(argv)
         assert first is not second
         assert (first.verbose, second.verbose) == (1, 1)
@@ -1114,6 +1137,65 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         timeout=60,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+# A usual text command of each subcommand the cold path serves, and the layers
+# bench/tracing.py reads from sys.modules: importing the CLI loads them all.
+COLD_COMMANDS = [
+    ["exists", "-m", "4", "--perm", "2 1 4 3 5"],
+    ["count", "-m", "2", "--type", "1^4"],
+    ["count", "-m", "2", "--type", "1^4", "-v"],
+    ["roots", "-m", "2", "--type", "1^6", "--limit", "5"],
+    ["table", "-m", "2", "--n", "0..5", "--format", "csv"],
+]
+TRACED_LAYERS = ["cli", "numtheory", "gsets", "counting", "perm", "series", "egf"]
+_COLD_PROBE = """\
+import contextlib, io, sys
+from permroots.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in {commands!r}]
+lazy = sorted({{"argparse", "json", "fractions", "decimal"}} & set(sys.modules))
+missing = sorted({{f"permroots.{{layer}}" for layer in {layers!r}}} - set(sys.modules))
+print(codes, lazy, missing)
+"""
+
+
+def run_cold(*args, **env):
+    """A child interpreter under -S, so no site hooks load modules, and under
+    -O when this one is."""
+    return subprocess.run(
+        [sys.executable, *["-O"] * bool(sys.flags.optimize), "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        timeout=60,
+    )
+
+
+def test_usual_text_commands_import_no_argparse_json_or_fractions():
+    result = run_cold("-c", _COLD_PROBE.format(commands=COLD_COMMANDS, layers=TRACED_LAYERS))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0, 4, 0] [] []\n", "")
+
+
+# Commands that import what the cold path leaves out, each with its exit code:
+# json for a --format json branch, argparse for a spelling the table parse
+# leaves to it (-vv, and a usage error), fractions for prob's probabilities.
+LAZY_COMMANDS = {
+    "json": (["count", "-m", "2", "--type", "1^4", "--format", "json"], 0),
+    "argparse": (["count", "-m", "2", "--type", "1^4", "-vv"], 0),
+    "usage-error": (["count", "-m", "2", "--type", "1^4", "--format", "xml"], 2),
+    "fractions": (["prob", "-q", "2", "-r", "2", "--blocks", "10"], 0),
+}
+
+
+@pytest.mark.parametrize("argv,code", LAZY_COMMANDS.values(), ids=LAZY_COMMANDS.keys())
+def test_a_cold_command_that_imports_lazily_prints_what_main_prints(
+    capsys, monkeypatch, argv, code
+):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    cold = run_cold("-m", "permroots.cli", *argv, COLUMNS="80")
+    assert (cold.returncode, cold.stdout, cold.stderr) == run_cli(capsys, *argv)
+    assert cold.returncode == code and bool(cold.stderr) == bool(code)
 
 
 def test_console_script_is_installed():

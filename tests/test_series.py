@@ -260,7 +260,21 @@ def test_root_count_egf_makes_at_most_one_product_per_power(monkeypatch):
     real = MultiSeries.__mul__
     monkeypatch.setattr(MultiSeries, "__mul__", lambda a, b: products.append(b) or real(a, b))
     egf.root_count_egf.__wrapped__(2, 5)  # past the cache
-    assert 1 <= len(products) <= 5  # a power of weight 6 is empty under the bound 5
+    # the powers 2..5 of the exponent, whose least weight is 1 (t_1): the sixth,
+    # of weight at least 6, is not formed, as every term of it passes the bound 5
+    assert len(products) == 4
+
+
+def test_multiseries_products_drop_cancelled_terms_and_stay_read_only():
+    a = MultiSeries(4, {(1,): 1, (0, 1): 1})
+    b = MultiSeries(4, {(1,): 1, (0, 1): -1})
+    product = a * b  # t_1**2 - t_2**2: the two t_1 * t_2 terms cancel
+    assert dict(product.terms) == {(2,): 1, (0, 2): -1}
+    assert all(type(c) is Fraction for c in product.terms.values())
+    with pytest.raises(TypeError):
+        product.terms[(1, 1)] = 1
+    # exp(t_1 - t_1**2 / 2) = 1 + t_1 + (1/2 - 1/2) * t_1**2 + ...
+    assert dict(MultiSeries(2, {(1,): 1, (2,): Fraction(-1, 2)}).exp().terms) == {(): 1, (1,): 1}
 
 
 # (series, an equal series built anew, one that differs in one coefficient, its repr)

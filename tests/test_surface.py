@@ -158,7 +158,7 @@ def test_the_use_scan_counts_neither_definitions_nor_imports_nor_annotations():
 
 
 def test_the_unchecked_constructors_stay_private():
-    for cls in (Permutation, CycleType):
+    for cls in (Permutation, CycleType, MultiSeries):
         assert "_proved" in vars(cls), cls
     assert not [name for name in permroots.__all__ if name.startswith("_")]
 
@@ -181,6 +181,7 @@ SERIES_METHODS = {
     },
     MultiSeries: {
         "__init__",
+        "_proved",
         "coefficient",
         "__mul__",
         "__repr__",
