@@ -9,7 +9,10 @@ the root.  Each fusion is written straight from a chain of the g cycles,
 entry t of each going to entry t of the next, and the last closing back
 onto the first through a closing table, the anchor rotated per bundle.
 A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
-written as it is chosen, without a loop of its own.  A permutation is split
+written as it is chosen, without a loop of its own.  The cycles no bundle
+has taken yet are kept in a doubly linked list, so a bundle is taken and
+given back in O(g) (Knuth's dancing links) and the first root is built in
+O(n), not by copying what is left at every bundle.  A permutation is split
 into cycles once, on first use, and that split serves cycles(),
 cycle_type and enumerate_roots alike; enumerate_roots reads sigma's type
 through cycle_type to decide existence.  The construction factors over cycle
@@ -19,15 +22,19 @@ one map, written once before the stream.  Of the others, the smallest
 ell's maps are streamed, and each larger ell's are built once and replayed
 for every map of the smaller ones if their number, the count's factor for
 ell, fits a fixed cap on what one call records, decided before the stream
-(from its solution vectors alone when even they pass the cap).
-Every constructed root is verified by re-powering before it is emitted.
+(from its solution vectors alone when even they pass the cap).  The
+innermost length's replays are gathered into each root by one itemgetter
+pass over a copy of the outer maps' image and the recorded values.
+Every constructed root is verified in full by re-powering before it is
+emitted, in the form it was built in: an image padded with a 0 at index 0.
 Powers are taken by repeated squaring, so that check costs O(n log m), and
-O(n**2) at most.  A root that passes it is a permutation of 1..n, so it is
-not validated a second time: every slot of a built root holds 0 (never
-written) or a value in 1..n; a 0 stays 0 under every power, a repeated
-value makes every power non-injective, unlike sigma, and the reduction of
-a huge m leaves an exponent of at least 1.  The oracle scans S_n once per
-(n, m) and buckets every permutation by its m-th power.
+O(n**2) at most, as a huge m is reduced once per call.  A root that passes
+it is a permutation of 1..n, so it is not validated a second time: every
+slot of a built root holds 0 (never written) or a value in 1..n; a 0 stays
+0 under every power, a repeated value makes every power non-injective,
+unlike sigma, and the reduction of a huge m leaves an exponent of at least
+1.  The oracle scans S_n once per (n, m) and buckets every permutation by
+its m-th power.
 """
 
 from __future__ import annotations
@@ -55,29 +62,40 @@ def _order_multiple(n: int) -> int:
     return lcm(*range(1, n + 1))
 
 
-def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """m-th power of a one-line image by repeated squaring, for m >= 1.
-
-    The image is padded with a 0 at index 0, so its 1-based values index it
-    directly and each composition is one itemgetter pass.  That is
-    floor(log2 m) squarings and popcount(m) - 1 products, so the cost grows
-    with the bit length of m, not with m.  An m of more than 2n bits is
-    first reduced modulo L = lcm(1..n) < 4**n (to L when L divides it), so
-    at most 2n squarings are done however long m is."""
-    if not image:
-        return ()
-    if m.bit_length() > 2 * len(image):
-        bound = _order_multiple(len(image))
+def _exponent(m: int, n: int) -> int:
+    """An exponent that raises every permutation of degree n as m >= 1 does:
+    m itself, or for an m of more than 2n bits its residue modulo
+    L = lcm(1..n) < 4**n (L when L divides m), which is at least 1.  So a
+    power takes at most 2n squarings however long m is."""
+    if m.bit_length() > 2 * n:
+        bound = _order_multiple(n)
         m = m % bound or bound
-    square = (0, *image)
-    result = None
+    return m
+
+
+def _padded_power(padded: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """m-th power, for m >= 1, of an image padded with a 0 at index 0, so
+    that padded[x] is where x goes and each composition is one itemgetter
+    pass; the power is padded too.  Repeated squaring: floor(log2 m)
+    squarings and popcount(m) - 1 products, so the cost grows with the bit
+    length of m, not with m.  The padding alone, (0,), needs m == 1, which
+    _exponent(m, 0) always gives: it takes no pass, as an itemgetter of one
+    index returns no tuple."""
+    square, result = padded, None
     while True:
         if m & 1:
             result = square if result is None else itemgetter(*result)(square)
         m >>= 1
         if not m:
-            return result[1:]
+            return result
         square = itemgetter(*square)(square)
+
+
+def _image_power(image: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """m-th power of a one-line image, for m >= 1, by _padded_power."""
+    if not image:
+        return ()
+    return _padded_power((0, *image), _exponent(m, len(image)))[1:]
 
 
 def _one_to_n(image: tuple, ints: bool = True) -> tuple:
@@ -350,6 +368,35 @@ def _nested(levels):
             return
 
 
+def _unlinked_subsets(nxt: list[int], prv: list[int], head: int, size: int, k: int):
+    """Each k-subset of the size entries of the doubly linked list at head
+    (nxt[x] follows x, prv[x] precedes it), in the order that
+    itertools.combinations gives over the entries in list order.  A subset
+    is yielded as the list of its entries, which are unlinked while it is
+    yielded, so the list then holds the other entries alone; they are
+    relinked in reverse order before the next subset.  An unlinked entry
+    keeps its own pointers, so it steps on to its successor and relinks in
+    O(1) (Knuth's dancing links).  avail counts the entries from node to the
+    end: no entry is picked that leaves too few to complete a subset."""
+    picked: list[int] = []
+    avails: list[int] = []  # avail where each picked entry was picked
+    node, avail = nxt[head], size
+    while True:
+        if len(picked) == k:
+            yield picked
+        elif avail >= k - len(picked):
+            nxt[prv[node]], prv[nxt[node]] = nxt[node], prv[node]
+            picked.append(node)
+            avails.append(avail)
+            node, avail = nxt[node], avail - 1
+            continue
+        if not picked:
+            return
+        node, avail = picked.pop(), avails.pop()
+        nxt[prv[node]] = prv[nxt[node]] = node
+        node, avail = nxt[node], avail - 1
+
+
 def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int]):
     """All restrictions of an m-th root to the ell-cycles' support, written into image.
 
@@ -358,14 +405,24 @@ def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list
     at the first cycle left so every partition comes once, and below them
     one fuse level per bundle with more than one fusion, which runs those
     fusions.  A bundle with exactly one, (g-1)! * ell**(g-1) == 1, that is
-    g == 1 or g == 2 on fixed points, is written by its choose step."""
+    g == 1 or g == 2 on fixed points, is written by its choose step.  The
+    cycles no bundle has taken yet are their indices in a doubly linked
+    list, in index order: a choose step unlinks its anchor and takes its
+    companions from _unlinked_subsets, so a step costs O(g) and not a copy
+    of what is left, and the first map of a^ell is O(a)."""
     one_fusion_sizes = {g for g in sizes if g == 1 or (g == 2 and ell == 1)}
     multi: list[tuple] = []  # the bundles with a fuse level, in choose order
-    pools = [cycles]  # pools[-1] holds the cycles no bundle has taken yet
+    head = len(cycles)  # the list's sentinel; the entries are 0..head-1
+    nxt = [*range(1, head + 1), 0]
+    prv = [head, *range(head)]
+    untaken = head  # the entries linked
     remaining: dict[int, int] = {}  # bundles of each size still to place
 
     def choose():
-        anchor, rest = pools[-1][0], pools[-1][1:]
+        nonlocal untaken
+        first = nxt[head]
+        nxt[prv[first]], prv[nxt[first]] = nxt[first], prv[first]
+        anchor, rest = cycles[first], untaken - 1
         for g in sizes:
             if not remaining[g]:
                 continue
@@ -373,24 +430,25 @@ def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list
             one_fusion = g in one_fusion_sizes
             if one_fusion:  # the companion as it stands, then back to the anchor
                 closing = _closing(anchor, g, ell, m)
-            for picked in itertools.combinations(range(len(rest)), g - 1):
-                companions = [rest[i] for i in picked]
+            for picked in _unlinked_subsets(nxt, prv, head, rest, g - 1):
+                companions = [cycles[i] for i in picked]
                 if one_fusion:
                     _write_fusion(image, anchor, companions, closing)
                 else:
                     multi.append((anchor, *companions))
-                pools.append([c for i, c in enumerate(rest) if i not in picked] if picked else rest)
+                untaken = rest - len(picked)
                 yield
                 if not one_fusion:
                     multi.pop()
-                pools.pop()
             remaining[g] += 1
+        nxt[prv[first]] = prv[nxt[first]] = first
 
     def fuse(j):
         return _fusions(multi[j], ell, m, image)
 
     for eps in iter_epsilons(sizes, len(cycles)):
         remaining.update(zip(sizes, eps))
+        untaken = head
         fuse_levels = sum(count for g, count in zip(sizes, eps) if g not in one_fusion_sizes)
         yield from _nested(
             [choose] * sum(eps) + [functools.partial(fuse, j) for j in range(fuse_levels)]
@@ -400,6 +458,18 @@ def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list
 # Slots (one point of one recorded map) that the inner cycle lengths of one
 # enumerate_roots call may record in all: about 9 MB of tuples at most.
 _REPLAY_CAP = 1 << 20
+
+
+def _recorded(maps, support: tuple[int, ...], image: list[int], count: int, recording: list):
+    """Run maps, an ell-part's count maps that write only support, appending
+    each map's values on support to recording before yielding after it.  A
+    run of other than count maps raises InternalCheckError."""
+    read = itemgetter(*support)  # an inner ell >= 2 gives 2 points at least, so a tuple
+    for _ in maps():
+        recording.append(read(image))
+        yield
+    if len(recording) != count:
+        raise InternalCheckError(f"{len(recording)} inner maps built where {count} were due")
 
 
 def _replay(image: list[int], support: tuple[int, ...], recording):
@@ -413,25 +483,48 @@ def _replay(image: list[int], support: tuple[int, ...], recording):
 
 def _replayed(maps, support: tuple[int, ...], image: list[int], count: int):
     """maps, an ell-part's count maps that write only support, as a _nested
-    level that records its first complete run and replays it on every later
-    call.  A first run of other than count maps raises InternalCheckError."""
-    read = itemgetter(*support)  # an inner ell >= 2 gives 2 points at least, so a tuple
+    level that records its first run and replays it on every later call.
+    _nested calls a level again only once its last run is exhausted, so the
+    recording is complete by then."""
     recording: list[tuple[int, ...]] | None = None
 
-    def record():
-        nonlocal recording
-        values = []
-        for _ in maps():
-            values.append(read(image))
-            yield
-        if len(values) != count:
-            raise InternalCheckError(f"{len(values)} inner maps built where {count} were due")
-        recording = values
-
     def level():
-        return record() if recording is None else _replay(image, support, recording)
+        nonlocal recording
+        if recording is None:
+            recording = []
+            return _recorded(maps, support, image, count, recording)
+        return _replay(image, support, recording)
 
     return level
+
+
+def _gather(gather, image: list[int], recording):
+    """The padded images of the roots under one map of the outer lengths,
+    whose values image holds, for the recorded maps of the innermost
+    length: base = tuple(image) is taken once, and each root is
+    gather(base + values), one itemgetter pass, in recording order."""
+    return map(gather, map(tuple(image).__add__, recording))
+
+
+def _gathered(outer, maps, support: tuple[int, ...], image: list[int], count: int):
+    """The padded images of all roots when the innermost length, maps on
+    support, is recorded.  _nested runs the outer levels alone.  Under their
+    first map the innermost maps are built and recorded through image, each
+    root read off it; under each later one the roots are gathered from the
+    recording by _gather, and nothing is written back."""
+    outer_maps = _nested(outer)
+    if next(outer_maps, _DONE) is _DONE:
+        return
+    recording: list[tuple[int, ...]] = []
+    for _ in _recorded(maps, support, image, count, recording):
+        yield tuple(image)
+    # gather(base + values)[x] is values[j] where x == support[j], else base[x]
+    index = list(range(len(image)))
+    for j, x in enumerate(support, start=len(image)):
+        index[x] = j
+    gather = itemgetter(*index)
+    for _ in outer_maps:
+        yield from _gather(gather, image, recording)
 
 
 def enumerate_roots(sigma: Permutation, m: int):
@@ -448,28 +541,33 @@ def enumerate_roots(sigma: Permutation, m: int):
     of maps from _length_factor before the stream, unless its solution
     vectors, a lower bound on that number, already need more slots (a point
     in one map) than are left of _REPLAY_CAP.  If its slots fit, its maps
-    are built once, with their values on its points recorded, and written
-    back in the same order for every later map of the smaller lengths; if
-    not, they are built again per outer map.  So no recording is dropped,
-    and memory stays O(n + _REPLAY_CAP) however long the stream runs.  A root
-    tau with tau**m == sigma is a permutation of 1..n, so it is emitted
-    without a second validation: each slot of tau holds 0 (never written)
-    or a value in 1..n, a 0 would leave a 0 in tau**m, and a repeated value
-    would make tau**m non-injective.  The reduction of an m of more than
-    2n bits modulo lcm(1..n) keeps an exponent of at least 1, so this holds
-    for every m.
+    are built once, with their values on its points recorded, and replayed
+    in the same order for every later map of the smaller lengths: written
+    back onto its points, or, for the innermost length, gathered straight
+    into each root by _gathered.  If not, they are built again per outer
+    map.  So no recording is dropped, and memory stays O(n + _REPLAY_CAP)
+    however long the stream runs.
+
+    Each root is built as a padded image (index 0 holds 0) and re-powered
+    in full in that form against the padded sigma, with m reduced by
+    _exponent once per call.  A root tau with tau**m == sigma is a
+    permutation of 1..n, so it is emitted without a second validation: each
+    slot of tau holds 0 (never written) or a value in 1..n, a 0 would leave
+    a 0 in tau**m, and a repeated value would make tau**m non-injective.
+    The reduced exponent is at least 1, so this holds for every m.
     """
     if not has_mth_root(cycle_type(sigma), m):
         return
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for cyc in sigma._split():
         by_len.setdefault(len(cyc), []).append(cyc)
-    target = sigma.image
+    target, exponent = (0, *sigma.image), _exponent(m, sigma.degree)
     # image[x] is the root's image of x; image[0] is padding.  Each root
     # overwrites every other entry: the bundles cover sigma.
     image = [0] * (sigma.degree + 1)
     free = _REPLAY_CAP  # the slots this call may still record
-    parts = []
+    parts = []  # the _nested levels of the lengths before the last one seen
+    recorded = None  # _replayed's arguments for the last length seen, if recorded
     for ell in sorted(by_len):
         cycles = by_len[ell]
         sizes = g_set_bounded(m, ell, len(cycles))
@@ -477,6 +575,9 @@ def enumerate_roots(sigma: Permutation, m: int):
             for cyc in cycles:
                 _write_fusion(image, cyc, (), _closing(cyc, 1, ell, m))
             continue
+        if recorded:  # a larger length follows, so it is written back per replay
+            parts.append(_replayed(*recorded))
+            recorded = None
         maps = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image)
         # After a streamed length, which has two maps at least as a root
         # exists (two solution vectors when its sizes hold 1 and some g <= a,
@@ -486,13 +587,18 @@ def enumerate_roots(sigma: Permutation, m: int):
             count = _length_factor(ell, len(cycles), m)
             if count * points <= free:
                 free -= count * points
-                maps = _replayed(maps, tuple(itertools.chain.from_iterable(cycles)), image, count)
+                support = tuple(itertools.chain.from_iterable(cycles))
+                recorded = (maps, support, image, count)
+                continue
         parts.append(maps)
-    for _ in _nested(parts):
-        root = tuple(image[1:])
-        if _image_power(root, m) != target:
+    if recorded:
+        padded_roots = _gathered(parts, *recorded)
+    else:
+        padded_roots = (tuple(image) for _ in _nested(parts))
+    for padded in padded_roots:
+        if _padded_power(padded, exponent) != target:
             raise InternalCheckError("constructed root failed re-powering")
-        yield Permutation._proved(root)
+        yield Permutation._proved(padded[1:])
 
 
 def brute_force_root_table(

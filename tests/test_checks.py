@@ -86,13 +86,24 @@ DROPPED_MAP = (
     "sum(1 for _ in real(cycles, ell, m, sizes, list(image))) - (ell == 3)))"
     "(target._ell_part_maps)"
 )
-# A replay of an inner cycle length's recorded maps that writes one wrong
-# value: the first replayed map sends its last point where its first goes, so
-# the first root built from it takes that value twice.
+# A replay of the innermost cycle length's recorded maps that gathers one
+# wrong value: the first replayed map sends its last point where its first
+# goes, so the first root gathered from it takes that value twice.
 WRONG_REPLAY = (
-    "(lambda real: lambda image, support, recording: "
-    "real(image, support, [recording[0][:-1] + recording[0][:1], *recording[1:]]))"
-    "(target._replay)"
+    "(lambda real: lambda gather, image, recording: "
+    "real(gather, image, [recording[0][:-1] + recording[0][:1], *recording[1:]]))"
+    "(target._gather)"
+)
+# A walk over the untaken cycles that leaves the last companion of each
+# bundle linked: a later bundle of the same map takes that cycle again, and
+# a cycle it should have taken keeps the values of an earlier root.  The
+# order of the relinks has no check of its own: the frozen --all order
+# guards it.
+LINKED_COMPANION = (
+    "(lambda real: lambda nxt, prv, head, size, k: "
+    "(picked for picked in real(nxt, prv, head, size, k) for _ in [picked and "
+    "(nxt.__setitem__(prv[picked[-1]], picked[-1]), prv.__setitem__(nxt[picked[-1]], picked[-1]))]))"
+    "(target._unlinked_subsets)"
 )
 # Faults in root construction that the re-powering check alone must catch,
 # since a root that passes it is not validated again.  Each hits the first
@@ -351,15 +362,22 @@ FAULTS = [
     ),
     fault(
         "wrong-replay",
-        "perm._replay",
+        "perm._gather",
         WRONG_REPLAY,
         ROOTS_1_6_3_2,
         "constructed root failed re-powering",
     ),
     fault(
+        "linked-companion",
+        "perm._unlinked_subsets",
+        LINKED_COMPANION,
+        ["roots", "--all", "-m", "2", "--type", "1^4"],
+        "constructed root failed re-powering",
+    ),
+    fault(
         "empty-power",
-        "perm._image_power",
-        "lambda image, m: ()",
+        "perm._padded_power",
+        "lambda padded, m: ()",
         ["roots", "-m", "2", "--perm", "1 2"],
         "constructed root failed re-powering",
     ),

@@ -389,15 +389,16 @@ def test_roots_limit_truncation_is_loud(capsys):
 
 
 def _counting_image_power(monkeypatch):
-    """Route perm._image_power through a counter; return the list of calls."""
+    """Route perm._padded_power through a counter; return the list of the
+    degrees powered."""
     calls = []
-    real = perm._image_power
+    real = perm._padded_power
 
-    def counted(image, m):
-        calls.append(len(image))
-        return real(image, m)
+    def counted(padded, m):
+        calls.append(len(padded) - 1)
+        return real(padded, m)
 
-    monkeypatch.setattr(perm, "_image_power", counted)
+    monkeypatch.setattr(perm, "_padded_power", counted)
     return calls
 
 
@@ -411,7 +412,7 @@ def test_roots_builds_no_root_past_the_limit(capsys, monkeypatch, limit, code, l
 
 def test_roots_limit_1_repowers_one_root_under_a_huge_m(capsys, monkeypatch):
     calls = _counting_image_power(monkeypatch)
-    m = str(2 * 10**4000 + 1)  # 4,001 digits: each re-powering costs a reduction of m
+    m = str(2 * 10**4000 + 1)  # 4,001 digits: reduced once per call, then 1 root re-powered
     code, out, err = run_cli(capsys, "roots", "-m", m, "--type", "1^3000", "--limit", "1")
     assert code == 4
     assert out.count("\n") == 1
@@ -765,6 +766,14 @@ OVERSIZED_INTEGER_COMMANDS = {
         0,
         "  0.031233957435\n",
         "",
+    ),
+    # the first root of 20,000 fixed points under m = 2 is built in O(n): 10,000
+    # transpositions, the last (19999 20000); its count has 38,729 digits
+    "roots-first-of-many": (
+        ["roots", "-m", "2", "--type", "1^20000", "--limit", "1"],
+        4,
+        "20000 19999\n",
+        "error: output truncated at --limit 1 of ",
     ),
 }
 

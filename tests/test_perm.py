@@ -33,7 +33,14 @@ from permroots import (
     root_count,
 )
 from permroots import perm
-from permroots.perm import _closing, _fusions, _image_power, _order_multiple, _write_fusion
+from permroots.perm import (
+    _closing,
+    _fusions,
+    _image_power,
+    _order_multiple,
+    _unlinked_subsets,
+    _write_fusion,
+)
 from references import (
     brute_force_roots,
     compose,
@@ -627,6 +634,52 @@ def test_fusion_writes_match_the_interleaving_reference():
     assert cases == 2880
 
 
+def _linked(nxt, prv, head):
+    """The entries of the doubly linked list at head, read forwards, after
+    checking that reading backwards gives them reversed."""
+    forwards, x = [], nxt[head]
+    while x != head:
+        forwards.append(x)
+        x = nxt[x]
+    backwards, x = [], prv[head]
+    while x != head:
+        backwards.append(x)
+        x = prv[x]
+    assert backwards == forwards[::-1]
+    return forwards
+
+
+def test_the_linked_subset_walk_gives_the_combinations_order():
+    """For every pool of up to 8 entries of a list of 8 (the others unlinked
+    first) and every k, _unlinked_subsets yields the k-subsets in
+    itertools.combinations order, each with only the rest of the pool
+    linked.  Between its steps a nested walk unlinks and relinks up to two
+    more entries per step, as the next choose level does, and each walk
+    leaves the list as it found it."""
+    head = 8
+    cases = 0
+    for members in itertools.product((False, True), repeat=head):
+        nxt, prv = [*range(1, head + 1), 0], [head, *range(head)]
+        for x in (x for x in range(head) if not members[x]):
+            nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
+        pool = [x for x in range(head) if members[x]]
+        assert _linked(nxt, prv, head) == pool
+        for k in range(len(pool) + 1):
+            walked = []
+            for picked in _unlinked_subsets(nxt, prv, head, len(pool), k):
+                walked.append(tuple(picked))
+                rest = [x for x in pool if x not in picked]
+                assert _linked(nxt, prv, head) == rest
+                j = min(2, len(rest))
+                nested = [tuple(p) for p in _unlinked_subsets(nxt, prv, head, len(rest), j)]
+                assert nested == list(itertools.combinations(rest, j))
+                assert _linked(nxt, prv, head) == rest
+                cases += 1
+            assert walked == list(itertools.combinations(pool, k))
+            assert _linked(nxt, prv, head) == pool
+    assert cases == 3**head
+
+
 def test_construction_matches_the_count_beyond_the_oracle_range():
     cases = 0
     for n in range(8, 13):
@@ -667,10 +720,11 @@ def test_replayed_roots_equal_regenerated_roots_on_sampled_permutations(case):
 def _builds_and_replays(monkeypatch, text, m, caps):
     """For each cap, the roots of the canonical permutation of cycle type
     text under m, with how often each cycle length's maps were built and
-    how often a recording on each number of points was replayed."""
+    how often a recording on each number of points was replayed, written
+    back or, for the innermost length, gathered."""
     sigma = parse_cycle_type(text).canonical_permutation()
     built, replayed = Counter(), Counter()  # by cycle length; by points written
-    real_maps, real_replay = perm._ell_part_maps, perm._replay
+    real_maps, real_replay, real_gather = perm._ell_part_maps, perm._replay, perm._gather
 
     def counted_maps(cycles, ell, *rest):
         built[ell] += 1
@@ -680,8 +734,13 @@ def _builds_and_replays(monkeypatch, text, m, caps):
         replayed[len(support)] += 1
         return real_replay(image, support, recording)
 
+    def counted_gather(gather, image, recording):
+        replayed[len(recording[0])] += 1
+        return real_gather(gather, image, recording)
+
     monkeypatch.setattr(perm, "_ell_part_maps", counted_maps)
     monkeypatch.setattr(perm, "_replay", counted_replay)
+    monkeypatch.setattr(perm, "_gather", counted_gather)
     runs = []
     for cap in caps:
         built.clear()
@@ -732,13 +791,13 @@ def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
     2-cycles' level runs once and is streamed, not recorded.  The 2-cycles
     have two maps, so the 3-cycles' level runs twice and is recorded."""
     recorded = []
-    real = perm._replayed
+    real = perm._recorded
 
-    def counted(maps, support, image, count):
+    def counted(maps, support, image, count, recording):
         recorded.append(len(support))
-        return real(maps, support, image, count)
+        return real(maps, support, image, count, recording)
 
-    monkeypatch.setattr(perm, "_replayed", counted)
+    monkeypatch.setattr(perm, "_recorded", counted)
     sigma = parse_cycle_type("1^1 2^2 3^2").canonical_permutation()
     assert len(list(enumerate_roots(sigma, 2))) == root_count(cycle_type(sigma), 2) == 8
     assert recorded == [6]
