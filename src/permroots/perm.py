@@ -7,12 +7,14 @@ it into gcd(L, m) cycles of length L/gcd(L, m); root construction inverts
 that splitting by fusing g existing ell-cycles into one (g*ell)-cycle of
 the root.  Each fusion is written straight from a chain of the g cycles,
 entry t of each going to entry t of the next, and the last closing back
-onto the first through a closing table, the anchor rotated per bundle.
-A bundle with exactly one fusion (g == 1, or g == 2 on fixed points) is
-written as it is chosen, without a loop of its own.  The cycles no bundle
-has taken yet are kept in a doubly linked list, so a bundle is taken and
-given back in O(g) (Knuth's dancing links) and the first root is built in
-O(n), not by copying what is left at every bundle.  A permutation is split
+onto the first through a closing table, the anchor rotated by a shift
+found once per size.  One walk partitions the cycles of a length into
+bundles.  A bundle with exactly one fusion (g == 1, or g == 2 on fixed
+points) is written as it is chosen, without a loop of its own, and a
+remainder of singletons is written in one pass.  The cycles no bundle has
+taken yet are kept in a doubly linked list, so a bundle is taken and given
+back in O(g) (Knuth's dancing links) and the first root is built in O(n),
+not by copying what is left at every bundle.  A permutation is split
 into cycles once, on first use, and that split serves cycles(),
 cycle_type and enumerate_roots alike; enumerate_roots reads sigma's type
 through cycle_type to decide existence.  The construction factors over cycle
@@ -24,7 +26,12 @@ for every map of the smaller ones if their number, the count's factor for
 ell, fits a fixed cap on what one call records, decided before the stream
 (from its solution vectors alone when even they pass the cap).  The
 innermost length's replays are gathered into each root by one itemgetter
-pass over a copy of the outer maps' image and the recorded values.
+pass over a copy of the outer maps' image and the recorded values.  An
+innermost length that is streamed gathers its fusions the same way: per
+partition, each root is one itemgetter pass over a copy of the image and
+the values of one fusion per bundle, which position patterns of the
+bundle's size give.  The patterns of a size are built as the stream first
+reaches them, and they count against the same cap.
 Every constructed root is verified in full by re-powering before it is
 emitted, in the form it was built in: an image padded with a 0 at index 0.
 Powers are taken by repeated squaring, so that check costs O(n log m), and
@@ -42,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import factorial, lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from ._checks import FrozenRecord, InternalCheckError, SizeCapError, is_int
 from ._checks import refuse_rebinding, require_int
@@ -296,12 +303,17 @@ def has_mth_root(t: CycleType, m: int) -> bool:
     return all(row[3] for row in _witness(t, m))
 
 
+def _shift(g: int, ell: int, m: int) -> int:
+    """u, the inverse of m // g modulo ell, which gcd(g*ell, m) == g makes
+    exist: the last cycle of a fusion of g ell-cycles sends its entry t to
+    entry (t + u) mod ell of the anchor."""
+    return pow(m // g, -1, ell)
+
+
 def _closing(anchor, g: int, ell: int, m: int):
     """anchor[closing[t]] for t = 0..ell-1: where the last cycle of a fusion
-    of g ell-cycles sends its entries.  Entry t of the last cycle goes to
-    entry closing[t] = (t + u) mod ell of the anchor, u the inverse of
-    m // g modulo ell, which gcd(g*ell, m) == g makes exist."""
-    shift = pow(m // g, -1, ell)
+    of g ell-cycles sends its entries, the anchor rotated by _shift."""
+    shift = _shift(g, ell, m)
     return anchor[shift:] + anchor[:shift]
 
 
@@ -397,62 +409,224 @@ def _unlinked_subsets(nxt: list[int], prv: list[int], head: int, size: int, k: i
         node, avail = nxt[node], avail - 1
 
 
-def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int]):
-    """All restrictions of an m-th root to the ell-cycles' support, written into image.
+def _partitions(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int]):
+    """Each partition of the ell-cycles into bundles of the admissible sizes.
 
-    Per solution vector over the admissible sizes, one _nested runs its
-    choose levels, which partition the cycles into bundles, each anchored
-    at the first cycle left so every partition comes once, and below them
-    one fuse level per bundle with more than one fusion, which runs those
-    fusions.  A bundle with exactly one, (g-1)! * ell**(g-1) == 1, that is
-    g == 1 or g == 2 on fixed points, is written by its choose step.  The
-    cycles no bundle has taken yet are their indices in a doubly linked
-    list, in index order: a choose step unlinks its anchor and takes its
-    companions from _unlinked_subsets, so a step costs O(g) and not a copy
-    of what is left, and the first map of a^ell is O(a)."""
-    one_fusion_sizes = {g for g in sizes if g == 1 or (g == 2 and ell == 1)}
-    multi: list[tuple] = []  # the bundles with a fuse level, in choose order
+    Per solution vector over the sizes, a walk of choose levels places the
+    bundles, each anchored at the first cycle left so every partition comes
+    once.  A bundle with exactly one fusion, (g-1)! * ell**(g-1) == 1, that
+    is g == 1 or g == 2 on fixed points, is written into image by its
+    choose step; the others are listed, in choose order, and that list is
+    yielded once per partition for the caller to fuse.  Once singletons
+    alone are left, one pass writes them all.  The cycles no bundle has
+    taken yet are their indices in a doubly linked list, in index order: a
+    choose step unlinks its anchor and takes its companions from
+    _unlinked_subsets, so a step costs O(g) and not a copy of what is left,
+    and the first partition of a^ell is O(a).  A list that runs out while
+    bundles are left to place, or is not whole after a solution vector,
+    raises InternalCheckError."""
     head = len(cycles)  # the list's sentinel; the entries are 0..head-1
     nxt = [*range(1, head + 1), 0]
     prv = [head, *range(head)]
-    untaken = head  # the entries linked
-    remaining: dict[int, int] = {}  # bundles of each size still to place
+    singles = sizes[0] == 1
+    shift = _shift(1, ell, m) if singles else 0  # a singleton's closing shift
+    remaining = [0] * len(sizes)  # bundles of each size still to place
+    left = untaken = 0  # bundles still to place; cycles no bundle has taken
+    multi: list[tuple] = []  # the bundles with more than one fusion, in choose order
+    ran_out = f"untaken {ell}-cycles ran out with bundles left to place"
+
+    def write_singletons(x: int, count: int) -> None:
+        # the count cycles from entry x on, each its own cycle, rotated by the shift
+        for _ in range(count):
+            if x == head:
+                raise InternalCheckError(ran_out)
+            cyc = cycles[x]
+            for y, z in zip(cyc, cyc[shift:] + cyc[:shift]):
+                image[y] = z
+            x = nxt[x]
 
     def choose():
-        nonlocal untaken
+        nonlocal left, untaken
         first = nxt[head]
+        if singles and remaining[0] == left:  # singletons alone are left: one pass
+            write_singletons(first, left)
+            placed, left = left, 0
+            yield
+            left = placed
+            return
+        if first == head:
+            raise InternalCheckError(ran_out)
         nxt[prv[first]], prv[nxt[first]] = nxt[first], prv[first]
         anchor, rest = cycles[first], untaken - 1
-        for g in sizes:
-            if not remaining[g]:
+        left -= 1
+        for i, g in enumerate(sizes):
+            if not remaining[i]:
                 continue
-            remaining[g] -= 1
-            one_fusion = g in one_fusion_sizes
-            if one_fusion:  # the companion as it stands, then back to the anchor
-                closing = _closing(anchor, g, ell, m)
-            for picked in _unlinked_subsets(nxt, prv, head, rest, g - 1):
-                companions = [cycles[i] for i in picked]
-                if one_fusion:
-                    _write_fusion(image, anchor, companions, closing)
-                else:
-                    multi.append((anchor, *companions))
-                untaken = rest - len(picked)
+            remaining[i] -= 1
+            untaken = rest - (g - 1)
+            if g == 1:
+                write_singletons(first, 1)
                 yield
-                if not one_fusion:
-                    multi.pop()
-            remaining[g] += 1
+            else:
+                one_fusion = g == 2 and ell == 1  # on to the companion and back: the shift is 0
+                for picked in _unlinked_subsets(nxt, prv, head, rest, g - 1):
+                    companions = [cycles[j] for j in picked]
+                    if one_fusion:
+                        _write_fusion(image, anchor, companions, anchor)
+                    else:
+                        multi.append((anchor, *companions))
+                    yield
+                    if not one_fusion:
+                        multi.pop()
+            remaining[i] += 1
+        left, untaken = left + 1, rest + 1
         nxt[prv[first]] = prv[nxt[first]] = first
 
-    def fuse(j):
-        return _fusions(multi[j], ell, m, image)
+    for eps in iter_epsilons(sizes, head):
+        remaining[:] = eps
+        left, untaken = sum(eps), head
+        levels = []  # the open choose levels, outermost first
+        while True:
+            if left:
+                levels.append(choose())
+            else:
+                yield multi
+            while levels and next(levels[-1], _DONE) is _DONE:
+                levels.pop()
+            if not levels:
+                break
+        if nxt[head] != 0 or prv[head] != head - 1:
+            raise InternalCheckError(f"untaken {ell}-cycles not relinked after a solution vector")
 
-    for eps in iter_epsilons(sizes, len(cycles)):
-        remaining.update(zip(sizes, eps))
-        untaken = head
-        fuse_levels = sum(count for g, count in zip(sizes, eps) if g not in one_fusion_sizes)
-        yield from _nested(
-            [choose] * sum(eps) + [functools.partial(fuse, j) for j in range(fuse_levels)]
-        )
+
+def _fuse_levels(multi, ell: int, m: int, image: list[int]) -> list:
+    """A _nested level per bundle of multi, in order, running its fusions through image."""
+    return [functools.partial(_fusions, bundle, ell, m, image) for bundle in multi]
+
+
+def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int]):
+    """All restrictions of an m-th root to the ell-cycles' support, written
+    into image: per partition of _partitions, one nested loop per bundle
+    with more than one fusion runs that bundle's fusions.  The innermost
+    length, when it is streamed, goes through _ell_part_roots instead, which
+    gathers each partition's fusion product from patterns that count
+    against _REPLAY_CAP, and falls back to these loops for a size whose
+    patterns do not fit."""
+    for multi in _partitions(cycles, ell, m, sizes, image):
+        yield from _nested(_fuse_levels(multi, ell, m, image))
+
+
+class _Patterns:
+    """The fusions of the bundles of one size as position patterns, in
+    _fusions order: _fusions run on the bundle of positions ((0, ...,
+    ell-1), (ell, ..., 2*ell-1), ...) writes where each position goes, and
+    itemgetter(*written), called on a bundle's points in that order, gives
+    that fusion's values on them.  A pattern is built when an iteration
+    first reaches it and kept for every later one, so the first root waits
+    for one fusion, not all."""
+
+    __slots__ = ("built", "_more", "_written")
+
+    def __init__(self, g: int, ell: int, m: int):
+        self._written = [0] * (g * ell)
+        positions = tuple(tuple(range(j * ell, (j + 1) * ell)) for j in range(g))
+        self._more = _fusions(positions, ell, m, self._written)
+        self.built: list = []
+
+    @property
+    def complete(self) -> bool:
+        return self._more is None
+
+    def __iter__(self):
+        return iter(self.built) if self._more is None else self._building()
+
+    def _building(self):
+        built, i = self.built, 0
+        while True:
+            if i == len(built):
+                if self._more is None or next(self._more, _DONE) is _DONE:
+                    self._more = None
+                    return
+                built.append(itemgetter(*self._written))
+            yield built[i]
+            i += 1
+
+
+def _pattern_slots(g: int, ell: int, cap: int) -> int:
+    """The slots that the patterns of size g take, (g-1)! * ell**(g-1) of
+    g*ell points each, or cap + 1 once their product passes cap."""
+    slots = g * ell
+    for k in range(1, g):
+        slots *= k * ell
+        if slots > cap:
+            return cap + 1
+    return slots
+
+
+def _joined(factors):
+    """The values of each choice of one fusion per bundle of factors, a
+    (call, patterns) pair per bundle, joined in bundle order, the first
+    bundle outermost and each bundle's fusions in pattern order.  One open
+    iterator per bundle, so the choices are never held all at once."""
+    chosen = [()] * len(factors)
+    levels = [map(*factors[0])]
+    while levels:
+        value = next(levels[-1], None)
+        if value is None:  # the bundle is exhausted: step the one above it
+            levels.pop()
+            continue
+        chosen[len(levels) - 1] = value
+        if len(levels) == len(factors):
+            yield tuple(itertools.chain.from_iterable(chosen))
+        else:
+            levels.append(map(*factors[len(levels)]))
+
+
+def _fusion_product(gather, base: tuple[int, ...], factors):
+    """gather(base + values) for each choice of one fusion per bundle, the
+    first bundle outermost and each bundle's fusions in pattern order.
+    factors holds a (call, patterns) pair per bundle, call(pattern) giving
+    that fusion's values on the bundle's points, and values joins the
+    chosen values in bundle order.  The outer bundles' values are joined
+    once per run of the innermost, whose values are listed once if its
+    patterns are all built."""
+    *outer, (call, patterns) = factors
+    if not outer:
+        return map(gather, map(base.__add__, map(call, patterns)))
+    inner = list(map(call, patterns)) if patterns.complete else None
+    joined = map(*outer[0]) if len(outer) == 1 else _joined(outer)
+    return itertools.chain.from_iterable(
+        map(gather, map((base + values).__add__, inner or map(call, patterns)))
+        for values in joined
+    )
+
+
+def _ell_part_roots(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list[int], patterns):
+    """Per partition of the innermost length, the ell-cycles, which is
+    streamed under the outer lengths' values in image: an iterator over the
+    padded images of its roots, to be read before the next.  The one-fusion
+    bundles are written into image by _partitions, base = tuple(image) is
+    taken once, and one gather index is built over the other bundles'
+    points; _fusion_product then gathers each root from base and the
+    bundles' patterns, which patterns holds by size.  A partition with a
+    bundle of a size that has no patterns runs its fusions through image
+    as _ell_part_maps does."""
+    identity = list(range(len(image)))
+    for multi in _partitions(cycles, ell, m, sizes, image):
+        if not multi:
+            yield (tuple(image),)
+        elif all(map(patterns.__contains__, map(len, multi))):
+            # gather(base + values)[x] is the value that values holds for x on a bundle, else base[x]
+            index, end, factors = identity.copy(), len(image), []
+            for bundle in multi:
+                points = tuple(itertools.chain.from_iterable(bundle))
+                for j, x in enumerate(points, start=end):
+                    index[x] = j
+                end += len(points)
+                factors.append((methodcaller("__call__", points), patterns[len(bundle)]))
+            yield _fusion_product(itemgetter(*index), tuple(image), factors)
+        else:
+            yield (tuple(image) for _ in _nested(_fuse_levels(multi, ell, m, image)))
 
 
 # Slots (one point of one recorded map) that the inner cycle lengths of one
@@ -545,8 +719,12 @@ def enumerate_roots(sigma: Permutation, m: int):
     in the same order for every later map of the smaller lengths: written
     back onto its points, or, for the innermost length, gathered straight
     into each root by _gathered.  If not, they are built again per outer
-    map.  So no recording is dropped, and memory stays O(n + _REPLAY_CAP)
-    however long the stream runs.
+    map.  An innermost length that is streamed gathers its fusions into
+    each root by _ell_part_roots, from the patterns of each of its sizes
+    with more than one fusion whose (g-1)! * ell**(g-1) * g * ell slots fit
+    what is left of _REPLAY_CAP; a partition with a bundle of another size
+    runs its fusions through the image.  So no recording is dropped, and
+    memory stays O(n + _REPLAY_CAP) however long the stream runs.
 
     Each root is built as a padded image (index 0 holds 0) and re-powered
     in full in that form against the padded sigma, with m reduced by
@@ -565,9 +743,10 @@ def enumerate_roots(sigma: Permutation, m: int):
     # image[x] is the root's image of x; image[0] is padding.  Each root
     # overwrites every other entry: the bundles cover sigma.
     image = [0] * (sigma.degree + 1)
-    free = _REPLAY_CAP  # the slots this call may still record
+    free = _REPLAY_CAP  # the slots this call may still record, or fill with patterns
     parts = []  # the _nested levels of the lengths before the last one seen
     recorded = None  # _replayed's arguments for the last length seen, if recorded
+    streamed = None  # the cycles, ell and sizes of the last length streamed
     for ell in sorted(by_len):
         cycles = by_len[ell]
         sizes = g_set_bounded(m, ell, len(cycles))
@@ -591,10 +770,24 @@ def enumerate_roots(sigma: Permutation, m: int):
                 recorded = (maps, support, image, count)
                 continue
         parts.append(maps)
+        streamed = (cycles, ell, sizes)
     if recorded:
         padded_roots = _gathered(parts, *recorded)
-    else:
-        padded_roots = (tuple(image) for _ in _nested(parts))
+    elif parts:  # the innermost length streams, and gathers what patterns fit
+        cycles, ell, sizes = streamed
+        patterns = {}
+        for g in sizes:
+            slots = _pattern_slots(g, ell, free)
+            if g * ell < slots <= free:  # more than one fusion, and room for them all
+                free -= slots
+                patterns[g] = _Patterns(g, ell, m)
+        padded_roots = itertools.chain.from_iterable(
+            roots
+            for _ in _nested(parts[:-1])
+            for roots in _ell_part_roots(cycles, ell, m, sizes, image, patterns)
+        )
+    else:  # every length has one map, written above
+        padded_roots = [tuple(image)]
     for padded in padded_roots:
         if _padded_power(padded, exponent) != target:
             raise InternalCheckError("constructed root failed re-powering")

@@ -105,6 +105,25 @@ LINKED_COMPANION = (
     "(nxt.__setitem__(prv[picked[-1]], picked[-1]), prv.__setitem__(nxt[picked[-1]], picked[-1]))]))"
     "(target._unlinked_subsets)"
 )
+# A walk over the untaken cycles that never relinks a bundle's anchor, made
+# from the source of _partitions with that one line dropped (if the line
+# changes, nothing is dropped and the rows fail).  The list then runs out
+# while bundles are left to place (1^4 under m = 3), or it is not whole when
+# a solution vector's partitions are done (1^4 under m = 4).
+SKIPPED_RELINK = (
+    "(lambda namespace: exec(__import__('inspect').getsource(target._partitions)"
+    ".replace('nxt[prv[first]] = prv[nxt[first]] = first', 'pass'), vars(target), namespace) "
+    "or namespace['_partitions'])({})"
+)
+# A fusion pattern that sends two points to the same place: the first fusion
+# _fusions writes has its last position sent where its first goes.  Under
+# m = 6 the first partition of 1^7 holds a 3-bundle, so that fusion is the
+# first pattern of the 3-bundles that the stream gathers.
+DOUBLED_PATTERN = (
+    "(lambda real, fault: lambda bundle, ell, m, image: "
+    "(next(fault, False) and image.__setitem__(-1, image[0]) for _ in real(bundle, ell, m, image)))"
+    "(target._fusions, iter([True]))"
+)
 # Faults in root construction that the re-powering check alone must catch,
 # since a root that passes it is not validated again.  Each hits the first
 # fusion written into a root of degree >= 2, so the first such root is not a
@@ -344,7 +363,8 @@ FAULTS = [
         "factor 0 for ell=1, a=2, m=<a 16610-bit integer> "
         "disagrees with divisibility by bracket 1",
     ),
-    # root construction: the stream's length, the replay's count, re-powering
+    # root construction: the stream's length, the replay's count, the walk's
+    # list of untaken cycles, re-powering
     fault(
         "first-root-dropped",
         "cli.enumerate_roots",
@@ -372,6 +392,27 @@ FAULTS = [
         "perm._unlinked_subsets",
         LINKED_COMPANION,
         ["roots", "--all", "-m", "2", "--type", "1^4"],
+        "constructed root failed re-powering",
+    ),
+    fault(
+        "skipped-relink-ran-out",
+        "perm._partitions",
+        SKIPPED_RELINK,
+        ["roots", "--all", "-m", "3", "--type", "1^4"],
+        "untaken 1-cycles ran out with bundles left to place",
+    ),
+    fault(
+        "skipped-relink-not-whole",
+        "perm._partitions",
+        SKIPPED_RELINK,
+        ["roots", "--all", "-m", "4", "--type", "1^4"],
+        "untaken 1-cycles not relinked after a solution vector",
+    ),
+    fault(
+        "doubled-pattern",
+        "perm._fusions",
+        DOUBLED_PATTERN,
+        ["roots", "--all", "-m", "6", "--type", "1^7"],
         "constructed root failed re-powering",
     ),
     fault(

@@ -301,6 +301,28 @@ ROOTS_ALL_DIGESTS = [
         11264,
         "eac49ee8cacde1edcd4323a4d0624579a0dd418609dfcfec8cb9ea374da130f7",
     ),
+    # Single-length streams, whose fusions are gathered from patterns:
+    # products of 120, 6 and 2 fusions per partition, and rotations of 2-cycles.
+    (
+        ("-m", "6", "--type", "1^7"),
+        2052,
+        "60db6b7e1ea036f70c17cd347361960cef5f9cb64727e623ddc1fc8c9e2ac255",
+    ),
+    (
+        ("-m", "4", "--type", "1^7"),
+        1072,
+        "50cbf31c979ca5c05a12290a1c48c5d3af7f7f962aedf74a77e48fa291da1948",
+    ),
+    (
+        ("-m", "2", "--type", "2^6"),
+        120,
+        "749ae9808077175d2c260f060ba4e500daf7d1b65f275c7515c7329ca2517c96",
+    ),
+    (
+        ("-m", "4", "--type", "2^4"),
+        48,
+        "ad9f3d9fa5bea5bde0087d97eba704e08a85fde645d1cb004c25eda9428f2aab",
+    ),
     (("-m", "3", "--type", "3^4"), 0, hashlib.sha256(b"").hexdigest()),
     (("-m", "4", "--type", "1^2 2^6"), 0, hashlib.sha256(b"").hexdigest()),
     (("-m", "8", "--type", "2^2 4^2"), 0, hashlib.sha256(b"").hexdigest()),

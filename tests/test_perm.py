@@ -719,16 +719,18 @@ def test_replayed_roots_equal_regenerated_roots_on_sampled_permutations(case):
 
 def _builds_and_replays(monkeypatch, text, m, caps):
     """For each cap, the roots of the canonical permutation of cycle type
-    text under m, with how often each cycle length's maps were built and
-    how often a recording on each number of points was replayed, written
-    back or, for the innermost length, gathered."""
+    text under m, with how often each cycle length's maps were built (a walk
+    over its partitions, whether its maps are written into the image or,
+    for a streamed innermost length, gathered into roots) and how often a
+    recording on each number of points was replayed, written back or, for
+    the innermost length, gathered."""
     sigma = parse_cycle_type(text).canonical_permutation()
     built, replayed = Counter(), Counter()  # by cycle length; by points written
-    real_maps, real_replay, real_gather = perm._ell_part_maps, perm._replay, perm._gather
+    real_walk, real_replay, real_gather = perm._partitions, perm._replay, perm._gather
 
-    def counted_maps(cycles, ell, *rest):
+    def counted_walk(cycles, ell, *rest):
         built[ell] += 1
-        return real_maps(cycles, ell, *rest)
+        return real_walk(cycles, ell, *rest)
 
     def counted_replay(image, support, recording):
         replayed[len(support)] += 1
@@ -738,7 +740,7 @@ def _builds_and_replays(monkeypatch, text, m, caps):
         replayed[len(recording[0])] += 1
         return real_gather(gather, image, recording)
 
-    monkeypatch.setattr(perm, "_ell_part_maps", counted_maps)
+    monkeypatch.setattr(perm, "_partitions", counted_walk)
     monkeypatch.setattr(perm, "_replay", counted_replay)
     monkeypatch.setattr(perm, "_gather", counted_gather)
     runs = []
@@ -826,3 +828,50 @@ def test_streaming_memory_is_bounded_by_the_replay_cap(text, count):
         tracemalloc.stop()
     assert peak < 2**20  # no recording was ever taken
     assert current < 2**20  # the stream is still open, and holds no recording
+
+
+def test_the_first_gathered_root_waits_for_one_fusion_not_all(monkeypatch):
+    """The first partition of 1^9 under m = 2520 is one bundle of all 9
+    fixed points, whose 8! = 40,320 fusions fit the replay cap as patterns.
+    They are built as the stream reaches them, so the first root waits for
+    a handful of fusions, not for all of them."""
+    built = []
+    real = perm._fusions
+
+    def counted(bundle, ell, m, image):
+        for _ in real(bundle, ell, m, image):
+            built.append(len(bundle))
+            yield
+
+    monkeypatch.setattr(perm, "_fusions", counted)
+    sigma = identity(9)
+    first = next(enumerate_roots(sigma, 2520))
+    assert power(first, 2520) == sigma
+    assert cycle_type(first) == CycleType((0,) * 8 + (1,))
+    assert 0 < len(built) < 100
+
+
+@pytest.mark.parametrize(
+    "text,m,caps",
+    [
+        ("1^8", 3, [0]),
+        ("1^7", 4, [0]),
+        ("1^7", 6, [0, 6]),  # no size, or the 3-bundles' 6 slots alone
+        ("1^9", 6, [0, 6]),  # a partition may hold a 3-bundle and a 6-bundle
+        ("2^6", 2, [0]),
+        ("2^4", 4, [0]),
+        ("3^3", 3, [0]),
+        ("1^8", 8, [0, 24]),  # no size, or the 4-bundles' 24 slots alone
+    ],
+)
+def test_gathered_fusions_equal_streamed_fusions(monkeypatch, text, m, caps):
+    """A streamed innermost length gathers the fusions of each size whose
+    patterns fit the cap, and a partition with a bundle of any other size
+    runs its fusions through the image.  Both give the same roots in the
+    same order, whichever sizes fit (the default cap fits them all here)."""
+    sigma = parse_cycle_type(text).canonical_permutation()
+    gathered = list(enumerate_roots(sigma, m))
+    assert len(gathered) == len(set(gathered)) == root_count(cycle_type(sigma), m)
+    for cap in caps:
+        monkeypatch.setattr(perm, "_REPLAY_CAP", cap)
+        assert list(enumerate_roots(sigma, m)) == gathered, cap
