@@ -21,17 +21,20 @@ through cycle_type to decide existence.  The construction factors over cycle
 lengths as the count does, since the maps of each ell write only the
 points of the ell-cycles.  A length whose admissible sizes are (1,) has
 one map, written once before the stream.  Of the others, the smallest
-ell's maps are streamed, and each larger ell's are built once and replayed
+ell's maps are streamed, and each larger ell's are recorded and replayed
 for every map of the smaller ones if their number, the count's factor for
 ell, fits a fixed cap on what one call records, decided before the stream
-(from its solution vectors alone when even they pass the cap).  The
-innermost length's replays are gathered into each root by one itemgetter
-pass over a copy of the outer maps' image and the recorded values.  An
-innermost length that is streamed gathers its fusions the same way: per
-partition, each root is one itemgetter pass over a copy of the image and
-the values of one fusion per bundle, which position patterns of the
-bundle's size give.  The patterns of a size are built as the stream first
-reaches them, and they count against the same cap.
+(from its solution vectors alone when even they pass the cap).  A
+recording is a memo: its items are built as the first iteration reaches
+them and kept for every later one, so no root waits for a whole
+recording.  A recorded length is written back from its memo under each
+map of the smaller lengths, or, when it is the innermost, gathered into
+each root by one itemgetter pass over a copy of the outer maps' image and
+the recorded values.  An innermost length that is streamed gathers its
+fusions the same way: per partition, each root is one itemgetter pass
+over a copy of the image and the values of one fusion per bundle, which
+position patterns of the bundle's size give.  The patterns of a size are
+a memo too, and they count against the same cap.
 Every constructed root is verified in full by re-powering before it is
 emitted, in the form it was built in: an image padded with a 0 at index 0.
 Powers are taken by repeated squaring, so that check costs O(n log m), and
@@ -516,40 +519,47 @@ def _ell_part_maps(cycles, ell: int, m: int, sizes: tuple[int, ...], image: list
         yield from _nested(_fuse_levels(multi, ell, m, image))
 
 
-class _Patterns:
-    """The fusions of the bundles of one size as position patterns, in
-    _fusions order: _fusions run on the bundle of positions ((0, ...,
-    ell-1), (ell, ..., 2*ell-1), ...) writes where each position goes, and
-    itemgetter(*written), called on a bundle's points in that order, gives
-    that fusion's values on them.  A pattern is built when an iteration
-    first reaches it and kept for every later one, so the first root waits
-    for one fusion, not all."""
+class _Memo:
+    """The items of the iterator source, each built when an iteration first
+    reaches it and kept for every later one, so the first item waits for
+    one step of source, not all.  Iterations may overlap: the one that runs
+    out of built items steps source for all.  complete is true once source
+    is exhausted, and an iteration then reads the kept items alone."""
 
-    __slots__ = ("built", "_more", "_written")
+    __slots__ = ("built", "_source")
 
-    def __init__(self, g: int, ell: int, m: int):
-        self._written = [0] * (g * ell)
-        positions = tuple(tuple(range(j * ell, (j + 1) * ell)) for j in range(g))
-        self._more = _fusions(positions, ell, m, self._written)
+    def __init__(self, source):
+        self._source = source
         self.built: list = []
 
     @property
     def complete(self) -> bool:
-        return self._more is None
+        return self._source is None
 
     def __iter__(self):
-        return iter(self.built) if self._more is None else self._building()
+        return iter(self.built) if self._source is None else self._building()
 
     def _building(self):
         built, i = self.built, 0
         while True:
             if i == len(built):
-                if self._more is None or next(self._more, _DONE) is _DONE:
-                    self._more = None
+                if self._source is None or (item := next(self._source, _DONE)) is _DONE:
+                    self._source = None
                     return
-                built.append(itemgetter(*self._written))
+                built.append(item)
             yield built[i]
             i += 1
+
+
+def _patterns(g: int, ell: int, m: int) -> _Memo:
+    """The fusions of a bundle of g ell-cycles as position patterns, in
+    _fusions order: _fusions run on the bundle of positions ((0, ...,
+    ell-1), (ell, ..., 2*ell-1), ...) writes where each position goes, and
+    itemgetter(*written), called on a bundle's points in that order, gives
+    that fusion's values on them."""
+    written = [0] * (g * ell)
+    positions = tuple(tuple(range(j * ell, (j + 1) * ell)) for j in range(g))
+    return _Memo(itemgetter(*written) for _ in _fusions(positions, ell, m, written))
 
 
 def _pattern_slots(g: int, ell: int, cap: int) -> int:
@@ -563,23 +573,35 @@ def _pattern_slots(g: int, ell: int, cap: int) -> int:
     return slots
 
 
+def _gather_index(identity, supports):
+    """gather, for a base as long as identity (range(len(base)), or that
+    range as a list, which copies faster) and the values of the points of
+    each of supports in turn: gather(base + values)[x] is the value that
+    values holds for x if x is one of those points, else base[x]."""
+    index = list(identity)
+    for j, x in enumerate(itertools.chain.from_iterable(supports), start=len(index)):
+        index[x] = j
+    return itemgetter(*index)
+
+
 def _joined(factors):
     """The values of each choice of one fusion per bundle of factors, a
     (call, patterns) pair per bundle, joined in bundle order, the first
-    bundle outermost and each bundle's fusions in pattern order.  One open
-    iterator per bundle, so the choices are never held all at once."""
-    chosen = [()] * len(factors)
-    levels = [map(*factors[0])]
-    while levels:
-        value = next(levels[-1], None)
-        if value is None:  # the bundle is exhausted: step the one above it
-            levels.pop()
-            continue
-        chosen[len(levels) - 1] = value
-        if len(levels) == len(factors):
-            yield tuple(itertools.chain.from_iterable(chosen))
-        else:
-            levels.append(map(*factors[len(levels)]))
+    bundle outermost and each bundle's fusions in pattern order: a _nested
+    run, whose level per outer bundle sets that bundle's chosen values and
+    whose innermost level joins them to each of the last bundle's, so the
+    choices are never held all at once."""
+    *outer, (call, patterns) = factors
+    chosen = [()] * len(outer)
+
+    def choose(i: int, call, patterns):  # a step per fusion, each setting chosen[i]
+        return map(chosen.__setitem__, itertools.repeat(i), map(call, patterns))
+
+    def join():
+        return map(tuple(itertools.chain.from_iterable(chosen)).__add__, map(call, patterns))
+
+    levels = [functools.partial(choose, i, *factor) for i, factor in enumerate(outer)]
+    return _nested([*levels, join])
 
 
 def _fusion_product(gather, base: tuple[int, ...], factors):
@@ -616,15 +638,12 @@ def _ell_part_roots(cycles, ell: int, m: int, sizes: tuple[int, ...], image: lis
         if not multi:
             yield (tuple(image),)
         elif all(map(patterns.__contains__, map(len, multi))):
-            # gather(base + values)[x] is the value that values holds for x on a bundle, else base[x]
-            index, end, factors = identity.copy(), len(image), []
+            supports, factors = [], []
             for bundle in multi:
                 points = tuple(itertools.chain.from_iterable(bundle))
-                for j, x in enumerate(points, start=end):
-                    index[x] = j
-                end += len(points)
+                supports.append(points)
                 factors.append((methodcaller("__call__", points), patterns[len(bundle)]))
-            yield _fusion_product(itemgetter(*index), tuple(image), factors)
+            yield _fusion_product(_gather_index(identity, supports), tuple(image), factors)
         else:
             yield (tuple(image) for _ in _nested(_fuse_levels(multi, ell, m, image)))
 
@@ -634,16 +653,17 @@ def _ell_part_roots(cycles, ell: int, m: int, sizes: tuple[int, ...], image: lis
 _REPLAY_CAP = 1 << 20
 
 
-def _recorded(maps, support: tuple[int, ...], image: list[int], count: int, recording: list):
-    """Run maps, an ell-part's count maps that write only support, appending
-    each map's values on support to recording before yielding after it.  A
-    run of other than count maps raises InternalCheckError."""
+def _recorded(maps, support: tuple[int, ...], image: list[int], count: int):
+    """The values on support of each of maps, an ell-part's count maps that
+    write only support into image, in order.  A run of other than count
+    maps raises InternalCheckError when it is exhausted."""
     read = itemgetter(*support)  # an inner ell >= 2 gives 2 points at least, so a tuple
+    built = 0
     for _ in maps():
-        recording.append(read(image))
-        yield
-    if len(recording) != count:
-        raise InternalCheckError(f"{len(recording)} inner maps built where {count} were due")
+        built += 1
+        yield read(image)
+    if built != count:
+        raise InternalCheckError(f"{built} inner maps built where {count} were due")
 
 
 def _replay(image: list[int], support: tuple[int, ...], recording):
@@ -655,50 +675,12 @@ def _replay(image: list[int], support: tuple[int, ...], recording):
         yield
 
 
-def _replayed(maps, support: tuple[int, ...], image: list[int], count: int):
-    """maps, an ell-part's count maps that write only support, as a _nested
-    level that records its first run and replays it on every later call.
-    _nested calls a level again only once its last run is exhausted, so the
-    recording is complete by then."""
-    recording: list[tuple[int, ...]] | None = None
-
-    def level():
-        nonlocal recording
-        if recording is None:
-            recording = []
-            return _recorded(maps, support, image, count, recording)
-        return _replay(image, support, recording)
-
-    return level
-
-
 def _gather(gather, image: list[int], recording):
     """The padded images of the roots under one map of the outer lengths,
     whose values image holds, for the recorded maps of the innermost
     length: base = tuple(image) is taken once, and each root is
     gather(base + values), one itemgetter pass, in recording order."""
     return map(gather, map(tuple(image).__add__, recording))
-
-
-def _gathered(outer, maps, support: tuple[int, ...], image: list[int], count: int):
-    """The padded images of all roots when the innermost length, maps on
-    support, is recorded.  _nested runs the outer levels alone.  Under their
-    first map the innermost maps are built and recorded through image, each
-    root read off it; under each later one the roots are gathered from the
-    recording by _gather, and nothing is written back."""
-    outer_maps = _nested(outer)
-    if next(outer_maps, _DONE) is _DONE:
-        return
-    recording: list[tuple[int, ...]] = []
-    for _ in _recorded(maps, support, image, count, recording):
-        yield tuple(image)
-    # gather(base + values)[x] is values[j] where x == support[j], else base[x]
-    index = list(range(len(image)))
-    for j, x in enumerate(support, start=len(image)):
-        index[x] = j
-    gather = itemgetter(*index)
-    for _ in outer_maps:
-        yield from _gather(gather, image, recording)
 
 
 def enumerate_roots(sigma: Permutation, m: int):
@@ -715,16 +697,19 @@ def enumerate_roots(sigma: Permutation, m: int):
     of maps from _length_factor before the stream, unless its solution
     vectors, a lower bound on that number, already need more slots (a point
     in one map) than are left of _REPLAY_CAP.  If its slots fit, its maps
-    are built once, with their values on its points recorded, and replayed
-    in the same order for every later map of the smaller lengths: written
-    back onto its points, or, for the innermost length, gathered straight
-    into each root by _gathered.  If not, they are built again per outer
-    map.  An innermost length that is streamed gathers its fusions into
-    each root by _ell_part_roots, from the patterns of each of its sizes
-    with more than one fusion whose (g-1)! * ell**(g-1) * g * ell slots fit
-    what is left of _REPLAY_CAP; a partition with a bundle of another size
-    runs its fusions through the image.  So no recording is dropped, and
-    memory stays O(n + _REPLAY_CAP) however long the stream runs.
+    are built once, under the first map of the smaller lengths, into a
+    _Memo of their values on its points, and read from it in the same
+    order under every map of the smaller lengths: written back onto its
+    points by _replay, or, for the innermost length, gathered straight into
+    each root by _gather.  If not, they are built again per outer map.  The
+    smaller lengths run as _nested levels, and under each of their maps the
+    innermost length is the source of roots.  An innermost length that is
+    streamed gathers its fusions into each root by _ell_part_roots, from
+    the pattern memos of each of its sizes with more than one fusion whose
+    (g-1)! * ell**(g-1) * g * ell slots fit what is left of _REPLAY_CAP; a
+    partition with a bundle of another size runs its fusions through the
+    image.  So no recording is dropped, and memory stays O(n + _REPLAY_CAP)
+    however long the stream runs.
 
     Each root is built as a padded image (index 0 holds 0) and re-powered
     in full in that form against the padded sigma, with m reduced by
@@ -744,9 +729,8 @@ def enumerate_roots(sigma: Permutation, m: int):
     # overwrites every other entry: the bundles cover sigma.
     image = [0] * (sigma.degree + 1)
     free = _REPLAY_CAP  # the slots this call may still record, or fill with patterns
-    parts = []  # the _nested levels of the lengths before the last one seen
-    recorded = None  # _replayed's arguments for the last length seen, if recorded
-    streamed = None  # the cycles, ell and sizes of the last length streamed
+    levels = []  # a _nested level per length with more than one map, ascending
+    last = None  # the cycles, ell and sizes of the last such length, and its memo if recorded
     for ell in sorted(by_len):
         cycles = by_len[ell]
         sizes = g_set_bounded(m, ell, len(cycles))
@@ -754,40 +738,42 @@ def enumerate_roots(sigma: Permutation, m: int):
             for cyc in cycles:
                 _write_fusion(image, cyc, (), _closing(cyc, 1, ell, m))
             continue
-        if recorded:  # a larger length follows, so it is written back per replay
-            parts.append(_replayed(*recorded))
-            recorded = None
-        maps = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image)
+        maps, memo = functools.partial(_ell_part_maps, cycles, ell, m, sizes, image), None
         # After a streamed length, which has two maps at least as a root
         # exists (two solution vectors when its sizes hold 1 and some g <= a,
         # else bundles of g > 1 cycles of length ell >= 2), this one reruns.
         points = ell * len(cycles)
-        if parts and count_epsilons(sizes, len(cycles)) * points <= free:
+        if levels and count_epsilons(sizes, len(cycles)) * points <= free:
             count = _length_factor(ell, len(cycles), m)
             if count * points <= free:
                 free -= count * points
                 support = tuple(itertools.chain.from_iterable(cycles))
-                recorded = (maps, support, image, count)
-                continue
-        parts.append(maps)
-        streamed = (cycles, ell, sizes)
-    if recorded:
-        padded_roots = _gathered(parts, *recorded)
-    elif parts:  # the innermost length streams, and gathers what patterns fit
-        cycles, ell, sizes = streamed
-        patterns = {}
-        for g in sizes:
-            slots = _pattern_slots(g, ell, free)
-            if g * ell < slots <= free:  # more than one fusion, and room for them all
-                free -= slots
-                patterns[g] = _Patterns(g, ell, m)
-        padded_roots = itertools.chain.from_iterable(
-            roots
-            for _ in _nested(parts[:-1])
-            for roots in _ell_part_roots(cycles, ell, m, sizes, image, patterns)
-        )
-    else:  # every length has one map, written above
+                memo = _Memo(_recorded(maps, support, image, count))
+                maps = functools.partial(_replay, image, support, memo)
+        levels.append(maps)
+        last = (cycles, ell, sizes, memo)
+    if last is None:  # every length has one map, written above
         padded_roots = [tuple(image)]
+    else:  # the last length is the source of roots under each map of the others
+        cycles, ell, sizes, memo = last
+        outer = levels[:-1]
+        if memo is not None:  # each root is gathered from the recording
+            gather = _gather_index(range(len(image)), cycles)
+            padded_roots = itertools.chain.from_iterable(
+                _gather(gather, image, memo) for _ in _nested(outer)
+            )
+        else:  # streamed: the fusions of each size whose patterns fit are gathered
+            patterns = {}
+            for g in sizes:
+                slots = _pattern_slots(g, ell, free)
+                if g * ell < slots <= free:  # more than one fusion, and room for them all
+                    free -= slots
+                    patterns[g] = _patterns(g, ell, m)
+            padded_roots = itertools.chain.from_iterable(
+                roots
+                for _ in _nested(outer)
+                for roots in _ell_part_roots(cycles, ell, m, sizes, image, patterns)
+            )
     for padded in padded_roots:
         if _padded_power(padded, exponent) != target:
             raise InternalCheckError("constructed root failed re-powering")

@@ -86,13 +86,22 @@ DROPPED_MAP = (
     "sum(1 for _ in real(cycles, ell, m, sizes, list(image))) - (ell == 3)))"
     "(target._ell_part_maps)"
 )
-# A replay of the innermost cycle length's recorded maps that gathers one
-# wrong value: the first replayed map sends its last point where its first
-# goes, so the first root gathered from it takes that value twice.
+# A recording of the innermost cycle length's maps that holds one wrong
+# value: the first recorded map sends its last point where its first goes,
+# so the first root gathered from it takes that value twice.
 WRONG_REPLAY = (
-    "(lambda real: lambda gather, image, recording: "
-    "real(gather, image, [recording[0][:-1] + recording[0][:1], *recording[1:]]))"
-    "(target._gather)"
+    "(lambda real: lambda maps, support, image, count: "
+    "(values[:-1] + values[:1] if i == 0 else values "
+    "for i, values in enumerate(real(maps, support, image, count))))"
+    "(target._recorded)"
+)
+# A memo that loses its last item once it is complete: the 3-cycles of
+# 1^6 3^2 under m = 4 are recorded beneath the fixed points' 256 maps, and
+# every outer map after the first gathers 3 of their 4 maps.
+DROPPED_MEMO_ITEM = (
+    "(lambda real: type('_Memo', (real,), {'__iter__': lambda self: "
+    "iter(self.built[:-1]) if self.complete else real.__iter__(self)}))"
+    "(target._Memo)"
 )
 # A walk over the untaken cycles that leaves the last companion of each
 # bundle linked: a later bundle of the same map takes that cycle again, and
@@ -382,10 +391,17 @@ FAULTS = [
     ),
     fault(
         "wrong-replay",
-        "perm._gather",
+        "perm._recorded",
         WRONG_REPLAY,
         ROOTS_1_6_3_2,
         "constructed root failed re-powering",
+    ),
+    fault(
+        "memo-dropped-item",
+        "perm._Memo",
+        DROPPED_MEMO_ITEM,
+        ROOTS_1_6_3_2,
+        "enumerate_roots streamed 769 roots where 1024 were due",
     ),
     fault(
         "linked-companion",

@@ -33,10 +33,12 @@ from permroots import (
     root_count,
 )
 from permroots import perm
+from permroots._checks import InternalCheckError
 from permroots.perm import (
     _closing,
     _fusions,
     _image_power,
+    _Memo,
     _order_multiple,
     _unlinked_subsets,
     _write_fusion,
@@ -722,8 +724,9 @@ def _builds_and_replays(monkeypatch, text, m, caps):
     text under m, with how often each cycle length's maps were built (a walk
     over its partitions, whether its maps are written into the image or,
     for a streamed innermost length, gathered into roots) and how often a
-    recording on each number of points was replayed, written back or, for
-    the innermost length, gathered."""
+    recording on each number of points was read under an outer map,
+    written back or, for the innermost length, gathered.  A recording is
+    read under every outer map, the first included, which builds it."""
     sigma = parse_cycle_type(text).canonical_permutation()
     built, replayed = Counter(), Counter()  # by cycle length; by points written
     real_walk, real_replay, real_gather = perm._partitions, perm._replay, perm._gather
@@ -737,8 +740,8 @@ def _builds_and_replays(monkeypatch, text, m, caps):
         return real_replay(image, support, recording)
 
     def counted_gather(gather, image, recording):
-        replayed[len(recording[0])] += 1
-        return real_gather(gather, image, recording)
+        yield from real_gather(gather, image, recording)
+        replayed[len(recording.built[0])] += 1  # each of its items holds the values of every point
 
     monkeypatch.setattr(perm, "_partitions", counted_walk)
     monkeypatch.setattr(perm, "_replay", counted_replay)
@@ -755,14 +758,15 @@ def _builds_and_replays(monkeypatch, text, m, caps):
 def test_an_inner_length_past_the_cap_is_regenerated(monkeypatch):
     """1^4 2^2 3^2 under m = 2: the fixed points have 10 maps, the 2-cycles 2
     maps on 4 points (8 slots) and the 3-cycles 4 maps on 6 points (24
-    slots).  Both are recorded under the default cap.  Under a cap of 28 or
-    16 the 2-cycles' 8 slots fit, and the 3-cycles' 24 do not fit the 20 or
-    8 left, so the 3-cycles are built again for each of the 20 outer maps.
-    Under a cap of 0 nothing is recorded."""
+    slots).  Both are recorded under the default cap, and read under each of
+    their 10 and 20 outer maps.  Under a cap of 28 or 16 the 2-cycles' 8
+    slots fit, and the 3-cycles' 24 do not fit the 20 or 8 left, so the
+    3-cycles are built again for each of the 20 outer maps.  Under a cap of
+    0 nothing is recorded."""
     expected = [
-        ({1: 1, 2: 1, 3: 1}, {4: 9, 6: 19}),
-        ({1: 1, 2: 1, 3: 20}, {4: 9}),
-        ({1: 1, 2: 1, 3: 20}, {4: 9}),
+        ({1: 1, 2: 1, 3: 1}, {4: 10, 6: 20}),
+        ({1: 1, 2: 1, 3: 20}, {4: 10}),
+        ({1: 1, 2: 1, 3: 20}, {4: 10}),
         ({1: 1, 2: 10, 3: 20}, {}),
     ]
     runs = _builds_and_replays(monkeypatch, "1^4 2^2 3^2", 2, [perm._REPLAY_CAP, 28, 16, 0])
@@ -776,10 +780,10 @@ def test_a_later_smaller_length_is_recorded_after_a_skipped_one(monkeypatch):
     12 maps on 8 points (96 slots) and the 3-cycles 4 maps on 6 points (24
     slots).  Under a cap of 50 the 2-cycles do not fit and are built again
     for each fixed-point map, while the 3-cycles, later but smaller, still
-    fit and are replayed for the other 23 outer maps."""
+    fit and are read under all 24 outer maps."""
     expected = [
-        ({1: 1, 2: 1, 3: 1}, {8: 1, 6: 23}),
-        ({1: 1, 2: 2, 3: 1}, {6: 23}),
+        ({1: 1, 2: 1, 3: 1}, {8: 2, 6: 24}),
+        ({1: 1, 2: 2, 3: 1}, {6: 24}),
         ({1: 1, 2: 2, 3: 24}, {}),
     ]
     runs = _builds_and_replays(monkeypatch, "1^2 2^4 3^2", 2, [perm._REPLAY_CAP, 50, 23])
@@ -795,9 +799,9 @@ def test_only_a_length_after_several_outer_maps_is_recorded(monkeypatch):
     recorded = []
     real = perm._recorded
 
-    def counted(maps, support, image, count, recording):
+    def counted(maps, support, image, count):
         recorded.append(len(support))
-        return real(maps, support, image, count, recording)
+        return real(maps, support, image, count)
 
     monkeypatch.setattr(perm, "_recorded", counted)
     sigma = parse_cycle_type("1^1 2^2 3^2").canonical_permutation()
@@ -830,11 +834,62 @@ def test_streaming_memory_is_bounded_by_the_replay_cap(text, count):
     assert current < 2**20  # the stream is still open, and holds no recording
 
 
-def test_the_first_gathered_root_waits_for_one_fusion_not_all(monkeypatch):
+def test_a_memo_steps_its_source_once_for_overlapping_iterations():
+    """Two interleaved iterations over a partly built _Memo yield the same
+    items, each built by one step of the source whichever iteration reaches
+    it first; complete flips only once an iteration finds the source
+    exhausted, and later iterations read the kept items alone."""
+    steps = []
+
+    def source():
+        for item in "abcd":
+            steps.append(item)
+            yield item
+
+    memo = _Memo(source())
+    first = iter(memo)
+    assert [next(first), next(first)] == ["a", "b"]
+    second = iter(memo)
+    assert [next(second), next(second), next(second)] == ["a", "b", "c"]
+    assert [next(first), next(first)] == ["c", "d"]
+    assert not memo.complete  # every item is built, but the end is not yet seen
+    assert list(second) == ["d"]
+    assert memo.complete
+    assert list(first) == []
+    assert list(memo) == list(memo) == list("abcd")
+    assert steps == list("abcd")
+
+
+def test_a_memo_passes_on_the_check_its_source_raises_at_exhaustion():
+    """_recorded counts its maps when they are exhausted: the memo over it
+    lets that InternalCheckError through to the iteration that reached the
+    end, and is not complete."""
+
+    def source():
+        yield "a"
+        raise InternalCheckError("1 inner maps built where 2 were due")
+
+    memo = _Memo(source())
+    items = iter(memo)
+    assert next(items) == "a"
+    with pytest.raises(InternalCheckError, match="^1 inner maps built where 2 were due$"):
+        next(items)
+    assert not memo.complete
+
+
+@pytest.mark.parametrize(
+    "text,m,first_type",
+    [("1^9", 2520, "9^1"), ("1^2 3^6", 2, "2^1 6^3")],
+    ids=["streamed-patterns", "recorded-innermost"],
+)
+def test_the_first_gathered_root_waits_for_one_fusion_not_all(monkeypatch, text, m, first_type):
     """The first partition of 1^9 under m = 2520 is one bundle of all 9
     fixed points, whose 8! = 40,320 fusions fit the replay cap as patterns.
-    They are built as the stream reaches them, so the first root waits for
-    a handful of fusions, not for all of them."""
+    The 3-cycles of 1^2 3^6 under m = 2 have 856 maps, recorded beneath the
+    fixed points' 2, and the innermost length's roots are gathered from that
+    recording.  Patterns and recordings alike are built as the stream
+    reaches them, so the first root waits for a handful of fusions, not for
+    all of them."""
     built = []
     real = perm._fusions
 
@@ -844,10 +899,10 @@ def test_the_first_gathered_root_waits_for_one_fusion_not_all(monkeypatch):
             yield
 
     monkeypatch.setattr(perm, "_fusions", counted)
-    sigma = identity(9)
-    first = next(enumerate_roots(sigma, 2520))
-    assert power(first, 2520) == sigma
-    assert cycle_type(first) == CycleType((0,) * 8 + (1,))
+    sigma = parse_cycle_type(text).canonical_permutation()
+    first = next(enumerate_roots(sigma, m))
+    assert power(first, m) == sigma
+    assert cycle_type(first) == parse_cycle_type(first_type)
     assert 0 < len(built) < 100
 
 
